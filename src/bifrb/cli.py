@@ -28,7 +28,7 @@ from .estimators import EstimatorKind
 from .greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                      adaptive_greedy, deflated_greedy, vanilla_greedy)
 from .model import ParameterSpace, make_model
-from .nlsolve import NewtonConfig
+from .nlsolve import NewtonConfig, deflation_parameter_problems
 from .pod import pod_basis
 from .rom import BasisMatrix
 
@@ -103,10 +103,7 @@ class RunConfig:
             problems.append(f"n_ref must be >= 1 (got {self.n_ref})")
         if not self.bif_tol > 0.0:
             problems.append(f"bif_tol must be positive (got {self.bif_tol})")
-        if not self.r > 0.0:
-            problems.append(f"r must be positive (got {self.r})")
-        if self.sigma < 0.0:
-            problems.append(f"sigma must be nonnegative (got {self.sigma})")
+        problems.extend(deflation_parameter_problems(self.r, self.sigma))
         if not self.newton_tol > 0.0:
             problems.append(f"newton_tol must be positive (got {self.newton_tol})")
         if (self.mu_min is None) != (self.mu_max is None):

@@ -13,10 +13,12 @@ terms are integrated with a two-point Gauss rule per element.
 
 The Jacobian is tridiagonal and is assembled as a (3, mesh_size) band array
 (`jacobian_bands`, LAPACK layout for `scipy.linalg.solve_banded`), so the
-full-order Newton step costs O(mesh_size).  Still dense: the stiffness matrix
-X with its Cholesky factors (norms, dual norms, `inf_sup`), `jacobian()` for
-the estimators and the reduced Jacobian, and the eigenproblem of the L4
-embedding constant.
+full-order Newton step costs O(mesh_size).  Reduced solvers never assemble at
+full order: they take the basis values at the Gauss points (`gauss_matrix`)
+and the source terms (`source`, `source_prime`) and apply the same quadrature
+to the coefficients.  Still dense: the stiffness matrix X with its Cholesky
+factors (norms, dual norms, `inf_sup`, the deflation metric), `jacobian()` for
+`inf_sup`, and the eigenproblem of the L4 embedding constant.
 """
 from __future__ import annotations
 
@@ -89,7 +91,8 @@ class ParametricModel:
         G(u; mu) = K u - mu * load(g(u)),      Jac(u; mu) = K - mu * M_w(g'(u)),
 
     with K the stiffness matrix, load(.) the Gauss-quadrature load vector and
-    M_w(.) the weighted mass matrix with pointwise weight g'(u).
+    M_w(.) the weighted mass matrix with pointwise weight g'(u).  Every Gauss
+    point carries the same quadrature weight `gauss_weight` = h / 2.
     """
 
     kind: ModelKind
@@ -103,6 +106,7 @@ class ParametricModel:
         self.mesh_size = int(mesh_size)
         self.h = 1.0 / (self.mesh_size + 1)
         self.nodes = self.h * np.arange(1, self.mesh_size + 1)
+        self.gauss_weight = 0.5 * self.h
         self._x_bands = self._stiffness_bands()
         self.x_matrix = _expand_bands(self._x_bands)
         # Cholesky factors of X, reused for dual norms and inf-sup computations.
@@ -126,16 +130,29 @@ class ParametricModel:
         left, right = ue[:-1], ue[1:]
         return left[:, None] * (1.0 - _GAUSS_T) + right[:, None] * _GAUSS_T
 
+    def gauss_matrix(self, columns: np.ndarray) -> np.ndarray:
+        """Values of every column at the 2(m+1) Gauss points, shape (2(m+1), N).
+
+        Row 2e + q is Gauss point q of element e, the order of
+        `_gauss_values(u).ravel()`, so that `gauss_matrix(B) @ c` equals the
+        Gauss values of the state `B @ c`.
+        """
+        columns = np.asarray(columns, dtype=float).reshape(self.mesh_size, -1)
+        phi = np.empty((2 * (self.mesh_size + 1), columns.shape[1]))
+        for j, col in enumerate(columns.T):
+            phi[:, j] = self._gauss_values(col).ravel()
+        return phi
+
     def _load(self, values: np.ndarray) -> np.ndarray:
         """Load vector int f(x) phi_i dx from per-Gauss-point values f, shape (m+1, 2)."""
-        w = 0.5 * self.h
+        w = self.gauss_weight
         contrib_left = w * values @ (1.0 - _GAUSS_T)
         contrib_right = w * values @ _GAUSS_T
         return contrib_right[:-1] + contrib_left[1:]
 
     def _weighted_mass_bands(self, weights: np.ndarray) -> np.ndarray:
         """Bands of int w(x) phi_i phi_j dx from per-Gauss-point weights, shape (m+1, 2)."""
-        w = 0.5 * self.h
+        w = self.gauss_weight
         d11 = w * weights @ (1.0 - _GAUSS_T) ** 2
         d22 = w * weights @ _GAUSS_T**2
         d12 = w * weights @ (_GAUSS_T * (1.0 - _GAUSS_T))
@@ -145,17 +162,19 @@ class ParametricModel:
         M[2, :-1] = d12[1:-1]
         return M
 
-    def _source(self, v: np.ndarray) -> np.ndarray:
+    def source(self, v: np.ndarray) -> np.ndarray:
+        """Nonlinear source g(v), elementwise on Gauss-point values."""
         raise NotImplementedError
 
-    def _source_prime(self, v: np.ndarray) -> np.ndarray:
+    def source_prime(self, v: np.ndarray) -> np.ndarray:
+        """Derivative g'(v), elementwise on Gauss-point values."""
         raise NotImplementedError
 
     def residual(self, u: np.ndarray, mu: float) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.mesh_size,):
             raise ValueError(f"state vector must have shape ({self.mesh_size},)")
-        g = self._source(self._gauss_values(u))
+        g = self.source(self._gauss_values(u))
         return self.x_matrix @ u - mu * self._load(g)
 
     def jacobian_bands(self, u: np.ndarray, mu: float) -> np.ndarray:
@@ -168,7 +187,7 @@ class ParametricModel:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.mesh_size,):
             raise ValueError(f"state vector must have shape ({self.mesh_size},)")
-        gp = self._source_prime(self._gauss_values(u))
+        gp = self.source_prime(self._gauss_values(u))
         return self._x_bands - mu * self._weighted_mass_bands(gp)
 
     def jacobian(self, u: np.ndarray, mu: float) -> np.ndarray:
@@ -235,7 +254,7 @@ class ParametricModel:
 
     def _l4_quartic(self, v: np.ndarray) -> float:
         vals = self._gauss_values(v)
-        return float(0.5 * self.h * np.sum(vals**4))
+        return float(self.gauss_weight * np.sum(vals**4))
 
     def _l4_embedding_constant(self, tol: float = 1e-8, max_iter: int = 500) -> float:
         # Maximize sqrt(int v^4) / int v'^2 (scale invariant).  Stationarity is
@@ -283,10 +302,10 @@ class Bratu1D(ParametricModel):
 
     kind = ModelKind.BRATU1D
 
-    def _source(self, v):
+    def source(self, v):
         return np.exp(v)
 
-    def _source_prime(self, v):
+    def source_prime(self, v):
         return np.exp(v)
 
     def lipschitz_constant(self, u, mu, radius):
@@ -316,10 +335,12 @@ class ChafeeInfante1D(ParametricModel):
     # Below pi^2 the zero branch is the only solution.
     uniqueness_side = "lower"
 
-    def _source(self, v):
-        return v - v**3
+    def source(self, v):
+        # Explicit products: numpy sends the integer power v**3 through libm
+        # pow, about ten times slower and within an ulp of the same values.
+        return v - v * v * v
 
-    def _source_prime(self, v):
+    def source_prime(self, v):
         return 1.0 - 3.0 * v**2
 
     def lipschitz_constant(self, u, mu, radius):

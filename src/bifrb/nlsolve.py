@@ -24,6 +24,7 @@ __all__ = [
     "SolveResult",
     "DeflationOperator",
     "DeflationSingularity",
+    "deflation_parameter_problems",
     "RootSet",
     "deflation_scalar",
     "deflation_gradient",
@@ -65,6 +66,20 @@ class DeflationSingularity(RuntimeError):
     """Raised when the deflation operator is evaluated on one of its own roots."""
 
 
+def deflation_parameter_problems(power_r: float, shift_sigma: float) -> list[str]:
+    """What is wrong with a deflation power r and shift sigma (empty if valid).
+
+    The factor ||y - u||^-r + sigma needs r >= 1 to repel Newton from the
+    root and sigma > 0 to keep the far field from vanishing.
+    """
+    problems = []
+    if not power_r >= 1.0:
+        problems.append(f"deflation power r must be >= 1 (got {power_r})")
+    if not shift_sigma > 0.0:
+        problems.append(f"deflation shift sigma must be positive (got {shift_sigma})")
+    return problems
+
+
 @dataclass
 class DeflationOperator:
     """Scalar deflation factor and its gradient for a fixed list of roots.
@@ -80,47 +95,51 @@ class DeflationOperator:
     metric: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.power_r < 1.0:
-            raise ValueError("deflation power must satisfy r >= 1")
-        if self.shift_sigma <= 0.0:
-            raise ValueError("deflation shift must satisfy sigma > 0")
+        problems = deflation_parameter_problems(self.power_r, self.shift_sigma)
+        if problems:
+            raise ValueError("; ".join(problems))
         self.roots = [np.asarray(u, dtype=float) for u in self.roots]
 
-    def _diffs_and_distances(self, y: np.ndarray):
-        diffs = [y - u for u in self.roots]
-        if self.metric is None:
-            dists = [float(np.linalg.norm(d)) for d in diffs]
-        else:
-            dists = []
-            for d in diffs:
-                q = float(d @ (self.metric @ d))
-                dists.append(float(np.sqrt(max(q, 0.0))) if np.isfinite(q) else float("inf"))
-        return diffs, dists
+    def _metric_diffs(self, y: np.ndarray) -> list[tuple[np.ndarray, float]]:
+        """(metric @ (y - u_i), ||y - u_i||) for every root u_i."""
+        out = []
+        for u in self.roots:
+            d = y - u
+            if self.metric is None:
+                out.append((d, float(np.linalg.norm(d))))
+            else:
+                md = self.metric @ d
+                q = float(d @ md)
+                out.append((md, float(np.sqrt(max(q, 0.0))) if np.isfinite(q) else float("inf")))
+        return out
+
+    def distances(self, y: np.ndarray) -> list[float]:
+        return [dist for _, dist in self._metric_diffs(np.asarray(y, dtype=float))]
+
+    def factor_and_gradient(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """The deflation factor m(y) and its gradient, from one pass over the roots.
+
+        The gradient pairs with plain dot products against steps.
+        """
+        y = np.asarray(y, dtype=float)
+        terms = self._metric_diffs(y)
+        if any(dist < 1e-100 for _, dist in terms):
+            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
+        factors = [dist ** (-self.power_r) + self.shift_sigma for _, dist in terms]
+        m = 1.0
+        for f in factors:
+            m *= f
+        g = np.zeros_like(y)
+        for (md, dist), f in zip(terms, factors):
+            g += (m / f) * (-self.power_r) * dist ** (-self.power_r - 2.0) * md
+        return m, g
 
     def scalar(self, y: np.ndarray) -> float:
-        _, dists = self._diffs_and_distances(np.asarray(y, dtype=float))
-        if any(d < 1e-100 for d in dists):
-            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
-        m = 1.0
-        for d in dists:
-            m *= d ** (-self.power_r) + self.shift_sigma
-        return m
+        return self.factor_and_gradient(y)[0]
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Gradient of scalar() at y; pairs with plain dot products against steps."""
-        y = np.asarray(y, dtype=float)
-        diffs, dists = self._diffs_and_distances(y)
-        if any(d < 1e-100 for d in dists):
-            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
-        g = np.zeros_like(y)
-        if not self.roots:
-            return g
-        factors = [d ** (-self.power_r) + self.shift_sigma for d in dists]
-        m = float(np.prod(factors))
-        for diff, d, f in zip(diffs, dists, factors):
-            md = self.metric @ diff if self.metric is not None else diff
-            g += (m / f) * (-self.power_r) * d ** (-self.power_r - 2.0) * md
-        return g
+        return self.factor_and_gradient(y)[1]
 
 
 def deflation_scalar(op: DeflationOperator, y: np.ndarray) -> float:
@@ -186,7 +205,7 @@ def _newton_iterate(residual_fn, step_fn, guess, cfg, res_norm_fn, state_norm_fn
                     deflation, distinct_fn) -> SolveResult:
     y = np.array(guess, dtype=float).copy()
     if deflation is not None and deflation.roots:
-        _, dists = deflation._diffs_and_distances(y)
+        dists = deflation.distances(y)
         scale = max(1.0, state_norm_fn(y))
         if min(dists) <= 1e-12 * scale:
             return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
@@ -211,8 +230,7 @@ def _newton_iterate(residual_fn, step_fn, guess, cfg, res_norm_fn, state_norm_fn
             return SolveResult(y, False, k, rnorm, "nonfinite_step")
         if deflation is not None:
             try:
-                m = deflation.scalar(y)
-                grad = deflation.gradient(y)
+                m, grad = deflation.factor_and_gradient(y)
             except DeflationSingularity:
                 return SolveResult(y, False, k, rnorm, "deflation_singular_guess")
             denom = 1.0 - float(grad @ du) / m

@@ -1,15 +1,24 @@
 """Reduced basis handling and Galerkin-projected solvers.
 
-A basis is a dense N_h x N matrix with X-orthonormal columns; the reduced
-residual and Jacobian are plain Galerkin projections
+A basis is a dense N_h x N matrix B with X-orthonormal columns; the reduced
+residual and Jacobian are the plain Galerkin projections
 
     G_N(u_N) = B^T G(B u_N),        Jac_N(u_N) = B^T Jac(B u_N) B,
 
-so no hyper-reduction takes place and every reduced solve assembles at full
-order.  Reduced Newton iterates on coefficient vectors with a Euclidean
-convergence test, which by orthonormality agrees with the X-norm of the lifted
-increment.  Reduced deflation therefore measures root distances in the
-Euclidean metric and otherwise mirrors the full-order scaled-step solver.
+with no hyper-reduction.  They are evaluated without lifting to full order:
+with Phi the values of the basis columns at the model's Gauss points and
+K_N = B^T X B, both computed once per basis,
+
+    G_N(u_N) = K_N u_N - mu w Phi^T g(Phi u_N),
+    Jac_N(u_N) = K_N - mu w Phi^T diag(g'(Phi u_N)) Phi,
+
+which are the quadrature sums of the full-order load vector and weighted mass
+matrix taken in another order (w the Gauss weight, g the model's source).  A
+reduced Newton iteration thus costs O(m N^2) for m interior nodes.  Reduced
+Newton iterates on coefficient vectors with a Euclidean convergence test,
+which by orthonormality agrees with the X-norm of the lifted increment.
+Reduced deflation therefore measures root distances in the Euclidean metric
+and otherwise mirrors the full-order scaled-step solver.
 """
 from __future__ import annotations
 
@@ -57,7 +66,12 @@ class EnrichResult:
 
 
 class BasisMatrix:
-    """X-orthonormal basis that grows one Gram-Schmidt-filtered column at a time."""
+    """X-orthonormal basis that grows one Gram-Schmidt-filtered column at a time.
+
+    The Galerkin operators (Phi, K_N) of the reduced solvers are built on first
+    use and dropped when `enrich` appends a column; the columns are not meant
+    to be changed in place.
+    """
 
     def __init__(self, model: ParametricModel, columns: np.ndarray | None = None,
                  mu_values: list | None = None):
@@ -67,6 +81,7 @@ class BasisMatrix:
         self._columns = np.asarray(columns, dtype=float).reshape(model.mesh_size, -1)
         # Parameter value each column's snapshot was taken at (None if unknown).
         self.mu_values = list(mu_values) if mu_values is not None else [None] * self._columns.shape[1]
+        self._operators: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -101,7 +116,16 @@ class BasisMatrix:
         xi = w / norm_w
         self._columns = np.column_stack([self._columns, xi])
         self.mu_values.append(mu)
+        self._operators = None
         return EnrichResult("enriched", vector=xi)
+
+    def galerkin_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi, K_N): the columns at the Gauss points and B^T X B, cached."""
+        if self._operators is None:
+            phi = self.model.gauss_matrix(self._columns)
+            k_n = self._columns.T @ (self.model.x_matrix @ self._columns)
+            self._operators = (phi, k_n)
+        return self._operators
 
     def lift(self, u_n: np.ndarray) -> np.ndarray:
         """Map reduced coefficients to the full-order state B u_N."""
@@ -163,11 +187,19 @@ def gram_schmidt_enrich(basis: BasisMatrix, snapshot: np.ndarray,
 
 
 def reduced_residual(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
-    return basis.matrix.T @ basis.model.residual(basis.lift(u_n), mu)
+    """B^T G(B u_N; mu), summed at the Gauss points."""
+    phi, k_n = basis.galerkin_operators()
+    model = basis.model
+    u_n = np.asarray(u_n, dtype=float)
+    return k_n @ u_n - (mu * model.gauss_weight) * (phi.T @ model.source(phi @ u_n))
 
 
 def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
-    return basis.matrix.T @ basis.model.jacobian(basis.lift(u_n), mu) @ basis.matrix
+    """B^T Jac(B u_N; mu) B, summed at the Gauss points."""
+    phi, k_n = basis.galerkin_operators()
+    model = basis.model
+    weights = model.source_prime(phi @ np.asarray(u_n, dtype=float))
+    return k_n - (mu * model.gauss_weight) * (phi.T @ (weights[:, None] * phi))
 
 
 def _require_nonempty(basis: BasisMatrix) -> None:

@@ -60,6 +60,20 @@ def test_inverted_interval_exits_one(tmp_path, capsys):
     assert "mu_min must be less than mu_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--sigma", "0", "deflation shift sigma must be positive"),
+    ("--r", "0.5", "deflation power r must be >= 1"),
+])
+def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, problem):
+    out = tmp_path / "o"
+    code = run_cli(["run", "--model", "chafee", flag, value] + FAST + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {problem}" in err
+    assert "aborted" not in err
+    assert not out.exists()
+
+
 def test_unknown_config_field_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mesh": 41}))

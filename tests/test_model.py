@@ -129,6 +129,31 @@ def test_jacobian_expands_its_bands(chafee, rng):
     assert np.count_nonzero(jac - np.triu(np.tril(jac, 1), -1)) == 0
 
 
+def test_chafee_residual_matches_cubic_power_formula(chafee, rng):
+    # the source is evaluated as v - v*v*v; the textbook v - v**3 agrees to roundoff
+    states = [chafee.default_guess, -1.3 * chafee.default_guess,
+              rng.standard_normal(chafee.mesh_size)]
+    for u in states:
+        vals = chafee._gauss_values(u)
+        for mu in (5.0, 9.8, 15.0):
+            expect = chafee.x_matrix @ u - mu * chafee._load(vals - vals**3)
+            got = chafee.residual(u, mu)
+            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_gauss_matrix_holds_the_gauss_values_of_each_column(kind, rng):
+    model = make_model(kind, 31)
+    cols = rng.standard_normal((31, 3))
+    phi = model.gauss_matrix(cols)
+    assert phi.shape == (64, 3)
+    for j in range(3):
+        assert np.array_equal(phi[:, j], model._gauss_values(cols[:, j]).ravel())
+    coeffs = rng.standard_normal(3)
+    assert np.allclose(phi @ coeffs, model._gauss_values(cols @ coeffs).ravel(),
+                       rtol=0, atol=1e-14)
+
+
 def test_residual_rejects_wrong_shape(bratu):
     with pytest.raises(ValueError):
         bratu.residual(np.zeros(7), 1.0)

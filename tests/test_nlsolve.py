@@ -145,6 +145,42 @@ def test_deflation_singularity_and_validation(rng):
         DeflationOperator([u1], shift_sigma=0.0)
 
 
+def test_factor_and_gradient_in_one_pass(bratu, rng):
+    roots = [rng.standard_normal(bratu.mesh_size) for _ in range(3)]
+    y = rng.standard_normal(bratu.mesh_size)
+    for metric in (None, bratu.x_matrix):
+        op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5, metric=metric)
+        m, g = op.factor_and_gradient(y)
+        assert m == op.scalar(y)
+        assert np.array_equal(g, op.gradient(y))
+        manual = 1.0
+        for d in op.distances(y):
+            manual *= d**-3.0 + 0.5
+        assert np.isclose(m, manual, rtol=1e-14)
+
+
+def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
+    # one factor-and-gradient pass per Newton step, never the two views
+    mu = 12.0
+    root = newton(chafee, mu, chafee.default_guesses[0]).u
+    calls = {"pair": 0}
+    pair = DeflationOperator.factor_and_gradient
+
+    def counted(self, y):
+        calls["pair"] += 1
+        return pair(self, y)
+
+    def forbidden(self, y):
+        raise AssertionError("scalar()/gradient() called inside the Newton loop")
+
+    monkeypatch.setattr(DeflationOperator, "factor_and_gradient", counted)
+    monkeypatch.setattr(DeflationOperator, "scalar", forbidden)
+    monkeypatch.setattr(DeflationOperator, "gradient", forbidden)
+    res = deflated_newton(chafee, mu, chafee.default_guesses[1], [root])
+    assert res.converged
+    assert calls["pair"] == res.iterations
+
+
 def test_empty_deflation_reproduces_plain_newton_bitwise(chafee):
     guess = 0.8 * chafee.default_guesses[0]
     plain = newton(chafee, 11.0, guess)

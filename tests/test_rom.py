@@ -98,6 +98,81 @@ def test_reduced_operators_are_galerkin_projections(chafee, rng):
     assert np.allclose(reduced_jacobian(basis, y, mu), expect_jac, atol=1e-12)
 
 
+def assert_galerkin(basis, y, mu):
+    """Reduced operators equal B^T G(B y) and B^T J(B y) B to 1e-12 relative."""
+    model, B = basis.model, basis.matrix
+    lifted = B @ y
+    expect_res = B.T @ model.residual(lifted, mu)
+    expect_jac = B.T @ model.jacobian(lifted, mu) @ B
+    res = reduced_residual(basis, y, mu)
+    jac = reduced_jacobian(basis, y, mu)
+    assert np.linalg.norm(res - expect_res) <= 1e-12 * np.linalg.norm(expect_res)
+    assert np.linalg.norm(jac - expect_jac) <= 1e-12 * np.linalg.norm(expect_jac)
+
+
+def snapshot_basis(model, mus):
+    """Basis of full-order roots, the kind the greedy algorithms build."""
+    basis = BasisMatrix(model)
+    for mu in mus:
+        for guess in model.default_guesses:
+            result = newton(model, mu, guess)
+            if result.converged:
+                basis.enrich(result.u, mu)
+    return basis
+
+
+@pytest.mark.parametrize("kind, mus, mu", [
+    ("bratu", (1.0, 3.0, 3.5), 2.0),
+    ("chafee", (11.0, 14.0), 12.5),
+])
+def test_projected_operators_match_full_assembly(kind, mus, mu, rng):
+    model = make_model(kind, 101)
+    bases = [snapshot_basis(model, mus), random_basis(model, rng, 4)]
+    for basis in bases:
+        assert basis.n >= 2
+        for scale in (0.1, 1.0, 3.0):
+            assert_galerkin(basis, scale * rng.standard_normal(basis.n), mu)
+
+
+def test_enrich_drops_the_cached_operators(chafee, rng):
+    basis = random_basis(chafee, rng, 2)
+    assert_galerkin(basis, rng.standard_normal(2), 9.5)
+    assert basis.enrich(rng.standard_normal(chafee.mesh_size)).enriched
+    assert_galerkin(basis, rng.standard_normal(3), 9.5)
+    # a rejected snapshot leaves the basis, and its operators, as they were
+    assert not basis.enrich(basis.matrix[:, 0]).enriched
+    assert_galerkin(basis, rng.standard_normal(3), 9.5)
+
+
+def test_projected_operators_on_truncated_and_loaded_bases(tmp_path, bratu, rng):
+    basis = random_basis(bratu, rng, 5)
+    assert_galerkin(basis, rng.standard_normal(5), 2.0)
+    sub = basis.truncated(3)
+    assert_galerkin(sub, rng.standard_normal(3), 2.0)
+    assert_galerkin(basis.truncated(1), rng.standard_normal(1), 2.0)
+    path = tmp_path / "basis.csv"
+    sub.save(path)
+    loaded = BasisMatrix.load(path)
+    assert_galerkin(loaded, rng.standard_normal(3), 2.0)
+
+
+@pytest.mark.parametrize("kind, mu", [("bratu", 2.0), ("chafee", 12.0)])
+def test_reduced_solvers_never_assemble_at_full_order(kind, mu, monkeypatch):
+    model = make_model(kind, 101)
+    basis = snapshot_basis(model, (mu,))
+    guesses = [basis.project(g) for g in model.default_guesses]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-order assembly inside a reduced solve")
+
+    for name in ("residual", "jacobian", "jacobian_bands", "newton_step"):
+        monkeypatch.setattr(model, name, forbidden)
+    first = reduced_newton(basis, mu, guesses[0])
+    assert first.converged
+    second = reduced_deflated_newton(basis, mu, guesses[-1], [first.u])
+    assert second.iterations > 0
+
+
 def test_reduced_newton_recovers_its_own_snapshot(chafee):
     mu = 12.0
     snap = newton(chafee, mu, chafee.default_guesses[0]).u
