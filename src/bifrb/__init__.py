@@ -21,7 +21,7 @@ from .model import (Bratu1D, ChafeeInfante1D, ModelKind, ParameterSpace,
 from .nlsolve import (DeflationOperator, NewtonConfig, RootSet, SolveResult,
                       deflated_newton, discover_solutions, newton)
 from .pod import PODResult, branchwise_pod, pod_basis
-from .rom import (BasisMatrix, EnrichResult, GuessStore, gram_schmidt_enrich,
+from .rom import (BasisMatrix, EnrichResult, GuessStore,
                   reduced_deflated_newton, reduced_jacobian, reduced_newton,
                   reduced_residual)
 
@@ -38,7 +38,7 @@ __all__ = [
     "branchwise_pod", "deflated_estimator_sweep", "deflated_greedy",
     "deflated_newton",
     "discover_solutions", "error_sweep", "error_vs_n", "estimator_sweep",
-    "gram_schmidt_enrich", "inf_sup", "linear_estimate", "make_model",
+    "inf_sup", "linear_estimate", "make_model",
     "newton", "nonlinear_estimate", "pod_basis", "reduced_deflated_newton",
     "reduced_jacobian", "reduced_newton", "reduced_residual",
     "relative_error", "residual_dual_norm", "solution_ensemble",

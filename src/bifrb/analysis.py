@@ -18,7 +18,7 @@ import numpy as np
 from .estimators import discover_reduced_solutions, nonlinear_estimate
 from .model import ParametricModel
 from .nlsolve import NewtonConfig, discover_solutions
-from .rom import BasisMatrix, reduced_newton
+from .rom import BasisMatrix, reduced_solves
 
 __all__ = [
     "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
@@ -247,10 +247,10 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
     carried: list[np.ndarray] = []
-    for mu in mus:
+    tested = [mu for mu in mus if oracle.at(mu)]
+    single_seed = reduced_solves(basis, tested, cfg)
+    for mu in tested:
         refs = oracle.at(mu)
-        if not refs:
-            continue
         if basis.n == 0:
             for p in refs:
                 kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
@@ -264,13 +264,8 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                                                power_r, shift_sigma)
             carried = [r.copy() for r in roots]
         else:
-            seed = carried[0] if carried else basis.project(model.default_guess)
-            result = reduced_newton(basis, mu, seed, cfg)
-            if not result.converged:
-                result = reduced_newton(basis, mu,
-                                        basis.project(model.default_guess), cfg)
+            _, result = next(single_seed)
             roots = [result.u.copy()] if result.converged else []
-            carried = [r.copy() for r in roots]
         lifted = [basis.lift(r) for r in roots]
         values = [model.midpoint_value(u) for u in lifted]
         est_cache: dict[int, float] = {}

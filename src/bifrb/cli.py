@@ -8,7 +8,8 @@ the same configuration are byte-identical, which makes them diffable.
 
 Exit codes: 0 when the requested computation certified (or has no
 certification notion), 2 when a greedy run stopped without reaching its
-tolerance or a numerical abort occurred, 1 on configuration errors.
+tolerance or a numerical abort occurred, 1 on configuration errors, which
+include malformed command lines (`--help` exits 0).
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
-
-import numpy as np
 
 from .analysis import (SolutionEnsemble, diagram_csv, ensemble_diagram,
                        error_sweep, error_vs_n, error_vs_n_csv, errors_csv,
@@ -67,7 +66,6 @@ class RunConfig:
     r: float = 2.0
     sigma: float = 1.0
     newton_tol: float = 1e-10
-    seed: int = 0
     out_dir: str = "out"
 
     def to_dict(self) -> dict:
@@ -93,16 +91,10 @@ class RunConfig:
             problems.append(f"test_size must be >= 2 (got {self.test_size})")
         if self.strategy not in _STRATEGIES:
             problems.append(f"strategy must be one of {_STRATEGIES} (got {self.strategy!r})")
-        if self.n_max < 1:
-            problems.append(f"n_max must be >= 1 (got {self.n_max})")
-        if not self.tol > 0.0:
-            problems.append(f"tol must be positive (got {self.tol})")
+        problems.extend(GreedyConfig(n_max=self.n_max, tol=self.tol).problems())
         if self.estimator_kind not in _ESTIMATORS:
             problems.append(f"estimator_kind must be one of {_ESTIMATORS} (got {self.estimator_kind!r})")
-        if self.n_ref < 1:
-            problems.append(f"n_ref must be >= 1 (got {self.n_ref})")
-        if not self.bif_tol > 0.0:
-            problems.append(f"bif_tol must be positive (got {self.bif_tol})")
+        problems.extend(AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol).problems())
         problems.extend(deflation_parameter_problems(self.r, self.sigma))
         if not self.newton_tol > 0.0:
             problems.append(f"newton_tol must be positive (got {self.newton_tol})")
@@ -355,9 +347,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, help="deflation power")
     p.add_argument("--sigma", type=float, help="deflation shift")
     p.add_argument("--newton-tol", dest="newton_tol", type=float)
-    p.add_argument("--seed", type=int,
-                   help="recorded in the manifest; seeds any randomized utility")
     p.add_argument("--out", dest="out_dir")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -375,7 +372,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bifrb",
         description="Certified reduced bases for 1D bifurcating PDE models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,8 +397,8 @@ def main(argv=None) -> int:
     p_err.add_argument("--basis-dir", required=True,
                        help="directory holding basis.csv and basis.json")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = build_config(args)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,8 @@ from scipy.linalg import solve_triangular, svdvals
 
 from .model import ParametricModel
 from .nlsolve import NewtonConfig
-from .rom import BasisMatrix, GuessStore, reduced_deflated_newton, reduced_newton
+from .rom import (BasisMatrix, GuessStore, discover_reduced_solutions,
+                  reduced_newton, reduced_solves)
 
 __all__ = [
     "BETA_FLOOR",
@@ -42,7 +43,6 @@ __all__ = [
     "residual_dual_norm",
     "linear_estimate",
     "nonlinear_estimate",
-    "sobolev_embedding_constant",
     "estimator_sweep",
     "deflated_estimator_sweep",
     "beta_sweep",
@@ -76,17 +76,14 @@ def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     the discrete inf-sup constant of the linearized operator in the X-norm.
     """
     jac = model.jacobian(u, mu)
-    half = solve_triangular(model.x_chol_lower, jac, lower=True)
-    sym = solve_triangular(model.x_chol_lower, half.T, lower=True).T
+    chol = model.x_cho[0]  # L in its lower triangle
+    half = solve_triangular(chol, jac, lower=True)
+    sym = solve_triangular(chol, half.T, lower=True).T
     return float(svdvals(sym)[-1])
 
 
 def residual_dual_norm(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     return model.x_dual_norm(model.residual(u, mu))
-
-
-def sobolev_embedding_constant(model: ParametricModel, p: float) -> float:
-    return model.embedding_constant(p)
 
 
 @dataclass
@@ -192,10 +189,6 @@ class EstimatorSet:
     def all_valid(self) -> bool:
         return all(e.valid for e in self.entries)
 
-    def ranked(self) -> list[EstimatorEntry]:
-        """Entries by decreasing bound; infinite bounds come first."""
-        return sorted(self.entries, key=lambda e: (-e.delta, e.mu))
-
     def rows(self) -> list[dict]:
         return [{"mu": e.mu, "branch": e.branch, "delta": e.delta,
                  "beta": e.beta, "tau": e.tau, "valid": int(e.valid)}
@@ -216,51 +209,12 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
 
     With continuation the previous parameter's solution seeds the next solve;
     the first solve, and every solve after a divergence, starts from the
-    projected model default guess.
+    projected model default guess (`rom.reduced_solves`).
     """
     cfg = cfg or EstimatorConfig()
-    entries = []
-    carried = None
-    for mu in mus:
-        guess = carried if (continuation and carried is not None) \
-            else basis.project(model.default_guess)
-        result = reduced_newton(basis, mu, guess, cfg.newton)
-        if not result.converged and continuation and carried is not None:
-            result = reduced_newton(basis, mu, basis.project(model.default_guess), cfg.newton)
-        entries.append(_entry(model, basis, mu, 0, result, cfg))
-        carried = result.u.copy() if result.converged else None
+    entries = [_entry(model, basis, mu, 0, result, cfg)
+               for mu, result in reduced_solves(basis, mus, cfg.newton, continuation)]
     return EstimatorSet(entries, cfg.kind)
-
-
-def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
-                               cfg: NewtonConfig | None = None,
-                               power_r: float = 2.0,
-                               shift_sigma: float = 1.0) -> list[np.ndarray]:
-    """All distinct reduced roots reachable from the guess battery.
-
-    Mirrors the full-order discovery loop: a plain solve from the first
-    guess, then repeated deflated solves from every guess until each guess
-    is exhausted by divergence or duplication.
-    """
-    cfg = cfg or NewtonConfig()
-    roots: list[np.ndarray] = []
-
-    def is_new(y):
-        ny = np.linalg.norm(y)
-        return all(np.linalg.norm(y - v) > 1e-6 * max(1.0, ny, np.linalg.norm(v))
-                   for v in roots)
-
-    first = reduced_newton(basis, mu, guesses[0], cfg)
-    if first.converged:
-        roots.append(first.u.copy())
-    for guess in guesses:
-        while True:
-            result = reduced_deflated_newton(basis, mu, guess, roots, cfg,
-                                             power_r, shift_sigma)
-            if not result.converged or not is_new(result.u):
-                break
-            roots.append(result.u.copy())
-    return roots
 
 
 def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
@@ -313,19 +267,9 @@ def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     """
     cfg = cfg or EstimatorConfig()
     out = []
-    carried = None
-    for mu in mus:
-        guess = carried if (continuation and carried is not None) \
-            else basis.project(model.default_guess)
-        result = reduced_newton(basis, mu, guess, cfg.newton)
-        if not result.converged and continuation and carried is not None:
-            result = reduced_newton(basis, mu, basis.project(model.default_guess), cfg.newton)
-        if result.converged:
-            out.append(BetaEntry(mu, inf_sup(model, basis.lift(result.u), mu), True))
-            carried = result.u.copy()
-        else:
-            out.append(BetaEntry(mu, math.inf, False))
-            carried = None
+    for mu, result in reduced_solves(basis, mus, cfg.newton, continuation):
+        beta = inf_sup(model, basis.lift(result.u), mu) if result.converged else math.inf
+        out.append(BetaEntry(mu, beta, result.converged))
     return out
 
 

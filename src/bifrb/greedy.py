@@ -1,11 +1,11 @@
 """Greedy sampling strategies for building certified reduced bases.
 
-Three variants share one skeleton: sweep the training set with an error
-estimator, pick the worst-certified entry, compute a full-order snapshot
-there, and enrich the basis.
+All three variants run one loop (`_greedy`): sweep the training set with an
+error estimator, pick the worst-certified entry, compute a full-order
+snapshot there, and enrich the basis.  They differ only in its hooks.
 
-* The plain variant runs one reduced solve per parameter and tracks a single
-  solution family.
+* The plain variant runs one reduced solve per parameter, tracks a single
+  solution family and solves at full order from the model's default guess.
 * The adaptive variant additionally locates the parameter minimizing the
   inf-sup constant after every enrichment and refines the training grid
   around it, so a coarse initial grid sharpens itself near the critical
@@ -25,7 +25,7 @@ aborts with a stagnation status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,7 +34,8 @@ from .estimators import (EstimatorConfig, EstimatorKind, EstimatorSet,
                          argmin_beta, beta_sweep, deflated_estimator_sweep,
                          estimator_sweep)
 from .model import ParameterSpace, ParametricModel
-from .nlsolve import NewtonConfig, RootSet, deflated_newton, newton
+from .nlsolve import (NewtonConfig, RootSet, deflated_newton, discover,
+                      newton)
 from .rom import BasisMatrix, GuessStore
 
 __all__ = [
@@ -63,19 +64,25 @@ class GreedyConfig:
     tol: float = 1e-3
     mu0: float | None = None  # default: endpoint on the model's uniqueness side
     estimator_kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
-    continuation_hf: bool = False
-    continuation_rb: bool = False
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     power_r: float = 2.0
     shift_sigma: float = 1.0
 
+    def problems(self) -> list[str]:
+        """What is wrong with the stopping criteria (empty if valid)."""
+        problems = []
+        if not self.n_max >= 1:
+            problems.append(f"n_max must be >= 1 (got {self.n_max})")
+        if not self.tol > 0.0:
+            problems.append(f"tol must be positive (got {self.tol})")
+        return problems
+
     def validate(self, space: ParameterSpace) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        problems = self.problems()
         if self.mu0 is not None and not _in_train_set(self.mu0, space):
-            raise ValueError(f"mu0={self.mu0:g} is not a training parameter")
+            problems.append(f"mu0={self.mu0:g} is not a training parameter")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(self.estimator_kind, self.newton,
@@ -86,13 +93,20 @@ class GreedyConfig:
 class AdaptiveConfig:
     n_ref: int = 4  # points inserted per refinement
     bif_tol: float = 1e-2  # similarity tolerance on consecutive minimizers
-    initial_train_size: int = 4
+
+    def problems(self) -> list[str]:
+        """What is wrong with the refinement settings (empty if valid)."""
+        problems = []
+        if not self.n_ref >= 1:
+            problems.append(f"n_ref must be >= 1 (got {self.n_ref})")
+        if not self.bif_tol > 0.0:
+            problems.append(f"bif_tol must be positive (got {self.bif_tol})")
+        return problems
 
     def validate(self) -> None:
-        if self.n_ref < 1:
-            raise ValueError("n_ref must be at least 1")
-        if self.bif_tol <= 0.0:
-            raise ValueError("bif_tol must be positive")
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -111,20 +125,7 @@ class IterationRecord:
     skipped: list = field(default_factory=list)  # (mu, branch, reason)
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "n_basis": self.n_basis,
-            "train_size": self.train_size,
-            "max_delta": self.max_delta,
-            "kind_used": self.kind_used,
-            "mu_selected": self.mu_selected,
-            "branch_selected": self.branch_selected,
-            "enrich_status": self.enrich_status,
-            "snapshot_growth": self.snapshot_growth,
-            "reselections": self.reselections,
-            "mu_bif": self.mu_bif,
-            "skipped": [list(s) for s in self.skipped],
-        }
+        return {**asdict(self), "skipped": [list(s) for s in self.skipped]}
 
 
 @dataclass
@@ -207,9 +208,68 @@ def _ranked_candidates(sweep: EstimatorSet, tol: float, sampled: list) -> list:
     return sorted((e for e in sweep if e.delta > tol), key=key)
 
 
-def _terminal_record(it, basis, train_size, sweep, status) -> IterationRecord:
-    return IterationRecord(it, basis.n, train_size, sweep.max_delta,
-                           sweep.kind_used.value, enrich_status=status.value)
+def _record(records: list, basis: BasisMatrix, space: ParameterSpace,
+            sweep: EstimatorSet, **fields) -> None:
+    """Append the record of the next iteration, which ends in this state."""
+    records.append(IterationRecord(len(records) + 1, basis.n, len(space),
+                                   sweep.max_delta, sweep.kind_used.value, **fields))
+
+
+def _greedy(strategy: str, basis: BasisMatrix, mu0: float, note: str | None,
+            space: ParameterSpace, cfg: GreedyConfig, sweep, snapshot,
+            refine=None) -> GreedyReport:
+    """The sampling loop shared by the three strategies.
+
+    `sweep(space)` estimates the current basis over the training set.
+    `snapshot(entry)` tries to enrich the basis from one ranked entry and
+    returns (enrich_status, columns harvested besides the snapshot) or, when
+    the basis did not grow, the reason as a string.  `refine(space, mu_bif)`
+    runs after every enrichment and returns the next training space and
+    critical-point estimate, which the iteration's record carries.
+    """
+    records: list[IterationRecord] = []
+    sweeps: list[list[dict]] = []
+    mu_bif: float | None = None
+    while True:
+        estimates = sweep(space)
+        sweeps.append(estimates.rows())
+        if estimates.max_delta <= cfg.tol or basis.n >= cfg.n_max:
+            status = (GreedyStatus.TOLERANCE_MET if estimates.max_delta <= cfg.tol
+                      else GreedyStatus.N_MAX_REACHED)
+            _record(records, basis, space, estimates, enrich_status=status.value)
+            break
+        skipped: list = []
+        for entry in _ranked_candidates(estimates, cfg.tol, basis.mu_values):
+            outcome = snapshot(entry)
+            if not isinstance(outcome, str):
+                break
+            skipped.append((entry.mu, entry.branch, outcome))
+        else:
+            status = GreedyStatus.STAGNATION
+            _record(records, basis, space, estimates,
+                    enrich_status=status.value, skipped=skipped)
+            break
+        if refine is not None:
+            space, mu_bif = refine(space, mu_bif)
+        enrich_status, harvested = outcome
+        _record(records, basis, space, estimates, mu_selected=entry.mu,
+                branch_selected=entry.branch, enrich_status=enrich_status,
+                snapshot_growth=harvested, reselections=len(skipped),
+                mu_bif=mu_bif, skipped=skipped)
+    return GreedyReport(strategy, status, mu0, note, records, sweeps, None,
+                        space.train_points)
+
+
+def _default_guess_snapshot(model: ParametricModel, basis: BasisMatrix,
+                            cfg: NewtonConfig, entry):
+    """Snapshot hook of the single-branch strategies: solve from the default guess."""
+    result = newton(model, entry.mu, model.default_guess, cfg)
+    if not result.converged:
+        return f"hf_{result.cause}"
+    enr = basis.enrich(result.u, entry.mu)
+    if not enr.enriched:
+        return f"gs_{enr.cause}"
+    return "enriched", 0
 
 
 def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
@@ -217,51 +277,12 @@ def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
     cfg = cfg or GreedyConfig()
     cfg.validate(space)
-    basis, mu0_used, note, last_hf = _initialize(model, space, cfg)
+    basis, mu0, note, _ = _initialize(model, space, cfg)
     ecfg = cfg.estimator_config()
-    records: list[IterationRecord] = []
-    sweeps: list[list[dict]] = []
-    it = 0
-    while True:
-        it += 1
-        sweep = estimator_sweep(model, basis, space.train_points, ecfg,
-                                continuation=cfg.continuation_rb)
-        sweeps.append(sweep.rows())
-        if sweep.max_delta <= cfg.tol:
-            status = GreedyStatus.TOLERANCE_MET
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        if basis.n >= cfg.n_max:
-            status = GreedyStatus.N_MAX_REACHED
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        skipped: list = []
-        progressed = False
-        for entry in _ranked_candidates(sweep, cfg.tol, basis.mu_values):
-            guess = last_hf if (cfg.continuation_hf and last_hf is not None) \
-                else model.default_guess
-            result = newton(model, entry.mu, guess, cfg.newton)
-            if not result.converged:
-                skipped.append((entry.mu, entry.branch, f"hf_{result.cause}"))
-                continue
-            enr = basis.enrich(result.u, entry.mu)
-            if not enr.enriched:
-                skipped.append((entry.mu, entry.branch, f"gs_{enr.cause}"))
-                continue
-            last_hf = result.u
-            records.append(IterationRecord(
-                it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-                entry.mu, entry.branch, "enriched", 0, len(skipped), None, skipped))
-            progressed = True
-            break
-        if not progressed:
-            status = GreedyStatus.STAGNATION
-            records.append(IterationRecord(
-                it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-                enrich_status=status.value, skipped=skipped))
-            break
-    report = GreedyReport("vanilla", status, mu0_used, note, records, sweeps,
-                          None, space.train_points)
+    report = _greedy(
+        "vanilla", basis, mu0, note, space, cfg,
+        lambda sp: estimator_sweep(model, basis, sp.train_points, ecfg, continuation=False),
+        lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry))
     return basis, report
 
 
@@ -300,63 +321,26 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     acfg = acfg or AdaptiveConfig()
     cfg.validate(space)
     acfg.validate()
-    basis, mu0_used, note, last_hf = _initialize(model, space, cfg)
+    basis, mu0, note, _ = _initialize(model, space, cfg)
     ecfg = cfg.estimator_config()
-    records: list[IterationRecord] = []
-    sweeps: list[list[dict]] = []
-    mu_bif: float | None = None
-    it = 0
-    while True:
-        it += 1
-        sweep = estimator_sweep(model, basis, space.train_points, ecfg,
-                                continuation=cfg.continuation_rb)
-        sweeps.append(sweep.rows())
-        if sweep.max_delta <= cfg.tol:
-            status = GreedyStatus.TOLERANCE_MET
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        if basis.n >= cfg.n_max:
-            status = GreedyStatus.N_MAX_REACHED
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        skipped: list = []
-        progressed = False
-        for entry in _ranked_candidates(sweep, cfg.tol, basis.mu_values):
-            guess = last_hf if (cfg.continuation_hf and last_hf is not None) \
-                else model.default_guess
-            result = newton(model, entry.mu, guess, cfg.newton)
-            if not result.converged:
-                skipped.append((entry.mu, entry.branch, f"hf_{result.cause}"))
-                continue
-            enr = basis.enrich(result.u, entry.mu)
-            if not enr.enriched:
-                skipped.append((entry.mu, entry.branch, f"gs_{enr.cause}"))
-                continue
-            last_hf = result.u
-            progressed = True
-            break
-        if not progressed:
-            status = GreedyStatus.STAGNATION
-            records.append(IterationRecord(
-                it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-                enrich_status=status.value, skipped=skipped))
-            break
-        # Locate the critical point on the enriched basis, then refine.  The
-        # continuation sweep keeps the profile on one solution family, whose
-        # inf-sup dips at the critical parameter.
-        betas = beta_sweep(model, basis, space.train_points, ecfg, continuation=True)
-        new_bif = argmin_beta(betas).mu
-        space = refinement(space, new_bif, mu_bif, acfg.n_ref, acfg.bif_tol)
-        mu_bif = new_bif
-        records.append(IterationRecord(
-            it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-            entry.mu, entry.branch, "enriched", 0, len(skipped), mu_bif, skipped))
+
+    # The continuation sweep keeps the inf-sup profile on one solution
+    # family, whose inf-sup dips at the critical parameter.
+    def critical_point(mus) -> float:
+        return argmin_beta(beta_sweep(model, basis, mus, ecfg, continuation=True)).mu
+
+    def refine(sp: ParameterSpace, mu_prev: float | None):
+        mu_bif = critical_point(sp.train_points)
+        return refinement(sp, mu_bif, mu_prev, acfg.n_ref, acfg.bif_tol), mu_bif
+
+    report = _greedy(
+        "adaptive", basis, mu0, note, space, cfg,
+        lambda sp: estimator_sweep(model, basis, sp.train_points, ecfg, continuation=False),
+        lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry),
+        refine)
     # The last refinement postdates the last minimizer, so detect the critical
     # point once more on the final grid before reporting it.
-    betas = beta_sweep(model, basis, space.train_points, ecfg, continuation=True)
-    mu_bif = argmin_beta(betas).mu
-    report = GreedyReport("adaptive", status, mu0_used, note, records, sweeps,
-                          mu_bif, space.train_points)
+    report.mu_bif = critical_point(report.train_final)
     return basis, report
 
 
@@ -367,20 +351,18 @@ def deflated_snapshots(model: ParametricModel, roots_hf: RootSet,
     """Harvest every additional full-order root at mu into the basis.
 
     Each stored guess is driven through deflated solves against the
-    accumulated roots until it diverges.  New roots always join the root set
-    and the guess store, even when Gram-Schmidt rejects their snapshot
-    (a root already in the span still has to repel later solves); only
-    genuinely new directions grow the basis.  Returns the basis, the updated
-    guess store and the new basis size.
+    accumulated roots until it diverges (`nlsolve.discover`).  New roots
+    always join the root set and the guess store, even when Gram-Schmidt
+    rejects their snapshot (a root already in the span still has to repel
+    later solves); only genuinely new directions grow the basis.  Returns
+    the basis, the updated guess store and the new basis size.
     """
-    for guess in list(guesses.hf):
-        while True:
-            result = deflated_newton(model, mu, guess, list(roots_hf), cfg,
-                                     power_r, shift_sigma)
-            if not result.converged or not roots_hf.is_distinct(result.u):
-                break
-            roots_hf.add(result.u)
-            basis.enrich(result.u, mu)
+    known = len(roots_hf)
+    discover(lambda g, roots: deflated_newton(model, mu, g, roots, cfg,
+                                              power_r, shift_sigma),
+             list(guesses.hf), roots_hf)
+    for root in roots_hf.roots[known:]:
+        basis.enrich(root, mu)
     for root in roots_hf:
         guesses.add_hf(root)
     return basis, guesses, basis.n
@@ -399,60 +381,32 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     """
     cfg = cfg or GreedyConfig()
     cfg.validate(space)
-    basis, mu0_used, note, first_root = _initialize(model, space, cfg)
+    basis, mu0, note, first_root = _initialize(model, space, cfg)
     store = GuessStore(model)
     for g in model.default_guesses:
         store.add_hf(g)
     store.add_hf(first_root)
     ecfg = cfg.estimator_config()
-    records: list[IterationRecord] = []
-    sweeps: list[list[dict]] = []
-    it = 0
-    while True:
-        it += 1
-        sweep = deflated_estimator_sweep(model, basis, space.train_points,
-                                         ecfg, store)
-        sweeps.append(sweep.rows())
-        if sweep.max_delta <= cfg.tol:
-            status = GreedyStatus.TOLERANCE_MET
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        if basis.n >= cfg.n_max:
-            status = GreedyStatus.N_MAX_REACHED
-            records.append(_terminal_record(it, basis, len(space), sweep, status))
-            break
-        skipped: list = []
-        progressed = False
-        for entry in _ranked_candidates(sweep, cfg.tol, basis.mu_values):
-            guess = basis.lift(entry.u_n) if entry.u_n is not None \
-                else model.default_guess
-            result = newton(model, entry.mu, guess, cfg.newton)
-            if not result.converged:
-                skipped.append((entry.mu, entry.branch, f"hf_{result.cause}"))
-                continue
-            n_before = basis.n
-            roots = RootSet(model, entry.mu)
-            roots.add(result.u)
-            enr = basis.enrich(result.u, entry.mu)
-            store.add_hf(result.u)
-            deflated_snapshots(model, roots, store, entry.mu, cfg.newton,
-                               basis, cfg.power_r, cfg.shift_sigma)
-            growth = basis.n - n_before
-            if growth == 0:
-                skipped.append((entry.mu, entry.branch, "no_growth"))
-                continue
-            records.append(IterationRecord(
-                it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-                entry.mu, entry.branch, enr.status,
-                growth - (1 if enr.enriched else 0), len(skipped), None, skipped))
-            progressed = True
-            break
-        if not progressed:
-            status = GreedyStatus.STAGNATION
-            records.append(IterationRecord(
-                it, basis.n, len(space), sweep.max_delta, sweep.kind_used.value,
-                enrich_status=status.value, skipped=skipped))
-            break
-    report = GreedyReport("deflated", status, mu0_used, note, records, sweeps,
-                          None, space.train_points)
+
+    def snapshot(entry):
+        guess = basis.lift(entry.u_n) if entry.u_n is not None else model.default_guess
+        result = newton(model, entry.mu, guess, cfg.newton)
+        if not result.converged:
+            return f"hf_{result.cause}"
+        n_before = basis.n
+        roots = RootSet(model.x_norm)
+        roots.add(result.u)
+        enr = basis.enrich(result.u, entry.mu)
+        store.add_hf(result.u)
+        deflated_snapshots(model, roots, store, entry.mu, cfg.newton, basis,
+                           cfg.power_r, cfg.shift_sigma)
+        growth = basis.n - n_before
+        if growth == 0:
+            return "no_growth"
+        return enr.status, growth - (1 if enr.enriched else 0)
+
+    report = _greedy(
+        "deflated", basis, mu0, note, space, cfg,
+        lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, ecfg, store),
+        snapshot)
     return basis, report

@@ -17,7 +17,7 @@ full-order Newton step costs O(mesh_size).  Reduced solvers never assemble at
 full order: they take the basis values at the Gauss points (`gauss_matrix`)
 and the source terms (`source`, `source_prime`) and apply the same quadrature
 to the coefficients.  Still dense: the stiffness matrix X with its Cholesky
-factors (norms, dual norms, `inf_sup`, the deflation metric), `jacobian()` for
+factor (norms, dual norms, `inf_sup`, the deflation metric), `jacobian()` for
 `inf_sup`, and the eigenproblem of the L4 embedding constant.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_banded
+from scipy.linalg import cho_factor, cho_solve, eigh, solve_banded
 
 __all__ = [
     "ModelKind",
@@ -109,9 +109,9 @@ class ParametricModel:
         self.gauss_weight = 0.5 * self.h
         self._x_bands = self._stiffness_bands()
         self.x_matrix = _expand_bands(self._x_bands)
-        # Cholesky factors of X, reused for dual norms and inf-sup computations.
-        self._x_cho = cho_factor(self.x_matrix, lower=True)
-        self.x_chol_lower = cholesky(self.x_matrix, lower=True)
+        # Cholesky factor of X, the (c, lower) pair of `cho_factor`: dual norms
+        # solve with it, `inf_sup` reads L from the lower triangle of c.
+        self.x_cho = cho_factor(self.x_matrix, lower=True)
         self._embedding_cache: dict[float, float] = {}
 
     # -- assembly -----------------------------------------------------------
@@ -215,13 +215,10 @@ class ParametricModel:
 
     def x_dual_norm(self, g: np.ndarray) -> float:
         """Norm of a residual/functional vector in the dual metric X^{-1}."""
-        q = float(g @ cho_solve(self._x_cho, g))
+        q = float(g @ cho_solve(self.x_cho, g))
         if not np.isfinite(q):
             return float("inf")
         return float(np.sqrt(max(q, 0.0)))
-
-    def x_solve(self, g: np.ndarray) -> np.ndarray:
-        return cho_solve(self._x_cho, g)
 
     def interpolate(self, f) -> np.ndarray:
         return np.asarray(f(self.nodes), dtype=float)

@@ -10,9 +10,14 @@ Sherman-Morrison identity the deflated step is the plain step delta_u scaled by
 so each iteration costs one linear solve plus two inner products.  Divergence
 (norm blow-up, stalled deflation factor, singular Jacobian, iteration budget)
 is reported as a value on the result object, never as an exception.
+
+Full-order and reduced solvers share this engine and differ only in residual,
+Newton step and norm, which also decides root identity (`RootSet`);
+`discover` is the one multi-root loop on top of either deflated solver.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +31,9 @@ __all__ = [
     "DeflationSingularity",
     "deflation_parameter_problems",
     "RootSet",
-    "deflation_scalar",
-    "deflation_gradient",
     "newton",
     "deflated_newton",
+    "discover",
     "discover_solutions",
 ]
 
@@ -142,32 +146,24 @@ class DeflationOperator:
         return self.factor_and_gradient(y)[1]
 
 
-def deflation_scalar(op: DeflationOperator, y: np.ndarray) -> float:
-    return op.scalar(y)
-
-
-def deflation_gradient(op: DeflationOperator, y: np.ndarray) -> np.ndarray:
-    return op.gradient(y)
-
-
 @dataclass
 class RootSet:
-    """Distinct solutions of one parameter value, with a distinctness guard.
+    """Distinct solutions of one parameter value, with the distinctness guard.
 
-    Two states are the same root when ||a - b||_X <= threshold * max(1, ||a||_X,
-    ||b||_X); `add` silently refuses duplicates and reports whether it added.
+    Two states are the same root when norm(a - b) <= DISTINCTNESS_THRESHOLD *
+    max(1, norm(a), norm(b)); `norm` is the model's `x_norm` for full-order
+    states and `np.linalg.norm` for reduced coefficient vectors.  `add`
+    silently refuses duplicates and reports whether it added.
     """
 
-    model: ParametricModel
-    mu: float
-    threshold: float = DISTINCTNESS_THRESHOLD
+    norm: Callable[[np.ndarray], float]
     roots: list = field(default_factory=list)
 
     def is_distinct(self, u: np.ndarray) -> bool:
-        nu = self.model.x_norm(u)
+        nu = self.norm(u)
         for v in self.roots:
-            scale = max(1.0, nu, self.model.x_norm(v))
-            if self.model.x_norm(u - v) <= self.threshold * scale:
+            scale = max(1.0, nu, self.norm(v))
+            if self.norm(u - v) <= DISTINCTNESS_THRESHOLD * scale:
                 return False
         return True
 
@@ -184,40 +180,34 @@ class RootSet:
         return iter(self.roots)
 
 
-def _newton_core(residual_fn, step_fn, guess, cfg, res_norm_fn, state_norm_fn,
-                 deflation: DeflationOperator | None = None,
-                 distinct_fn=None) -> SolveResult:
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_core(residual_fn, step_fn, guess, cfg, norm,
+                 deflation: DeflationOperator | None = None) -> SolveResult:
     """Shared engine for all four solver entry points (full/reduced x plain/deflated).
 
     `step_fn(y, r)` returns the plain Newton step du solving Jac(y) du = -r:
     a banded solve for full-order states, a dense N x N solve for reduced
     ones.  A LinAlgError from it is reported as "singular_jacobian" and a
-    non-finite du as "nonfinite_step".  Overflow during divergence is
-    expected and handled through the norm checks, so numpy warnings stay
-    silenced for the whole iteration.
+    non-finite du as "nonfinite_step".  `norm` measures residuals, iterates
+    and, through a `RootSet`, whether a converged iterate is a deflated root.
+    Overflow during divergence is expected and handled through the norm
+    checks, so numpy warnings stay silenced for the whole iteration.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_iterate(residual_fn, step_fn, guess, cfg,
-                               res_norm_fn, state_norm_fn, deflation, distinct_fn)
-
-
-def _newton_iterate(residual_fn, step_fn, guess, cfg, res_norm_fn, state_norm_fn,
-                    deflation, distinct_fn) -> SolveResult:
     y = np.array(guess, dtype=float).copy()
+    known = None
     if deflation is not None and deflation.roots:
-        dists = deflation.distances(y)
-        scale = max(1.0, state_norm_fn(y))
-        if min(dists) <= 1e-12 * scale:
+        known = RootSet(norm, deflation.roots)
+        if min(deflation.distances(y)) <= 1e-12 * max(1.0, norm(y)):
             return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
 
     r = residual_fn(y)
-    rnorm = res_norm_fn(r)
+    rnorm = norm(r)
     growth = 0
     for k in range(cfg.max_iter + 1):
         if not np.isfinite(rnorm):
             return SolveResult(y, False, k, rnorm, "nonfinite_residual")
         if rnorm < cfg.tol:
-            if distinct_fn is not None and not distinct_fn(y):
+            if known is not None and not known.is_distinct(y):
                 return SolveResult(y, False, k, rnorm, "converged_to_known_root")
             return SolveResult(y, True, k, rnorm, None)
         if k == cfg.max_iter:
@@ -238,10 +228,10 @@ def _newton_iterate(residual_fn, step_fn, guess, cfg, res_norm_fn, state_norm_fn
                 return SolveResult(y, False, k, rnorm, "deflation_stall")
             du = du / denom
         y = y + du
-        if state_norm_fn(y) > cfg.divergence_norm:
+        if norm(y) > cfg.divergence_norm:
             return SolveResult(y, False, k + 1, rnorm, "divergence_norm")
         r = residual_fn(y)
-        new_rnorm = res_norm_fn(r)
+        new_rnorm = norm(r)
         growth = growth + 1 if new_rnorm > rnorm else 0
         if growth >= cfg.divergence_iter:
             return SolveResult(y, False, k + 1, new_rnorm, "residual_growth")
@@ -256,7 +246,7 @@ def newton(model: ParametricModel, mu: float, guess: np.ndarray,
     return _newton_core(
         lambda y: model.residual(y, mu),
         lambda y, r: model.newton_step(y, mu, r),
-        guess, cfg, model.x_norm, model.x_norm,
+        guess, cfg, model.x_norm,
     )
 
 
@@ -269,38 +259,39 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     factor is the empty product 1 and the step scaling is exactly 1.0.
     """
     cfg = cfg or NewtonConfig()
-    root_list = list(roots)
-    deflation = DeflationOperator(root_list, power_r, shift_sigma, metric=model.x_matrix)
-    guard = RootSet(model, mu, roots=root_list)
     return _newton_core(
         lambda y: model.residual(y, mu),
         lambda y, r: model.newton_step(y, mu, r),
-        guess, cfg, model.x_norm, model.x_norm,
-        deflation=deflation,
-        distinct_fn=guard.is_distinct if root_list else None,
+        guess, cfg, model.x_norm,
+        DeflationOperator(roots, power_r, shift_sigma, metric=model.x_matrix),
     )
+
+
+def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
+    """Collect into `found` the distinct roots reachable from `guesses`.
+
+    `deflated_solve(guess, roots)` is a deflated Newton run (full-order or
+    reduced) repelled from `roots`.  Every guess is driven through it until
+    it diverges or returns a known root, so each new root immediately
+    deflects the following attempts; while `found` is empty the run is
+    plain Newton.
+    """
+    for guess in guesses:
+        while True:
+            result = deflated_solve(guess, found)
+            if not result.converged or not found.add(result.u):
+                break
+    return found
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,
                        cfg: NewtonConfig | None = None,
                        power_r: float = 2.0, shift_sigma: float = 1.0) -> RootSet:
-    """Collect the distinct solutions reachable from `guesses` at one parameter.
-
-    Plain Newton runs from the first guess; afterwards every guess is driven
-    through deflated Newton against the accumulated roots until it diverges,
-    so each new root immediately deflects the following attempts.
-    """
+    """Collect the distinct full-order solutions reachable from `guesses` at mu."""
     cfg = cfg or NewtonConfig()
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if not guesses:
         raise ValueError("discover_solutions needs at least one initial guess")
-    found = RootSet(model, mu)
-    first = newton(model, mu, guesses[0], cfg)
-    if first.converged:
-        found.add(first.u)
-    for g in guesses:
-        while True:
-            res = deflated_newton(model, mu, g, found, cfg, power_r, shift_sigma)
-            if not res.converged or not found.add(res.u):
-                break
-    return found
+    return discover(
+        lambda g, roots: deflated_newton(model, mu, g, roots, cfg, power_r, shift_sigma),
+        guesses, RootSet(model.x_norm))

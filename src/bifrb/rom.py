@@ -17,12 +17,12 @@ matrix taken in another order (w the Gauss weight, g the model's source).  A
 reduced Newton iteration thus costs O(m N^2) for m interior nodes.  Reduced
 Newton iterates on coefficient vectors with a Euclidean convergence test,
 which by orthonormality agrees with the X-norm of the lifted increment.
-Reduced deflation therefore measures root distances in the Euclidean metric
-and otherwise mirrors the full-order scaled-step solver.
+Reduced deflation therefore measures root distances in the Euclidean metric;
+otherwise the reduced solvers, root discovery and the distinctness rule are
+the full-order ones of `nlsolve` run with the Euclidean norm.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,18 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from .model import ParametricModel, make_model
-from .nlsolve import DeflationOperator, NewtonConfig, SolveResult, _newton_core
+from .nlsolve import (DeflationOperator, NewtonConfig, RootSet, SolveResult,
+                      _newton_core, discover)
 
 __all__ = [
     "REJECTION_TOL",
     "NULL_TOL",
     "EnrichResult",
     "BasisMatrix",
-    "gram_schmidt_enrich",
     "reduced_residual",
     "reduced_jacobian",
     "reduced_newton",
     "reduced_deflated_newton",
+    "reduced_solves",
+    "discover_reduced_solutions",
     "GuessStore",
 ]
 
@@ -181,11 +183,6 @@ class BasisMatrix:
         return basis
 
 
-def gram_schmidt_enrich(basis: BasisMatrix, snapshot: np.ndarray,
-                        mu: float | None = None) -> EnrichResult:
-    return basis.enrich(snapshot, mu)
-
-
 def reduced_residual(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
     """B^T G(B u_N; mu), summed at the Gauss points."""
     phi, k_n = basis.galerkin_operators()
@@ -215,7 +212,7 @@ def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
     return _newton_core(
         lambda y: reduced_residual(basis, y, mu),
         lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, np.linalg.norm, np.linalg.norm,
+        guess, cfg, np.linalg.norm,
     )
 
 
@@ -225,47 +222,65 @@ def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
     _require_nonempty(basis)
     cfg = cfg or NewtonConfig()
-    root_list = [np.asarray(r, dtype=float) for r in roots]
-    deflation = DeflationOperator(root_list, power_r, shift_sigma, metric=None)
-
-    def distinct(y):
-        ny = np.linalg.norm(y)
-        for v in root_list:
-            if np.linalg.norm(y - v) <= 1e-6 * max(1.0, ny, np.linalg.norm(v)):
-                return False
-        return True
-
     return _newton_core(
         lambda y: reduced_residual(basis, y, mu),
         lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, np.linalg.norm, np.linalg.norm,
-        deflation=deflation,
-        distinct_fn=distinct if root_list else None,
+        guess, cfg, np.linalg.norm,
+        DeflationOperator(roots, power_r, shift_sigma, metric=None),
     )
+
+
+def reduced_solves(basis: BasisMatrix, mus, cfg: NewtonConfig | None = None,
+                   continuation: bool = True):
+    """One reduced Newton solve per parameter, yielded as (mu, result).
+
+    Solves start from the projected model default guess.  With continuation
+    the previous parameter's converged solution seeds the next solve instead,
+    and a seeded solve that diverges is retried from the default guess.
+    """
+    cfg = cfg or NewtonConfig()
+    default = basis.project(basis.model.default_guess)
+    carried = None
+    for mu in mus:
+        result = reduced_newton(basis, mu, default if carried is None else carried, cfg)
+        if not result.converged and carried is not None:
+            result = reduced_newton(basis, mu, default, cfg)
+        carried = result.u.copy() if continuation and result.converged else None
+        yield mu, result
+
+
+def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
+                               cfg: NewtonConfig | None = None,
+                               power_r: float = 2.0,
+                               shift_sigma: float = 1.0) -> list[np.ndarray]:
+    """All distinct reduced roots reachable from the guess battery (`nlsolve.discover`)."""
+    cfg = cfg or NewtonConfig()
+    return discover(
+        lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg,
+                                                 power_r, shift_sigma),
+        guesses, RootSet(np.linalg.norm)).roots
 
 
 @dataclass
 class GuessStore:
     """Warm starts threaded through greedy iterations.
 
-    `hf` collects full-order guesses (the model battery plus every root the
-    deflated snapshot stage finds).  `rb` maps parameter -> reduced roots from
-    the most recent estimator sweep; when the basis grows, stored coefficient
-    vectors are zero-padded, which lifts to the same full-order state.
+    `hf` collects distinct full-order guesses (the model battery plus every
+    root the deflated snapshot stage finds).  `rb` maps parameter -> reduced
+    roots from the most recent estimator sweep; when the basis grows, stored
+    coefficient vectors are zero-padded, which lifts to the same full-order
+    state.
     """
 
     model: ParametricModel
-    hf: list = field(default_factory=list)
+    hf: RootSet = field(init=False)
     rb: dict = field(default_factory=dict)
 
-    def add_hf(self, u: np.ndarray, threshold: float = 1e-6) -> bool:
-        u = np.asarray(u, dtype=float)
-        nu = self.model.x_norm(u)
-        for v in self.hf:
-            if self.model.x_norm(u - v) <= threshold * max(1.0, nu, self.model.x_norm(v)):
-                return False
-        self.hf.append(u.copy())
-        return True
+    def __post_init__(self):
+        self.hf = RootSet(self.model.x_norm)
+
+    def add_hf(self, u: np.ndarray) -> bool:
+        return self.hf.add(u)
 
     def set_rb(self, mu: float, roots) -> None:
         self.rb[float(mu)] = [np.asarray(r, dtype=float).copy() for r in roots]
@@ -278,8 +293,3 @@ class GuessStore:
                 r = np.concatenate([r, np.zeros(n - len(r))])
             out.append(r[:n])
         return out
-
-    def pad_to(self, n: int) -> None:
-        for mu, roots in self.rb.items():
-            self.rb[mu] = [np.concatenate([r, np.zeros(n - len(r))]) if len(r) < n else r[:n]
-                           for r in roots]

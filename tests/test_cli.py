@@ -74,6 +74,24 @@ def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, pr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--mesh", "abc"],
+    ["run", "--model", "foo"],
+    ["run", "--no-such-flag"],
+    [],
+])
+def test_malformed_command_line_exits_one(argv, capsys):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--strategy" in capsys.readouterr().out
+
+
 def test_unknown_config_field_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mesh": 41}))

@@ -9,7 +9,7 @@ from bifrb.estimators import (EstimatorConfig, EstimatorKind, argmin_beta,
                               beta_sweep, deflated_estimator_sweep,
                               discover_reduced_solutions, estimator_sweep,
                               inf_sup, linear_estimate, nonlinear_estimate,
-                              residual_dual_norm, sobolev_embedding_constant)
+                              residual_dual_norm)
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
 from bifrb.rom import BasisMatrix, GuessStore
@@ -49,11 +49,6 @@ def test_residual_dual_norm_matches_direct_solve(chafee, rng):
     g = chafee.residual(u, 9.0)
     direct = float(np.sqrt(g @ np.linalg.solve(chafee.x_matrix, g)))
     assert np.isclose(residual_dual_norm(chafee, u, 9.0), direct, rtol=1e-10)
-
-
-def test_embedding_constant_passthrough(chafee):
-    assert sobolev_embedding_constant(chafee, np.inf) == 0.5
-    assert sobolev_embedding_constant(chafee, 4) == chafee.embedding_constant(4)
 
 
 def test_bounds_vanish_at_exact_roots(chafee):
@@ -145,15 +140,6 @@ def test_sweep_reports_divergence_with_infinite_bound(bratu):
     assert math.isinf(bad.delta) and not bad.valid
     assert not sw.all_valid
     assert math.isinf(sw.max_delta)
-
-
-def test_ranked_puts_largest_bound_first(chafee):
-    basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 13), EstimatorConfig())
-    ranked = sw.ranked()
-    deltas = [e.delta for e in ranked]
-    assert deltas == sorted(deltas, reverse=True)
-    assert ranked[0].delta == sw.max_delta
 
 
 def test_rows_schema(chafee):

@@ -1,14 +1,18 @@
 """Greedy sampling variants: plain, grid-adaptive, and deflated."""
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bifrb.estimators import EstimatorConfig, estimator_sweep
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
-                          adaptive_greedy, deflated_greedy, refinement,
-                          vanilla_greedy)
+                          _ranked_candidates, adaptive_greedy, deflated_greedy,
+                          refinement, vanilla_greedy)
 from bifrb.model import ParameterSpace
-from bifrb.nlsolve import NewtonConfig
+from bifrb.nlsolve import NewtonConfig, newton
+from bifrb.rom import BasisMatrix
 
 
 def test_greedy_config_validation():
@@ -175,3 +179,67 @@ def test_greedy_respects_n_max(chafee):
     basis, report = deflated_greedy(chafee, space, cfg)
     assert report.status == GreedyStatus.N_MAX_REACHED
     assert basis.n >= 2
+
+
+def test_ranked_candidates_put_largest_bound_first(chafee):
+    basis = BasisMatrix(chafee)
+    basis.enrich(newton(chafee, 12.0, chafee.default_guesses[0]).u, 12.0)
+    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 13), EstimatorConfig())
+    ranked = _ranked_candidates(sw, 0.0, basis.mu_values)
+    deltas = [e.delta for e in ranked]
+    assert deltas == sorted(deltas, reverse=True)
+    assert ranked[0].delta == sw.max_delta
+    # Entries at or below tolerance drop out; equal bounds go farthest from
+    # the sampled parameters first, then to the smaller parameter.
+    entries = [SimpleNamespace(mu=mu, delta=d) for mu, d in
+               [(1.0, math.inf), (2.0, 0.5), (3.0, math.inf), (4.0, 1e-4), (5.0, 0.5)]]
+    ranked = _ranked_candidates(entries, 1e-3, [1.5, None])
+    assert [e.mu for e in ranked] == [3.0, 1.0, 5.0, 2.0]
+
+
+def _assert_terminal(report, status):
+    last = report.records[-1]
+    assert report.status == status and last.enrich_status == status.value
+    assert last.mu_selected is None and last.branch_selected is None
+    assert [r.iteration for r in report.records] == list(range(1, len(report.records) + 1))
+    assert all(r.enrich_status == "enriched" for r in report.records[:-1])
+    return last
+
+
+def test_vanilla_greedy_stops_at_n_max_and_on_stagnation(bratu):
+    space = ParameterSpace.equispaced(0.5, 2.0, 7)
+    basis, report = vanilla_greedy(bratu, space, GreedyConfig(tol=1e-14, n_max=2))
+    last = _assert_terminal(report, GreedyStatus.N_MAX_REACHED)
+    assert last.n_basis == basis.n == 2 and last.skipped == []
+    assert last.max_delta > 1e-14
+    # With an unreachable tolerance every snapshot eventually lies in the span:
+    # the last iteration tries every candidate and logs why each added nothing.
+    basis, report = vanilla_greedy(bratu, space, GreedyConfig(tol=1e-14, n_max=30))
+    last = _assert_terminal(report, GreedyStatus.STAGNATION)
+    assert last.n_basis == basis.n < 30
+    candidates = {row["mu"] for row in report.sweeps[-1] if row["delta"] > 1e-14}
+    assert {mu for mu, _, _ in last.skipped} == candidates
+    assert all(reason == "gs_redundant" for _, _, reason in last.skipped)
+
+
+def test_adaptive_greedy_stops_at_n_max_and_on_stagnation(chafee, bratu):
+    space = ParameterSpace.equispaced(8.0, 12.0, 5)
+    basis, report = adaptive_greedy(chafee, space, GreedyConfig(tol=1e-14, n_max=3),
+                                    AdaptiveConfig(n_ref=2))
+    last = _assert_terminal(report, GreedyStatus.N_MAX_REACHED)
+    assert last.n_basis == basis.n == 3 and last.skipped == []
+    # the first refinement is unconditional and shows in its own record
+    assert report.records[0].train_size == len(space) + 2
+    assert all(r.mu_bif is not None for r in report.records[:-1])
+    assert last.train_size == len(report.train_final)
+    assert report.mu_bif is not None
+
+    space = ParameterSpace.equispaced(0.5, 2.0, 4)
+    basis, report = adaptive_greedy(bratu, space, GreedyConfig(tol=1e-14, n_max=30),
+                                    AdaptiveConfig(n_ref=2))
+    last = _assert_terminal(report, GreedyStatus.STAGNATION)
+    assert last.n_basis == basis.n < 30 and len(last.skipped) >= 2
+    assert all(reason.startswith(("hf_", "gs_")) for _, _, reason in last.skipped)
+    assert report.records[0].train_size == len(space) + 2
+    assert all(r.mu_bif is not None for r in report.records[:-1])
+    assert last.train_size == len(report.train_final) > len(space)

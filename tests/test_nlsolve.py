@@ -227,7 +227,7 @@ def test_deflated_newton_rejects_guess_on_root(chafee):
 
 
 def test_root_set_distinctness_guard(bratu, rng):
-    roots = RootSet(bratu, 1.0)
+    roots = RootSet(bratu.x_norm)
     u = rng.standard_normal(bratu.mesh_size)
     assert roots.add(u)
     assert not roots.add(u + 1e-9 * rng.standard_normal(bratu.mesh_size))
@@ -237,11 +237,24 @@ def test_root_set_distinctness_guard(bratu, rng):
 
 
 def test_root_set_scales_threshold_with_norm(bratu):
-    roots = RootSet(bratu, 1.0)
+    roots = RootSet(bratu.x_norm)
     big = np.full(bratu.mesh_size, 50.0)
     roots.add(big)
     # absolute perturbation below threshold * ||big||_X counts as the same root
     assert not roots.add(big * (1.0 + 1e-8))
+
+
+def test_root_set_applies_the_same_rule_to_coefficient_vectors():
+    roots = RootSet(np.linalg.norm)
+    big = np.array([60.0, 80.0])  # norm 100: the threshold scales to 1e-4
+    assert roots.add(big)
+    assert not roots.add(big + [0.0, 9e-5])
+    assert roots.add(big + [0.0, 2e-4])
+    small = np.array([1e-3, 0.0])  # below norm 1 the threshold is absolute
+    assert roots.add(small)
+    assert not roots.add(small + [0.0, 9e-7])
+    assert roots.add(small + [0.0, 2e-6])
+    assert len(roots) == 4
 
 
 @pytest.mark.parametrize("kind, mu, expected", [

@@ -4,9 +4,8 @@ import pytest
 
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
-from bifrb.rom import (BasisMatrix, GuessStore, gram_schmidt_enrich,
-                       reduced_deflated_newton, reduced_jacobian,
-                       reduced_newton, reduced_residual)
+from bifrb.rom import (BasisMatrix, GuessStore, reduced_deflated_newton,
+                       reduced_jacobian, reduced_newton, reduced_residual)
 
 
 def random_basis(model, rng, n):
@@ -55,11 +54,6 @@ def test_null_snapshots_are_rejected(bratu, rng):
     noise *= 1e-9 / bratu.x_norm(noise)
     assert basis.enrich(noise).cause == "null_snapshot"
     assert basis.n == 0
-
-
-def test_gram_schmidt_enrich_delegates(bratu, rng):
-    basis = BasisMatrix(bratu)
-    assert gram_schmidt_enrich(basis, rng.standard_normal(bratu.mesh_size)).enriched
 
 
 def test_projection_is_x_orthogonal(bratu, rng):
@@ -271,8 +265,6 @@ def test_guess_store_deduplicates_and_pads(chafee, rng):
     assert len(padded) == 1
     assert np.array_equal(padded[0], np.array([1.0, 2.0, 0.0, 0.0]))
     assert store.rb_for(8.0, 4) == []
-    store.pad_to(3)
-    assert store.rb[9.0][0].shape == (3,)
 
 
 def test_padded_reduced_guess_lifts_to_same_state(chafee, rng):
