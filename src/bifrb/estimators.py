@@ -19,12 +19,13 @@ bound for every entry, so a single sweep never mixes the two.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular, svdvals
+from scipy.linalg import cython_lapack
 
 from .model import ParametricModel
 from .nlsolve import NewtonConfig
@@ -69,17 +70,50 @@ class EstimatorConfig:
     beta_floor: float = BETA_FLOOR
 
 
-def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
-    """Smallest singular value of the X-preconditioned Jacobian at state u.
+def _cython_lapack(name: str, *argtypes):
+    """ctypes function of the LAPACK routine that scipy's cython_lapack exports."""
+    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
-    With X = L L^T this is the least singular value of L^{-1} Jac L^{-T},
-    the discrete inf-sup constant of the linearized operator in the X-norm.
+
+_INT, _PTR = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# dsbgv(jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info)
+_DSBGV = _cython_lapack("dsbgv", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _INT, _PTR,
+                        _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT)
+
+
+def _tridiagonal_pencil_eigenvalues(a_bands: np.ndarray, b_bands: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A v = lam B v, A symmetric and B SPD, both as (3, m) bands."""
+    m = a_bands.shape[1]
+    # dsbgv reads the upper two band rows and overwrites them: pass copies,
+    # each exactly 2 x m so that LAPACK never reads past a buffer.
+    ab, bb = (np.array(bands[:2], dtype=float, order="F").reshape(2, m, order="F")
+              for bands in (a_bands, b_bands))
+    w, work = np.empty(m), np.empty(3 * m)
+    one, two, info = ctypes.c_int(1), ctypes.c_int(2), ctypes.c_int(0)
+    _DSBGV(b"N", b"U", ctypes.c_int(m), one, one, ab.ctypes.data, two, bb.ctypes.data, two,
+           w.ctypes.data, None, one, work.ctypes.data, info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dsbgv failed with info = {info.value}")
+    return w
+
+
+def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
+    """Discrete inf-sup constant sigma_min(L^{-1} Jac L^{-T}) at state u, X = L L^T.
+
+    Jac is symmetric, so L^{-1} Jac L^{-T} is too, and its singular values are
+    the moduli of its eigenvalues, those of the pencil Jac v = lam X v: the
+    constant is min |lam|.  Both matrices are tridiagonal; LAPACK's `dsbgv`
+    returns every eigenvalue of the banded pencil, without eigenvectors, in
+    O(m^2).  A non-finite Jacobian raises ValueError before reaching LAPACK.
     """
-    jac = model.jacobian(u, mu)
-    chol = model.x_cho[0]  # L in its lower triangle
-    half = solve_triangular(chol, jac, lower=True)
-    sym = solve_triangular(chol, half.T, lower=True).T
-    return float(svdvals(sym)[-1])
+    jac = model.jacobian_bands(u, mu)
+    if not np.all(np.isfinite(jac)):
+        raise ValueError("array must not contain infs or NaNs")
+    return float(np.min(np.abs(_tridiagonal_pencil_eigenvalues(jac, model.x_bands))))
 
 
 def residual_dual_norm(model: ParametricModel, u: np.ndarray, mu: float) -> float:

@@ -11,14 +11,14 @@ nodal values.  The energy inner product <u, v>_X = int u' v' dx (stiffness
 matrix) is used for all norms, projections and error measures.  Nonlinear
 terms are integrated with a two-point Gauss rule per element.
 
-The Jacobian is tridiagonal and is assembled as a (3, mesh_size) band array
-(`jacobian_bands`, LAPACK layout for `scipy.linalg.solve_banded`), so the
-full-order Newton step costs O(mesh_size).  Reduced solvers never assemble at
-full order: they take the basis values at the Gauss points (`gauss_matrix`)
+X and the Jacobian are tridiagonal and are kept as (3, mesh_size) band arrays
+(`x_bands`, `jacobian_bands`; LAPACK layout for `scipy.linalg.solve_banded`):
+X products (`x_apply`), dual norms (a banded Cholesky factor of X) and the
+full-order Newton step all cost O(mesh_size).  Reduced solvers never assemble
+at full order: they take the basis values at the Gauss points (`gauss_matrix`)
 and the source terms (`source`, `source_prime`) and apply the same quadrature
-to the coefficients.  Still dense: the stiffness matrix X with its Cholesky
-factor (norms, dual norms, `inf_sup`, the deflation metric), `jacobian()` for
-`inf_sup`, and the eigenproblem of the L4 embedding constant.
+to the coefficients.  Only `jacobian()` and the one-off eigenproblem of the L4
+embedding constant expand bands into dense matrices.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, solve_banded
 
 __all__ = [
     "ModelKind",
@@ -107,25 +107,20 @@ class ParametricModel:
         self.h = 1.0 / (self.mesh_size + 1)
         self.nodes = self.h * np.arange(1, self.mesh_size + 1)
         self.gauss_weight = 0.5 * self.h
-        self._x_bands = self._stiffness_bands()
-        self.x_matrix = _expand_bands(self._x_bands)
-        # Cholesky factor of X, the (c, lower) pair of `cho_factor`: dual norms
-        # solve with it, `inf_sup` reads L from the lower triangle of c.
-        self.x_cho = cho_factor(self.x_matrix, lower=True)
+        self.x_bands = np.zeros((3, self.mesh_size))
+        self.x_bands[1] = 2.0 / self.h
+        self.x_bands[0, 1:] = self.x_bands[2, :-1] = -1.0 / self.h
+        # Upper banded Cholesky factor of X, for the dual norm.
+        self._x_chol = cholesky_banded(self.x_bands[:2])
         self._embedding_cache: dict[float, float] = {}
 
     # -- assembly -----------------------------------------------------------
 
-    def _stiffness_bands(self) -> np.ndarray:
-        m, h = self.mesh_size, self.h
-        K = np.zeros((3, m))
-        K[1] = 2.0 / h
-        K[0, 1:] = -1.0 / h
-        K[2, :-1] = -1.0 / h
-        return K
-
     def _gauss_values(self, u: np.ndarray) -> np.ndarray:
         """State values at the two Gauss points of every element, shape (m+1, 2)."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.mesh_size,):
+            raise ValueError(f"state vector must have shape ({self.mesh_size},)")
         ue = np.concatenate([[0.0], u, [0.0]])
         left, right = ue[:-1], ue[1:]
         return left[:, None] * (1.0 - _GAUSS_T) + right[:, None] * _GAUSS_T
@@ -171,11 +166,8 @@ class ParametricModel:
         raise NotImplementedError
 
     def residual(self, u: np.ndarray, mu: float) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.mesh_size,):
-            raise ValueError(f"state vector must have shape ({self.mesh_size},)")
         g = self.source(self._gauss_values(u))
-        return self.x_matrix @ u - mu * self._load(g)
+        return self.x_apply(u) - mu * self._load(g)
 
     def jacobian_bands(self, u: np.ndarray, mu: float) -> np.ndarray:
         """Tridiagonal Jac(u; mu) as a (3, m) band array: super-, main, subdiagonal.
@@ -184,11 +176,8 @@ class ParametricModel:
         subdiagonal in columns 0..m-2 (the `solve_banded` layout); the two
         unused corners are zero.
         """
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.mesh_size,):
-            raise ValueError(f"state vector must have shape ({self.mesh_size},)")
         gp = self.source_prime(self._gauss_values(u))
-        return self._x_bands - mu * self._weighted_mass_bands(gp)
+        return self.x_bands - mu * self._weighted_mass_bands(gp)
 
     def jacobian(self, u: np.ndarray, mu: float) -> np.ndarray:
         """Dense Jac(u; mu), expanded from `jacobian_bands`."""
@@ -202,8 +191,17 @@ class ParametricModel:
 
     # -- geometry -----------------------------------------------------------
 
+    def x_apply(self, v: np.ndarray) -> np.ndarray:
+        """X v for a state vector or X V for an (m, k) matrix of states, on the band."""
+        v = np.asarray(v, dtype=float).T  # states along the last axis
+        diag, off = self.x_bands[1], self.x_bands[0, 1:]
+        out = diag * v
+        out[..., :-1] += off * v[..., 1:]
+        out[..., 1:] += off * v[..., :-1]
+        return out.T
+
     def x_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ (self.x_matrix @ v))
+        return float(u @ self.x_apply(v))
 
     def x_norm(self, u: np.ndarray) -> float:
         q = self.x_inner(u, u)
@@ -214,8 +212,8 @@ class ParametricModel:
         return float(np.sqrt(max(q, 0.0)))
 
     def x_dual_norm(self, g: np.ndarray) -> float:
-        """Norm of a residual/functional vector in the dual metric X^{-1}."""
-        q = float(g @ cho_solve(self.x_cho, g))
+        """Norm of a residual/functional vector in the dual metric X^{-1} (inf if non-finite)."""
+        q = float(g @ cho_solve_banded((self._x_chol, False), g, check_finite=False))
         if not np.isfinite(q):
             return float("inf")
         return float(np.sqrt(max(q, 0.0)))
@@ -260,9 +258,10 @@ class ParametricModel:
         v = self.interpolate(lambda x: np.sin(np.pi * x))
         v = v / self.x_norm(v)
         ratio = np.sqrt(self._l4_quartic(v))
+        x_dense = _expand_bands(self.x_bands)
         for _ in range(max_iter):
             W = _expand_bands(self._weighted_mass_bands(self._gauss_values(v) ** 2))
-            _, vecs = eigh(W, self.x_matrix, subset_by_index=[self.mesh_size - 1, self.mesh_size - 1])
+            _, vecs = eigh(W, x_dense, subset_by_index=[self.mesh_size - 1, self.mesh_size - 1])
             v = vecs[:, 0] / self.x_norm(vecs[:, 0])
             new_ratio = np.sqrt(self._l4_quartic(v))
             if abs(new_ratio - ratio) < tol:

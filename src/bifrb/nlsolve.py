@@ -88,15 +88,15 @@ def deflation_parameter_problems(power_r: float, shift_sigma: float) -> list[str
 class DeflationOperator:
     """Scalar deflation factor and its gradient for a fixed list of roots.
 
-    `metric` is the SPD matrix of the distance inner product (the model's X
-    matrix for full-order states); None means the Euclidean metric, which is
-    what reduced coefficient vectors use since the basis is X-orthonormal.
+    `metric` applies the SPD matrix of the distance inner product (the model's
+    banded `x_apply` for full-order states); None means the Euclidean metric,
+    which reduced coefficient vectors use since the basis is X-orthonormal.
     """
 
     roots: list
     power_r: float = 2.0
     shift_sigma: float = 1.0
-    metric: np.ndarray | None = None
+    metric: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         problems = deflation_parameter_problems(self.power_r, self.shift_sigma)
@@ -105,14 +105,14 @@ class DeflationOperator:
         self.roots = [np.asarray(u, dtype=float) for u in self.roots]
 
     def _metric_diffs(self, y: np.ndarray) -> list[tuple[np.ndarray, float]]:
-        """(metric @ (y - u_i), ||y - u_i||) for every root u_i."""
+        """(metric(y - u_i), ||y - u_i||) for every root u_i."""
         out = []
         for u in self.roots:
             d = y - u
             if self.metric is None:
                 out.append((d, float(np.linalg.norm(d))))
             else:
-                md = self.metric @ d
+                md = self.metric(d)
                 q = float(d @ md)
                 out.append((md, float(np.sqrt(max(q, 0.0))) if np.isfinite(q) else float("inf")))
         return out
@@ -263,7 +263,7 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
         lambda y: model.residual(y, mu),
         lambda y, r: model.newton_step(y, mu, r),
         guess, cfg, model.x_norm,
-        DeflationOperator(roots, power_r, shift_sigma, metric=model.x_matrix),
+        DeflationOperator(roots, power_r, shift_sigma, metric=model.x_apply),
     )
 
 

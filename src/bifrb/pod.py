@@ -50,7 +50,7 @@ def pod_basis(model: ParametricModel, snapshots, n_modes: int | None = None,
     if not cols:
         return PODResult(BasisMatrix(model), np.zeros(0), rank_deficient=True)
     S = np.column_stack(cols)
-    gram = S.T @ (model.x_matrix @ S)
+    gram = S.T @ model.x_apply(S)
     gram = 0.5 * (gram + gram.T)
     evals, evecs = eigh(gram)
     order = np.argsort(evals)[::-1]
@@ -70,7 +70,7 @@ def pod_basis(model: ParametricModel, snapshots, n_modes: int | None = None,
         # amplified by lambda_1/lambda_k; one triangular polish restores it.
         # The factor is lower triangular, so every leading-mode subspace is
         # preserved and the optimality identity survives truncation.
-        gram_m = modes.T @ (model.x_matrix @ modes)
+        gram_m = modes.T @ model.x_apply(modes)
         chol = cholesky(0.5 * (gram_m + gram_m.T), lower=True)
         modes = solve_triangular(chol, modes.T, lower=True).T
     labels = None

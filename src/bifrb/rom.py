@@ -110,7 +110,7 @@ class BasisMatrix:
         w = u.copy()
         for _ in range(2):
             if self.n:
-                coeffs = self._columns.T @ (self.model.x_matrix @ w)
+                coeffs = self._columns.T @ self.model.x_apply(w)
                 w = w - self._columns @ coeffs
         norm_w = self.model.x_norm(w)
         if norm_w <= REJECTION_TOL * norm_u:
@@ -125,7 +125,7 @@ class BasisMatrix:
         """(Phi, K_N): the columns at the Gauss points and B^T X B, cached."""
         if self._operators is None:
             phi = self.model.gauss_matrix(self._columns)
-            k_n = self._columns.T @ (self.model.x_matrix @ self._columns)
+            k_n = self._columns.T @ self.model.x_apply(self._columns)
             self._operators = (phi, k_n)
         return self._operators
 
@@ -135,13 +135,13 @@ class BasisMatrix:
 
     def project(self, u_h: np.ndarray) -> np.ndarray:
         """X-orthogonal projection coefficients B^T X u_h."""
-        return self._columns.T @ (self.model.x_matrix @ np.asarray(u_h, dtype=float))
+        return self._columns.T @ self.model.x_apply(u_h)
 
     def projection_error(self, u_h: np.ndarray) -> float:
         return self.model.x_norm(u_h - self.lift(self.project(u_h)))
 
     def orthonormality_defect(self) -> float:
-        gram = self._columns.T @ self.model.x_matrix @ self._columns
+        gram = self._columns.T @ self.model.x_apply(self._columns)
         return float(np.max(np.abs(gram - np.eye(self.n)))) if self.n else 0.0
 
     def truncated(self, n: int) -> "BasisMatrix":

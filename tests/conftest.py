@@ -4,6 +4,15 @@ import pytest
 from bifrb.model import make_model
 
 
+def stiffness_matrix(m):
+    """Dense P1 stiffness matrix int phi_i' phi_j' dx on m interior nodes, the
+    reference X of tests that check the banded products and solves."""
+    h = 1.0 / (m + 1)
+    return (np.diag(np.full(m, 2.0 / h))
+            + np.diag(np.full(m - 1, -1.0 / h), 1)
+            + np.diag(np.full(m - 1, -1.0 / h), -1))
+
+
 @pytest.fixture(scope="session")
 def bratu():
     return make_model("bratu", mesh_size=101)

@@ -260,7 +260,7 @@ def _hf_deflated_steps(model, mu, guess, roots, cap=15):
     """Per-step relative gap between the scalar-update step and the dense
     rank-one solve along a full-order deflated trajectory."""
     op = DeflationOperator([np.asarray(r) for r in roots],
-                          metric=model.x_matrix)
+                          metric=model.x_apply)
     y = np.asarray(guess, dtype=float).copy()
     rels = []
     for _ in range(cap):
@@ -481,7 +481,7 @@ def test_criterion_8_derivative_consistency(chafee, bratu):
     for k in range(50):
         base = rng.normal(0.0, 0.5, dim)
         roots = [base + rng.normal(0.0, 0.3, dim) for _ in range(1 + k % 3)]
-        metric = chafee.x_matrix if k % 2 else None
+        metric = chafee.x_apply if k % 2 else None
         op = DeflationOperator(roots, metric=metric)
         u = base + rng.normal(0.0, 0.2, dim)
         grad = op.gradient(u)

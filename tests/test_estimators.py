@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from conftest import stiffness_matrix
+from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 
+from bifrb import estimators
 from bifrb.estimators import (EstimatorConfig, EstimatorKind, argmin_beta,
                               beta_sweep, deflated_estimator_sweep,
                               discover_reduced_solutions, estimator_sweep,
                               inf_sup, linear_estimate, nonlinear_estimate,
                               residual_dual_norm)
 from bifrb.model import make_model
-from bifrb.nlsolve import newton
+from bifrb.nlsolve import discover_solutions, newton
 from bifrb.rom import BasisMatrix, GuessStore
 
 # Inf-sup at the lower-branch state next to the fold, 201-node mesh, frozen
@@ -27,16 +29,84 @@ def one_snapshot_basis(model, mu, guess=None):
     return basis, root.u
 
 
+def dense_inf_sup(model, u, mu):
+    """sigma_min(L^-1 J L^-T) with X = L L^T, all dense: the reference value."""
+    chol = cholesky(stiffness_matrix(model.mesh_size), lower=True)
+    half = solve_triangular(chol, model.jacobian(u, mu), lower=True)
+    return float(svdvals(solve_triangular(chol, half.T, lower=True).T)[-1])
+
+
 def test_inf_sup_matches_generalized_eigenvalue_oracle(rng):
     # beta^2 is the smallest eigenvalue of J^T X^-1 J z = lambda X z
     model = make_model("chafee", 41)
+    X = stiffness_matrix(41)
     for u, mu in [(np.zeros(41), 8.0),
                   (newton(model, 12.0, model.default_guesses[0]).u, 12.0),
                   (0.4 * rng.standard_normal(41), 10.0)]:
         jac = model.jacobian(u, mu)
-        pencil = jac.T @ np.linalg.solve(model.x_matrix, jac)
-        lam = eigh(pencil, model.x_matrix, eigvals_only=True, subset_by_index=[0, 0])[0]
+        pencil = jac.T @ np.linalg.solve(X, jac)
+        lam = eigh(pencil, X, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert np.isclose(inf_sup(model, u, mu), np.sqrt(lam), rtol=1e-8)
+    # Both models at mesh 201, including every root next to the chafee
+    # pitchfork (mu = 9.87) and the bratu fold (mu = 3.51), against the SVD.
+    chafee, bratu = make_model("chafee", 201), make_model("bratu", 201)
+    cases = [(chafee, np.zeros(201), 8.0),
+             (chafee, newton(chafee, 12.0, chafee.default_guess).u, 12.0),
+             (chafee, 0.4 * rng.standard_normal(201), 10.0),
+             (bratu, np.zeros(201), 1.0),
+             (bratu, newton(bratu, 2.0, bratu.default_guess).u, 2.0),
+             (bratu, 0.4 * rng.standard_normal(201), 3.0)]
+    near = {chafee: 9.87, bratu: 3.51}
+    for model, mu in near.items():
+        roots = discover_solutions(model, mu, model.default_guesses + [np.zeros(201)])
+        assert len(roots) == (3 if model is chafee else 2)
+        cases += [(model, root, mu) for root in roots]
+    for model, u, mu in cases:
+        beta, expect = inf_sup(model, u, mu), dense_inf_sup(model, u, mu)
+        tol = 1e-12 if expect < 1e-3 else 1e-10 * expect
+        assert abs(beta - expect) <= tol, (model.kind, mu, beta, expect)
+
+
+def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("non-finite Jacobian passed to LAPACK")
+
+    monkeypatch.setattr(estimators, "_DSBGV", forbidden)
+    for bad in (np.nan, np.inf):
+        u = np.zeros(chafee.mesh_size)
+        u[7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inf_sup(chafee, u, 9.0)
+
+
+def test_pencil_failure_is_a_linalg_error(chafee):
+    # dsbgv reports info > m when the right-hand matrix is not positive definite
+    jac = chafee.jacobian_bands(np.zeros(chafee.mesh_size), 9.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        estimators._tridiagonal_pencil_eigenvalues(jac, -chafee.x_bands)
+
+
+def test_inf_sup_of_exactly_singular_jacobian(chafee):
+    # at the zero state J = K - mu M; at the first discrete eigenvalue of
+    # K v = lam M v (P1 elements, uniform mesh) J is singular to working precision
+    h = 1.0 / (chafee.mesh_size + 1)
+    lam1 = 12.0 / h**2 * np.sin(0.5 * np.pi * h) ** 2 / (2.0 + np.cos(np.pi * h))
+    assert inf_sup(chafee, np.zeros(chafee.mesh_size), lam1) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [5.0, 12.0])
+def test_inf_sup_converges_under_mesh_refinement(mu):
+    # on the chafee zero state beta(mu) -> min_k |1 - mu / (k pi)^2|, O(h^2)
+    k = np.arange(1, 50)
+    exact = np.min(np.abs(1.0 - mu / (k * np.pi) ** 2))
+    errors = []
+    for mesh in (201, 801, 3201):
+        model = make_model("chafee", mesh)
+        errors.append(abs(inf_sup(model, np.zeros(mesh), mu) - exact))
+    # h shrinks about 4x per refinement, so the error about 16x
+    assert 14.0 < errors[0] / errors[1] < 18.0
+    assert 14.0 < errors[1] / errors[2] < 18.0
+    assert errors[2] < 2e-7
 
 
 def test_inf_sup_of_identityish_operator(bratu):
@@ -47,7 +117,7 @@ def test_inf_sup_of_identityish_operator(bratu):
 def test_residual_dual_norm_matches_direct_solve(chafee, rng):
     u = 0.3 * rng.standard_normal(chafee.mesh_size)
     g = chafee.residual(u, 9.0)
-    direct = float(np.sqrt(g @ np.linalg.solve(chafee.x_matrix, g)))
+    direct = float(np.sqrt(g @ np.linalg.solve(stiffness_matrix(chafee.mesh_size), g)))
     assert np.isclose(residual_dual_norm(chafee, u, 9.0), direct, rtol=1e-10)
 
 

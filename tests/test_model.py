@@ -1,10 +1,15 @@
 """Finite element assembly, model constants, and the parameter grid type."""
 import numpy as np
 import pytest
+from conftest import stiffness_matrix
 
+from bifrb import model as model_module
+from bifrb.estimators import inf_sup, residual_dual_norm
 from bifrb.model import (ChafeeInfante1D, Bratu1D, ModelKind, ParameterSpace,
                          make_model)
-from bifrb.nlsolve import newton
+from bifrb.nlsolve import deflated_newton, newton
+from bifrb.pod import pod_basis
+from bifrb.rom import BasisMatrix
 
 # Discrete Sobolev constant rho_4 on the 201-node mesh, computed once by the
 # fixed-point iteration and frozen here as a regression value.
@@ -18,15 +23,20 @@ def p1_mass_matrix(m):
             + np.diag(np.full(m - 1, h / 6.0), -1))
 
 
-def test_stiffness_matrix_is_scaled_tridiagonal(bratu):
+def test_stiffness_matrix_is_scaled_tridiagonal(bratu, rng):
+    # X is kept as symmetric bands only; its products match the dense formula
     m = bratu.mesh_size
     h = 1.0 / (m + 1)
-    X = bratu.x_matrix
-    assert np.allclose(np.diag(X), 2.0 / h)
-    assert np.allclose(np.diag(X, 1), -1.0 / h)
-    assert np.allclose(X, X.T)
-    # no coupling beyond nearest neighbours
-    assert np.count_nonzero(X - np.triu(np.tril(X, 1), -1)) == 0
+    bands = bratu.x_bands
+    assert bands.shape == (3, m)
+    assert np.allclose(bands[1], 2.0 / h)
+    assert np.allclose(bands[0, 1:], -1.0 / h)
+    assert np.array_equal(bands[0, 1:], bands[2, :-1])
+    X = stiffness_matrix(m)
+    v, V = rng.standard_normal(m), rng.standard_normal((m, 4))
+    assert np.allclose(bratu.x_apply(v), X @ v, rtol=1e-13, atol=1e-13 * np.abs(X @ v).max())
+    assert np.allclose(bratu.x_apply(V), X @ V, rtol=1e-13, atol=1e-13 * np.abs(X @ V).max())
+    assert np.array_equal(bratu.x_apply(V)[:, 2], bratu.x_apply(V[:, 2]))
 
 
 def test_x_norm_matches_piecewise_derivative_sum(bratu, rng):
@@ -54,7 +64,7 @@ def test_bratu_residual_at_zero_state_is_load_vector(bratu):
 def test_bratu_jacobian_at_zero_state(bratu):
     mu = 0.9
     jac = bratu.jacobian(np.zeros(bratu.mesh_size), mu)
-    expect = bratu.x_matrix - mu * p1_mass_matrix(bratu.mesh_size)
+    expect = stiffness_matrix(bratu.mesh_size) - mu * p1_mass_matrix(bratu.mesh_size)
     assert np.allclose(jac, expect, atol=1e-12)
 
 
@@ -63,7 +73,7 @@ def test_chafee_residual_linearizes_for_small_states(chafee, rng):
     eps = 1e-6
     v = rng.standard_normal(chafee.mesh_size)
     res = chafee.residual(eps * v, mu)
-    linear = (chafee.x_matrix - mu * p1_mass_matrix(chafee.mesh_size)) @ (eps * v)
+    linear = (stiffness_matrix(chafee.mesh_size) - mu * p1_mass_matrix(chafee.mesh_size)) @ (eps * v)
     assert np.linalg.norm(res - linear) < 1e-3 * eps * np.linalg.norm(linear)
 
 
@@ -136,7 +146,9 @@ def test_chafee_residual_matches_cubic_power_formula(chafee, rng):
     for u in states:
         vals = chafee._gauss_values(u)
         for mu in (5.0, 9.8, 15.0):
-            expect = chafee.x_matrix @ u - mu * chafee._load(vals - vals**3)
+            # the banded X product (checked against the dense formula on its own)
+            # keeps roundoff of K u, ~400 times larger than g, out of the comparison
+            expect = chafee.x_apply(u) - mu * chafee._load(vals - vals**3)
             got = chafee.residual(u, mu)
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
@@ -157,6 +169,42 @@ def test_gauss_matrix_holds_the_gauss_values_of_each_column(kind, rng):
 def test_residual_rejects_wrong_shape(bratu):
     with pytest.raises(ValueError):
         bratu.residual(np.zeros(7), 1.0)
+
+
+def test_dual_norm_of_non_finite_functional_is_inf(chafee, rng):
+    # a NaN entry, or one whose quadratic form overflows, reads inf like x_norm
+    for bad in (np.nan, 1e200):
+        g = rng.standard_normal(chafee.mesh_size)
+        g[17] = bad
+        with np.errstate(over="ignore"):
+            assert chafee.x_dual_norm(g) == np.inf
+            assert chafee.x_norm(g) == np.inf
+
+
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_model_holds_no_dense_operator(kind, monkeypatch):
+    m = 61
+    model = make_model(kind, m)
+    model.embedding_constant(4)  # the one-off L4 eigenproblem may expand bands
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("banded operator expanded to a dense matrix")
+
+    monkeypatch.setattr(model_module, "_expand_bands", forbidden)
+    mu = 12.0 if kind == "chafee" else 2.0
+    root = newton(model, mu, model.default_guess)
+    assert root.converged
+    deflated_newton(model, mu, model.default_guesses[-1], [root.u])
+    assert inf_sup(model, root.u, mu) > 0.0
+    assert residual_dual_norm(model, root.u, mu) < 1e-9
+    basis = BasisMatrix(model)
+    for guess in model.default_guesses:
+        basis.enrich(guess)
+    basis.project(root.u)
+    pod_basis(model, [root.u, *model.default_guesses], 2)
+    dense = [name for name, value in vars(model).items()
+             if isinstance(value, np.ndarray) and value.shape == (m, m)]
+    assert dense == []
 
 
 def test_embedding_constant_sup_norm_is_half(bratu):

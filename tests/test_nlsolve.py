@@ -1,6 +1,7 @@
 """Newton iteration, deflation operator, and multi-root discovery."""
 import numpy as np
 import pytest
+from conftest import stiffness_matrix
 
 from bifrb.model import Bratu1D
 from bifrb.nlsolve import (DeflationOperator, DeflationSingularity, NewtonConfig,
@@ -100,8 +101,9 @@ def test_deflation_scalar_matches_manual_product(rng):
 def test_deflation_scalar_with_energy_metric(bratu, rng):
     u1 = rng.standard_normal(bratu.mesh_size)
     y = rng.standard_normal(bratu.mesh_size)
-    op = DeflationOperator([u1], metric=bratu.x_matrix)
-    d = bratu.x_norm(y - u1)
+    op = DeflationOperator([u1], metric=bratu.x_apply)
+    X = stiffness_matrix(bratu.mesh_size)
+    d = np.sqrt((y - u1) @ X @ (y - u1))
     assert np.isclose(op.scalar(y), d**-2.0 + 1.0, rtol=1e-12)
 
 
@@ -120,7 +122,7 @@ def test_deflation_gradient_matches_finite_differences(rng):
 
 def test_deflation_gradient_with_metric_matches_finite_differences(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size)]
-    op = DeflationOperator(roots, metric=bratu.x_matrix)
+    op = DeflationOperator(roots, metric=bratu.x_apply)
     y = rng.standard_normal(bratu.mesh_size)
     grad = op.gradient(y)
     eps = 1e-7
@@ -148,7 +150,7 @@ def test_deflation_singularity_and_validation(rng):
 def test_factor_and_gradient_in_one_pass(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size) for _ in range(3)]
     y = rng.standard_normal(bratu.mesh_size)
-    for metric in (None, bratu.x_matrix):
+    for metric in (None, bratu.x_apply):
         op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5, metric=metric)
         m, g = op.factor_and_gradient(y)
         assert m == op.scalar(y)
@@ -196,7 +198,7 @@ def test_sherman_morrison_step_equals_dense_rank_one_solve(chafee, rng):
     # assembled deflated Jacobian m*J + G grad(m)^T
     mu = 12.0
     root = newton(chafee, mu, chafee.default_guesses[0]).u
-    op = DeflationOperator([root], metric=chafee.x_matrix)
+    op = DeflationOperator([root], metric=chafee.x_apply)
     for _ in range(10):
         y = rng.standard_normal(chafee.mesh_size) * 0.3
         G = chafee.residual(y, mu)
