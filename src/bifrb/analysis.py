@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import discover_reduced_solutions, nonlinear_estimate
+from .estimators import nonlinear_estimate
 from .model import ParametricModel
 from .nlsolve import NewtonConfig, discover_solutions
-from .rom import BasisMatrix, reduced_solves
+from .rom import BasisMatrix, discover_reduced_solutions, reduced_solves
 
 __all__ = [
     "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
@@ -232,8 +232,7 @@ def _match_flags(dists_per_ref: list[list[float]],
 
 def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                 oracle: SolutionEnsemble, cfg: NewtonConfig | None = None,
-                deflate: bool = True, power_r: float = 2.0,
-                shift_sigma: float = 1.0) -> ErrorSweep:
+                deflate: bool = True) -> ErrorSweep:
     """Reduced vs full-order errors over a test grid, matched per branch.
 
     With deflate on, every reduced root reachable from the carried and
@@ -242,7 +241,8 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     continuation-seeded solve stands in for all branches, which is the honest
     way to score a basis built by a single-branch method.  Each row also
     carries the best-approximation projection error and the a-posteriori
-    bound evaluated at the matched reduced solution.
+    bound evaluated at the matched reduced solution.  An empty basis scores
+    the zero state; references left without a reduced root are "diverged".
     """
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
@@ -252,46 +252,34 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     for mu in tested:
         refs = oracle.at(mu)
         if basis.n == 0:
-            for p in refs:
-                kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
-                err = relative_error(model, p.u, np.zeros(model.mesh_size))
-                rows.append(ErrorRow(mu, p.branch, err, err, math.inf, kind))
-            continue
-        if deflate:
+            roots = []
+        elif deflate:
             battery = [r.copy() for r in carried]
             battery += [basis.project(g) for g in model.default_guesses]
-            roots = discover_reduced_solutions(basis, mu, battery, cfg,
-                                               power_r, shift_sigma)
+            roots = discover_reduced_solutions(basis, mu, battery, cfg)
             carried = [r.copy() for r in roots]
         else:
             _, result = next(single_seed)
             roots = [result.u.copy()] if result.converged else []
         lifted = [basis.lift(r) for r in roots]
         values = [model.midpoint_value(u) for u in lifted]
-        est_cache: dict[int, float] = {}
-
-        def bound_at(i: int) -> float:
-            if i not in est_cache:
-                est = nonlinear_estimate(model, lifted[i], mu)
-                est_cache[i] = est.delta_brr if math.isfinite(est.delta_brr) else est.delta_lin
-            return est_cache[i]
-
-        if not roots:
-            for p in refs:
-                kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
-                proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))
-                rows.append(ErrorRow(mu, p.branch, math.inf, proj, math.inf,
-                                     kind, "diverged"))
-            continue
+        bounds: dict[int, float] = {}
         dists_per_ref = [[abs(v - p.value) for v in values] for p in refs]
-        matches = [int(np.argmin(d)) for d in dists_per_ref]
+        matches = [int(np.argmin(d)) if roots else None for d in dists_per_ref]
         flags = (_match_flags(dists_per_ref, matches, len(roots))
                  if deflate else [""] * len(refs))
         for p, i, flag in zip(refs, matches, flags):
             kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
-            red = relative_error(model, p.u, lifted[i])
             proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))
-            rows.append(ErrorRow(mu, p.branch, red, proj, bound_at(i), kind, flag))
+            if i is None:
+                red, flag = (proj, "") if basis.n == 0 else (math.inf, "diverged")
+                rows.append(ErrorRow(mu, p.branch, red, proj, math.inf, kind, flag))
+                continue
+            if i not in bounds:
+                est = nonlinear_estimate(model, lifted[i], mu)
+                bounds[i] = est.delta_brr if math.isfinite(est.delta_brr) else est.delta_lin
+            red = relative_error(model, p.u, lifted[i])
+            rows.append(ErrorRow(mu, p.branch, red, proj, bounds[i], kind, flag))
     rows.sort(key=lambda r: (r.mu, r.branch))
     return ErrorSweep(rows)
 

@@ -21,13 +21,13 @@ import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .analysis import (SolutionEnsemble, diagram_csv, ensemble_diagram,
-                       error_sweep, error_vs_n, error_vs_n_csv, errors_csv,
-                       solution_ensemble, write_csv)
+                       error_sweep, error_vs_n, errors_csv, solution_ensemble,
+                       write_csv)
 from .estimators import EstimatorKind
 from .greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                      adaptive_greedy, deflated_greedy, vanilla_greedy)
 from .model import ParameterSpace, make_model
-from .nlsolve import NewtonConfig, deflation_parameter_problems
+from .nlsolve import NewtonConfig
 from .pod import pod_basis
 from .rom import BasisMatrix
 
@@ -95,9 +95,7 @@ class RunConfig:
         if self.estimator_kind not in _ESTIMATORS:
             problems.append(f"estimator_kind must be one of {_ESTIMATORS} (got {self.estimator_kind!r})")
         problems.extend(AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol).problems())
-        problems.extend(deflation_parameter_problems(self.r, self.sigma))
-        if not self.newton_tol > 0.0:
-            problems.append(f"newton_tol must be positive (got {self.newton_tol})")
+        problems.extend(self.newton().problems())
         if (self.mu_min is None) != (self.mu_max is None):
             problems.append("mu_min and mu_max must be given together")
         elif self.mu_min is not None and not self.mu_min < self.mu_max:
@@ -109,18 +107,24 @@ class RunConfig:
             return model.default_interval()
         return (self.mu_min, self.mu_max)
 
+    def newton(self) -> NewtonConfig:
+        """The settings of every Newton solve of the run, deflated ones included."""
+        return NewtonConfig(tol=self.newton_tol, power_r=self.r, shift_sigma=self.sigma)
+
+    def multi_branch(self) -> bool:
+        """Deflated and pod bases get the deflated test sweep, others the single-seed one."""
+        return self.strategy in ("deflated", "pod")
+
 
 def _greedy_config(cfg: RunConfig) -> GreedyConfig:
     return GreedyConfig(
         n_max=cfg.n_max, tol=cfg.tol,
         estimator_kind=EstimatorKind(cfg.estimator_kind),
-        newton=NewtonConfig(tol=cfg.newton_tol),
-        power_r=cfg.r, shift_sigma=cfg.sigma,
+        newton=cfg.newton(),
     )
 
 
 def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
-                 train_oracle: SolutionEnsemble | None = None,
                  pod_modes: int | None = None):
     """(basis, report dict, per-iteration estimator tables) for one strategy."""
     gcfg = _greedy_config(cfg)
@@ -132,9 +136,7 @@ def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
     elif cfg.strategy == "deflated":
         basis, report = deflated_greedy(model, space, gcfg)
     else:
-        if train_oracle is None:
-            train_oracle = solution_ensemble(model, space.train_points,
-                                             NewtonConfig(tol=cfg.newton_tol))
+        train_oracle = solution_ensemble(model, space.train_points, cfg.newton())
         snapshots = [p.u for p in train_oracle.points]
         result = pod_basis(model, snapshots, n_modes=pod_modes or cfg.n_max)
         payload = {
@@ -148,12 +150,29 @@ def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
     return basis, report.to_dict(), report.sweeps
 
 
-def _summarize(sweep) -> dict:
-    return {
-        "max_unflagged_error": sweep.max_reduced(),
-        "avg_unflagged_error": sweep.avg_reduced(),
-        "n_rows": len(sweep.rows),
-        "n_flagged": len(sweep.flagged()),
+def _test_oracle(cfg: RunConfig, model) -> SolutionEnsemble:
+    """Branch-labeled full-order solutions on the run's test grid."""
+    test = ParameterSpace.equispaced(*cfg.interval(model), cfg.test_size).train_points
+    return solution_ensemble(model, test, cfg.newton())
+
+
+def _score(cfg: RunConfig, basis: BasisMatrix, oracle: SolutionEnsemble):
+    """Error-sweep `basis` against the oracle and write errors.csv.
+
+    Returns the sweep and the fields it contributes to report.json.
+    """
+    sweep = error_sweep(basis.model, basis, oracle.mus(), oracle, cfg.newton(),
+                        deflate=cfg.multi_branch())
+    errors_csv(os.path.join(cfg.out_dir, "errors.csv"), sweep)
+    return sweep, {
+        "n_basis": basis.n,
+        "deflated_test_sweep": cfg.multi_branch(),
+        "errors": {
+            "max_unflagged_error": sweep.max_reduced(),
+            "avg_unflagged_error": sweep.avg_reduced(),
+            "n_rows": len(sweep.rows),
+            "n_flagged": len(sweep.flagged()),
+        },
     }
 
 
@@ -170,8 +189,7 @@ def _exit_from_status(status: str) -> int:
 
 def cmd_run(cfg: RunConfig) -> int:
     model = make_model(cfg.model_kind, cfg.mesh_size)
-    lo, hi = cfg.interval(model)
-    space = ParameterSpace.equispaced(lo, hi, cfg.train_size)
+    space = ParameterSpace.equispaced(*cfg.interval(model), cfg.train_size)
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         basis, report, sweeps = _build_basis(cfg, model, space)
@@ -186,25 +204,12 @@ def cmd_run(cfg: RunConfig) -> int:
         write_csv(os.path.join(cfg.out_dir, f"estimators_iter_{k}.csv"),
                   ESTIMATOR_FIELDS, rows)
 
-    ncfg = NewtonConfig(tol=cfg.newton_tol)
-    test = ParameterSpace.equispaced(lo, hi, cfg.test_size).train_points
-    oracle = solution_ensemble(model, test, ncfg)
+    oracle = _test_oracle(cfg, model)
     diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), ensemble_diagram(oracle))
-    # Single-branch strategies are scored with the single-seed protocol;
-    # multi-branch spaces get the deflated reduced sweep.
-    deflate = cfg.strategy in ("deflated", "pod")
-    sweep = error_sweep(model, basis, test, oracle, ncfg, deflate=deflate,
-                        power_r=cfg.r, shift_sigma=cfg.sigma)
-    errors_csv(os.path.join(cfg.out_dir, "errors.csv"), sweep)
+    sweep, scores = _score(cfg, basis, oracle)
 
     status = report.get("status", "tolerance_met")
-    _write_report(cfg.out_dir, {
-        "config": cfg.to_dict(),
-        "report": report,
-        "n_basis": basis.n,
-        "deflated_test_sweep": deflate,
-        "errors": _summarize(sweep),
-    })
+    _write_report(cfg.out_dir, {"config": cfg.to_dict(), "report": report, **scores})
     print(f"{cfg.strategy}: status={status} n_basis={basis.n} "
           f"max_test_error={sweep.max_reduced():.3e} -> {cfg.out_dir}")
     return _exit_from_status(status)
@@ -212,9 +217,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_diagram(cfg: RunConfig) -> int:
     model = make_model(cfg.model_kind, cfg.mesh_size)
-    lo, hi = cfg.interval(model)
-    test = ParameterSpace.equispaced(lo, hi, cfg.test_size).train_points
-    oracle = solution_ensemble(model, test, NewtonConfig(tol=cfg.newton_tol))
+    oracle = _test_oracle(cfg, model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), ensemble_diagram(oracle))
     _write_report(cfg.out_dir, {
@@ -234,23 +237,10 @@ def cmd_error_sweep(cfg: RunConfig, basis_dir: str) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load basis from {basis_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    model = basis.model
-    lo, hi = cfg.interval(model)
-    ncfg = NewtonConfig(tol=cfg.newton_tol)
-    test = ParameterSpace.equispaced(lo, hi, cfg.test_size).train_points
-    oracle = solution_ensemble(model, test, ncfg)
-    deflate = cfg.strategy in ("deflated", "pod")
-    sweep = error_sweep(model, basis, test, oracle, ncfg, deflate=deflate,
-                        power_r=cfg.r, shift_sigma=cfg.sigma)
+    oracle = _test_oracle(cfg, basis.model)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    errors_csv(os.path.join(cfg.out_dir, "errors.csv"), sweep)
-    _write_report(cfg.out_dir, {
-        "config": cfg.to_dict(),
-        "basis_dir": basis_dir,
-        "n_basis": basis.n,
-        "deflated_test_sweep": deflate,
-        "errors": _summarize(sweep),
-    })
+    sweep, scores = _score(cfg, basis, oracle)
+    _write_report(cfg.out_dir, {"config": cfg.to_dict(), "basis_dir": basis_dir, **scores})
     print(f"error-sweep: n_basis={basis.n} max_unflagged={sweep.max_reduced():.3e} "
           f"flagged={len(sweep.flagged())} -> {cfg.out_dir}")
     return EXIT_OK
@@ -274,11 +264,8 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
         return EXIT_CONFIG_ERROR
 
     model = make_model(cfg.model_kind, cfg.mesh_size)
-    lo, hi = cfg.interval(model)
-    space = ParameterSpace.equispaced(lo, hi, cfg.train_size)
-    ncfg = NewtonConfig(tol=cfg.newton_tol)
-    test = ParameterSpace.equispaced(lo, hi, cfg.test_size).train_points
-    oracle = solution_ensemble(model, test, ncfg)
+    space = ParameterSpace.equispaced(*cfg.interval(model), cfg.train_size)
+    oracle = _test_oracle(cfg, model)
 
     # The deflated run goes first so its final size can cap the pod modes.
     ordered = sorted(set(strategies), key=lambda s: (s != "deflated", s))
@@ -289,14 +276,12 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
         for strategy in ordered:
             sub = RunConfig(**{**cfg.to_dict(), "strategy": strategy})
             modes = n_modes if n_modes is not None else matched
-            basis, report, _ = _build_basis(sub, model, space,
-                                            train_oracle=None, pod_modes=modes)
+            basis, report, _ = _build_basis(sub, model, space, pod_modes=modes)
             if strategy == "deflated":
                 matched = basis.n
-            deflate = strategy in ("deflated", "pod")
-            rows = error_vs_n(model, basis.truncated,
-                              list(range(1, basis.n + 1)), test, oracle, ncfg,
-                              deflate=deflate)
+            rows = error_vs_n(model, basis.truncated, list(range(1, basis.n + 1)),
+                              oracle.mus(), oracle, cfg.newton(),
+                              deflate=sub.multi_branch())
             for row in rows:
                 table.append({"strategy": strategy, **row})
             final = rows[-1] if rows else {"n": 0, "max_error": math.inf,
@@ -308,8 +293,7 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
         return EXIT_UNCERTIFIED
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    error_vs_n_csv_path = os.path.join(cfg.out_dir, "error_vs_n.csv")
-    write_csv(error_vs_n_csv_path,
+    write_csv(os.path.join(cfg.out_dir, "error_vs_n.csv"),
               ["strategy", "n", "max_error", "avg_error", "n_flagged"], table)
     _write_report(cfg.out_dir, {
         "config": cfg.to_dict(),

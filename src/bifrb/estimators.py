@@ -48,7 +48,6 @@ __all__ = [
     "deflated_estimator_sweep",
     "beta_sweep",
     "argmin_beta",
-    "discover_reduced_solutions",
 ]
 
 # Inf-sup values below this are treated as numerically singular in divisions.
@@ -65,9 +64,6 @@ class EstimatorKind(str, Enum):
 class EstimatorConfig:
     kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    power_r: float = 2.0
-    shift_sigma: float = 1.0
-    beta_floor: float = BETA_FLOOR
 
 
 def _cython_lapack(name: str, *argtypes):
@@ -134,24 +130,23 @@ class Estimate:
         return self.delta_lin if kind == EstimatorKind.LINEAR else self.delta_brr
 
 
-def linear_estimate(model: ParametricModel, u: np.ndarray, mu: float,
-                    beta_floor: float = BETA_FLOOR) -> tuple[float, float, float]:
+def linear_estimate(model: ParametricModel, u: np.ndarray,
+                    mu: float) -> tuple[float, float, float]:
     """(delta_lin, beta, dual residual norm) at full-order state u."""
     res = residual_dual_norm(model, u, mu)
     beta = inf_sup(model, u, mu)
-    return res / max(beta, beta_floor), beta, res
+    return res / max(beta, BETA_FLOOR), beta, res
 
 
-def nonlinear_estimate(model: ParametricModel, u: np.ndarray, mu: float,
-                       beta_floor: float = BETA_FLOOR) -> Estimate:
+def nonlinear_estimate(model: ParametricModel, u: np.ndarray, mu: float) -> Estimate:
     """Both bounds at full-order state u.
 
     The Lipschitz constant is taken on a ball of radius twice the linear
     bound, which contains the exact solution whenever the nonlinear bound is
     valid at all.
     """
-    delta_lin, beta, res = linear_estimate(model, u, mu, beta_floor)
-    safe_beta = max(beta, beta_floor)
+    delta_lin, beta, res = linear_estimate(model, u, mu)
+    safe_beta = max(beta, BETA_FLOOR)
     lip = model.lipschitz_constant(u, mu, radius=2.0 * delta_lin) if math.isfinite(delta_lin) else math.inf
     tau = 2.0 * lip * res / safe_beta**2 if math.isfinite(lip) else math.inf
     if tau <= 1.0:
@@ -229,10 +224,10 @@ class EstimatorSet:
                 for e in self.entries]
 
 
-def _entry(model, basis, mu, branch, result, cfg) -> EstimatorEntry:
+def _entry(model, basis, mu, branch, result) -> EstimatorEntry:
     if not result.converged:
         return EstimatorEntry(mu, branch, False, result.cause)
-    est = nonlinear_estimate(model, basis.lift(result.u), mu, cfg.beta_floor)
+    est = nonlinear_estimate(model, basis.lift(result.u), mu)
     return EstimatorEntry(mu, branch, True, None, result.u.copy(), est)
 
 
@@ -246,7 +241,7 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     projected model default guess (`rom.reduced_solves`).
     """
     cfg = cfg or EstimatorConfig()
-    entries = [_entry(model, basis, mu, 0, result, cfg)
+    entries = [_entry(model, basis, mu, 0, result)
                for mu, result in reduced_solves(basis, mus, cfg.newton, continuation)]
     return EstimatorSet(entries, cfg.kind)
 
@@ -269,14 +264,13 @@ def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
         if guess_store is not None:
             battery.extend(guess_store.rb_for(mu, basis.n))
         battery.extend(basis.project(g) for g in model.default_guesses)
-        roots = discover_reduced_solutions(basis, mu, battery, cfg.newton,
-                                           cfg.power_r, cfg.shift_sigma)
+        roots = discover_reduced_solutions(basis, mu, battery, cfg.newton)
         if not roots:
             probe = reduced_newton(basis, mu, battery[0], cfg.newton)
             entries.append(EstimatorEntry(mu, 0, False, probe.cause))
         else:
             for k, root in enumerate(roots):
-                est = nonlinear_estimate(model, basis.lift(root), mu, cfg.beta_floor)
+                est = nonlinear_estimate(model, basis.lift(root), mu)
                 entries.append(EstimatorEntry(mu, k, True, None, root.copy(), est))
         if guess_store is not None:
             guess_store.set_rb(mu, roots)

@@ -65,8 +65,6 @@ class GreedyConfig:
     mu0: float | None = None  # default: endpoint on the model's uniqueness side
     estimator_kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    power_r: float = 2.0
-    shift_sigma: float = 1.0
 
     def problems(self) -> list[str]:
         """What is wrong with the stopping criteria (empty if valid)."""
@@ -85,8 +83,7 @@ class GreedyConfig:
             raise ValueError("; ".join(problems))
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(self.estimator_kind, self.newton,
-                               self.power_r, self.shift_sigma)
+        return EstimatorConfig(self.estimator_kind, self.newton)
 
 
 @dataclass
@@ -346,8 +343,7 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
 
 def deflated_snapshots(model: ParametricModel, roots_hf: RootSet,
                        guesses: GuessStore, mu: float, cfg: NewtonConfig,
-                       basis: BasisMatrix, power_r: float = 2.0,
-                       shift_sigma: float = 1.0) -> tuple[BasisMatrix, GuessStore, int]:
+                       basis: BasisMatrix) -> tuple[BasisMatrix, GuessStore, int]:
     """Harvest every additional full-order root at mu into the basis.
 
     Each stored guess is driven through deflated solves against the
@@ -358,13 +354,12 @@ def deflated_snapshots(model: ParametricModel, roots_hf: RootSet,
     the basis, the updated guess store and the new basis size.
     """
     known = len(roots_hf)
-    discover(lambda g, roots: deflated_newton(model, mu, g, roots, cfg,
-                                              power_r, shift_sigma),
+    discover(lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
              list(guesses.hf), roots_hf)
     for root in roots_hf.roots[known:]:
         basis.enrich(root, mu)
     for root in roots_hf:
-        guesses.add_hf(root)
+        guesses.hf.add(root)
     return basis, guesses, basis.n
 
 
@@ -384,8 +379,8 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     basis, mu0, note, first_root = _initialize(model, space, cfg)
     store = GuessStore(model)
     for g in model.default_guesses:
-        store.add_hf(g)
-    store.add_hf(first_root)
+        store.hf.add(g)
+    store.hf.add(first_root)
     ecfg = cfg.estimator_config()
 
     def snapshot(entry):
@@ -397,9 +392,8 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
         roots = RootSet(model.x_norm)
         roots.add(result.u)
         enr = basis.enrich(result.u, entry.mu)
-        store.add_hf(result.u)
-        deflated_snapshots(model, roots, store, entry.mu, cfg.newton, basis,
-                           cfg.power_r, cfg.shift_sigma)
+        store.hf.add(result.u)
+        deflated_snapshots(model, roots, store, entry.mu, cfg.newton, basis)
         growth = basis.n - n_before
         if growth == 0:
             return "no_growth"

@@ -10,6 +10,8 @@ Sherman-Morrison identity the deflated step is the plain step delta_u scaled by
 so each iteration costs one linear solve plus two inner products.  Divergence
 (norm blow-up, stalled deflation factor, singular Jacobian, iteration budget)
 is reported as a value on the result object, never as an exception.
+The power r and shift sigma are fields of `NewtonConfig`, so one config
+carries them to every deflated solve of an experiment, full-order or reduced.
 
 Full-order and reduced solvers share this engine and differ only in residual,
 Newton step and norm, which also decides root identity (`RootSet`);
@@ -45,11 +47,26 @@ STALL_THRESHOLD = 1e-14
 
 @dataclass
 class NewtonConfig:
+    """Settings of every Newton solve, plain or deflated, full-order or reduced.
+
+    `power_r` and `shift_sigma` are the deflation power r and shift sigma of
+    the factor ||y - u||^-r + sigma; plain Newton ignores them.
+    """
+
     tol: float = 1e-10
     max_iter: int = 100
     divergence_norm: float = 1e6
     # Consecutive residual-norm increases tolerated before declaring divergence.
     divergence_iter: int = 25
+    power_r: float = 2.0
+    shift_sigma: float = 1.0
+
+    def problems(self) -> list[str]:
+        """What is wrong with the tolerance and deflation parameters (empty if valid)."""
+        problems = []
+        if not self.tol > 0.0:
+            problems.append(f"newton_tol must be positive (got {self.tol})")
+        return problems + deflation_parameter_problems(self.power_r, self.shift_sigma)
 
 
 @dataclass
@@ -70,17 +87,17 @@ class DeflationSingularity(RuntimeError):
     """Raised when the deflation operator is evaluated on one of its own roots."""
 
 
-def deflation_parameter_problems(power_r: float, shift_sigma: float) -> list[str]:
+def deflation_parameter_problems(r: float, sigma: float) -> list[str]:
     """What is wrong with a deflation power r and shift sigma (empty if valid).
 
     The factor ||y - u||^-r + sigma needs r >= 1 to repel Newton from the
     root and sigma > 0 to keep the far field from vanishing.
     """
     problems = []
-    if not power_r >= 1.0:
-        problems.append(f"deflation power r must be >= 1 (got {power_r})")
-    if not shift_sigma > 0.0:
-        problems.append(f"deflation shift sigma must be positive (got {shift_sigma})")
+    if not r >= 1.0:
+        problems.append(f"deflation power r must be >= 1 (got {r})")
+    if not sigma > 0.0:
+        problems.append(f"deflation shift sigma must be positive (got {sigma})")
     return problems
 
 
@@ -251,10 +268,10 @@ def newton(model: ParametricModel, mu: float, guess: np.ndarray,
 
 
 def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
-                    roots, cfg: NewtonConfig | None = None,
-                    power_r: float = 2.0, shift_sigma: float = 1.0) -> SolveResult:
+                    roots, cfg: NewtonConfig | None = None) -> SolveResult:
     """Full-order Newton repelled from `roots` (a RootSet or list of states).
 
+    The deflation power and shift are `cfg.power_r` and `cfg.shift_sigma`.
     With an empty root list this reproduces `newton` bit for bit: the deflation
     factor is the empty product 1 and the step scaling is exactly 1.0.
     """
@@ -263,7 +280,7 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
         lambda y: model.residual(y, mu),
         lambda y, r: model.newton_step(y, mu, r),
         guess, cfg, model.x_norm,
-        DeflationOperator(roots, power_r, shift_sigma, metric=model.x_apply),
+        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=model.x_apply),
     )
 
 
@@ -285,13 +302,12 @@ def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,
-                       cfg: NewtonConfig | None = None,
-                       power_r: float = 2.0, shift_sigma: float = 1.0) -> RootSet:
+                       cfg: NewtonConfig | None = None) -> RootSet:
     """Collect the distinct full-order solutions reachable from `guesses` at mu."""
     cfg = cfg or NewtonConfig()
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if not guesses:
         raise ValueError("discover_solutions needs at least one initial guess")
     return discover(
-        lambda g, roots: deflated_newton(model, mu, g, roots, cfg, power_r, shift_sigma),
+        lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
         guesses, RootSet(model.x_norm))

@@ -34,8 +34,8 @@ class PODResult:
         return self.basis.n
 
 
-def pod_basis(model: ParametricModel, snapshots, n_modes: int | None = None,
-              mu_values=None) -> PODResult:
+def pod_basis(model: ParametricModel, snapshots,
+              n_modes: int | None = None) -> PODResult:
     """First n_modes X-orthonormal POD modes of the snapshot set.
 
     Returns every singular value (square roots of the Gramian spectrum) in
@@ -73,13 +73,8 @@ def pod_basis(model: ParametricModel, snapshots, n_modes: int | None = None,
         gram_m = modes.T @ model.x_apply(modes)
         chol = cholesky(0.5 * (gram_m + gram_m.T), lower=True)
         modes = solve_triangular(chol, modes.T, lower=True).T
-    labels = None
-    if mu_values is not None:
-        # Modes mix snapshots, so per-column parameters are not meaningful;
-        # kept as None regardless of what the snapshots were labeled with.
-        labels = [None] * keep
-    basis = BasisMatrix(model, modes, labels)
-    return PODResult(basis, sigma, deficient)
+    # Modes mix snapshots, so no column carries a parameter value.
+    return PODResult(BasisMatrix(model, modes), sigma, deficient)
 
 
 def branchwise_pod(model: ParametricModel, branch_snapshots: dict,

@@ -217,8 +217,7 @@ def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
 
 
 def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
-                            roots, cfg: NewtonConfig | None = None,
-                            power_r: float = 2.0, shift_sigma: float = 1.0) -> SolveResult:
+                            roots, cfg: NewtonConfig | None = None) -> SolveResult:
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
     _require_nonempty(basis)
     cfg = cfg or NewtonConfig()
@@ -226,7 +225,7 @@ def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
         lambda y: reduced_residual(basis, y, mu),
         lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
         guess, cfg, np.linalg.norm,
-        DeflationOperator(roots, power_r, shift_sigma, metric=None),
+        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=None),
     )
 
 
@@ -250,14 +249,11 @@ def reduced_solves(basis: BasisMatrix, mus, cfg: NewtonConfig | None = None,
 
 
 def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
-                               cfg: NewtonConfig | None = None,
-                               power_r: float = 2.0,
-                               shift_sigma: float = 1.0) -> list[np.ndarray]:
+                               cfg: NewtonConfig | None = None) -> list[np.ndarray]:
     """All distinct reduced roots reachable from the guess battery (`nlsolve.discover`)."""
     cfg = cfg or NewtonConfig()
     return discover(
-        lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg,
-                                                 power_r, shift_sigma),
+        lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg),
         guesses, RootSet(np.linalg.norm)).roots
 
 
@@ -278,9 +274,6 @@ class GuessStore:
 
     def __post_init__(self):
         self.hf = RootSet(self.model.x_norm)
-
-    def add_hf(self, u: np.ndarray) -> bool:
-        return self.hf.add(u)
 
     def set_rb(self, mu: float, roots) -> None:
         self.rb[float(mu)] = [np.asarray(r, dtype=float).copy() for r in roots]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bifrb.cli import RunConfig, main
+from bifrb.nlsolve import DeflationOperator
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -248,3 +249,29 @@ def test_compare_matched_n_table(tmp_path, capsys):
     lines = (out / "error_vs_n.csv").read_text().splitlines()
     assert lines[0] == "strategy,n,max_error,avg_error,n_flagged"
     assert "certified" in capsys.readouterr().out
+
+
+def test_deflation_flags_reach_every_deflated_solve(tmp_path, monkeypatch):
+    """--r/--sigma govern every deflation operator a command builds: the greedy,
+    the test-grid oracle, the diagram and compare's reduced discovery."""
+    seen = []
+    post_init = DeflationOperator.__post_init__
+
+    def spy(self):
+        seen.append((self.power_r, self.shift_sigma))
+        post_init(self)
+
+    monkeypatch.setattr(DeflationOperator, "__post_init__", spy)
+    flags = ["--model", "chafee", "--r", "3", "--sigma", "0.5"] + FAST
+    build = str(tmp_path / "build")
+    commands = [
+        ["run", "--strategy", "deflated", "--out", build],
+        ["compare", "--strategies", "deflated,pod", "--matched-n",
+         "--out", str(tmp_path / "cmp")],
+        ["error-sweep", "--basis-dir", build, "--out", str(tmp_path / "err")],
+        ["diagram", "--out", str(tmp_path / "diag")],
+    ]
+    for argv in commands:
+        seen.clear()
+        assert run_cli(argv + flags) != 1
+        assert seen and set(seen) == {(3.0, 0.5)}, argv[0]

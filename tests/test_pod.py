@@ -81,7 +81,7 @@ def test_mixed_null_and_real_snapshots(chafee):
 
 def test_mu_labels_are_dropped(bratu, rng):
     snaps = [rng.standard_normal(bratu.mesh_size) for _ in range(3)]
-    result = pod_basis(bratu, snaps, n_modes=2, mu_values=[1.0, 2.0, 3.0])
+    result = pod_basis(bratu, snaps, n_modes=2)
     assert result.basis.mu_values == [None, None]
 
 

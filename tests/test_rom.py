@@ -255,9 +255,9 @@ def test_load_rejects_tampered_columns(tmp_path, chafee, rng):
 def test_guess_store_deduplicates_and_pads(chafee, rng):
     store = GuessStore(chafee)
     u = rng.standard_normal(chafee.mesh_size)
-    assert store.add_hf(u)
-    assert not store.add_hf(u + 1e-9 * u)
-    assert store.add_hf(-u)
+    assert store.hf.add(u)
+    assert not store.hf.add(u + 1e-9 * u)
+    assert store.hf.add(-u)
     assert len(store.hf) == 2
 
     store.set_rb(9.0, [np.array([1.0, 2.0])])
