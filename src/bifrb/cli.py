@@ -330,7 +330,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bif-tol", dest="bif_tol", type=float)
     p.add_argument("--r", type=float, help="deflation power")
     p.add_argument("--sigma", type=float, help="deflation shift")
-    p.add_argument("--newton-tol", dest="newton_tol", type=float)
+    p.add_argument("--newton-tol", dest="newton_tol", type=float,
+                   help="Newton tolerance on the dual norm of the residual")
     p.add_argument("--out", dest="out_dir")
 
 

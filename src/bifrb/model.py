@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, solve_banded
+from scipy.linalg import cholesky_banded, eigh, solve_banded
+from scipy.linalg.lapack import dpbtrs
 
 __all__ = [
     "ModelKind",
@@ -113,6 +114,25 @@ class ParametricModel:
         # Upper banded Cholesky factor of X, for the dual norm.
         self._x_chol = cholesky_banded(self.x_bands[:2])
         self._embedding_cache: dict[float, float] = {}
+        self._pinned: list | None = None
+
+    def pin(self, u: np.ndarray | None) -> None:
+        """Reuse the Gauss values of the array object `u` until the next pin.
+
+        While `u` is pinned, `residual` and `jacobian_bands` of that same
+        object evaluate its Gauss values once between them.  The caller must
+        not change `u` in place while it is pinned; pin(None) unpins.
+        """
+        self._pinned = None if u is None else [u, None]
+
+    def _state_values(self, u: np.ndarray) -> np.ndarray:
+        """`_gauss_values(u)`, evaluated only once for the pinned array."""
+        pinned = self._pinned
+        if pinned is None or pinned[0] is not u:
+            return self._gauss_values(u)
+        if pinned[1] is None:
+            pinned[1] = self._gauss_values(u)
+        return pinned[1]
 
     # -- assembly -----------------------------------------------------------
 
@@ -166,7 +186,7 @@ class ParametricModel:
         raise NotImplementedError
 
     def residual(self, u: np.ndarray, mu: float) -> np.ndarray:
-        g = self.source(self._gauss_values(u))
+        g = self.source(self._state_values(u))
         return self.x_apply(u) - mu * self._load(g)
 
     def jacobian_bands(self, u: np.ndarray, mu: float) -> np.ndarray:
@@ -176,7 +196,7 @@ class ParametricModel:
         subdiagonal in columns 0..m-2 (the `solve_banded` layout); the two
         unused corners are zero.
         """
-        gp = self.source_prime(self._gauss_values(u))
+        gp = self.source_prime(self._state_values(u))
         return self.x_bands - mu * self._weighted_mass_bands(gp)
 
     def jacobian(self, u: np.ndarray, mu: float) -> np.ndarray:
@@ -213,7 +233,12 @@ class ParametricModel:
 
     def x_dual_norm(self, g: np.ndarray) -> float:
         """Norm of a residual/functional vector in the dual metric X^{-1} (inf if non-finite)."""
-        q = float(g @ cho_solve_banded((self._x_chol, False), g, check_finite=False))
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.mesh_size,):
+            raise ValueError(f"functional vector must have shape ({self.mesh_size},)")
+        # LAPACK's banded Cholesky solve, called directly: at these sizes
+        # `cho_solve_banded` spends most of its time on argument dispatch.
+        q = float(g @ dpbtrs(self._x_chol, g)[0])
         if not np.isfinite(q):
             return float("inf")
         return float(np.sqrt(max(q, 0.0)))

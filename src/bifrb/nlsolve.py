@@ -7,15 +7,21 @@ Sherman-Morrison identity the deflated step is the plain step delta_u scaled by
 
     theta = 1 / (1 - <grad m, delta_u> / m),
 
-so each iteration costs one linear solve plus two inner products.  Divergence
-(norm blow-up, stalled deflation factor, singular Jacobian, iteration budget)
-is reported as a value on the result object, never as an exception.
+so each iteration costs one linear solve plus two inner products.  A run
+converges when the dual norm of its residual (X^{-1}-norm at full order,
+Euclidean on reduced coefficients) drops below `NewtonConfig.tol`, a test
+that does not depend on the mesh.  Failure (norm blow-up, non-finite
+residual or step, singular Jacobian, stalled deflation factor, iteration
+budget, and "no_progress", which ends a deflated attempt with nothing left
+to find long before the budget) is reported as a `cause` on the result
+object, never as an exception.
 The power r and shift sigma are fields of `NewtonConfig`, so one config
 carries them to every deflated solve of an experiment, full-order or reduced.
 
 Full-order and reduced solvers share this engine and differ only in residual,
-Newton step and norm, which also decides root identity (`RootSet`);
-`discover` is the one multi-root loop on top of either deflated solver.
+Newton step and norms; the state norm measures steps and also decides root
+identity (`RootSet`).  `discover` is the one multi-root loop on top of either
+deflated solver.
 """
 from __future__ import annotations
 
@@ -43,21 +49,24 @@ __all__ = [
 DISTINCTNESS_THRESHOLD = 1e-6
 # |1 - <grad m, du>/m| below this means the deflated step direction is lost.
 STALL_THRESHOLD = 1e-14
+# Iterations in a row without the step norm halving its best value before a
+# run is abandoned as "no_progress".
+NO_PROGRESS_WINDOW = 20
 
 
 @dataclass
 class NewtonConfig:
     """Settings of every Newton solve, plain or deflated, full-order or reduced.
 
-    `power_r` and `shift_sigma` are the deflation power r and shift sigma of
-    the factor ||y - u||^-r + sigma; plain Newton ignores them.
+    `tol` bounds the dual norm of the residual at convergence (X^{-1}-norm at
+    full order, Euclidean on reduced coefficients).  `power_r` and
+    `shift_sigma` are the deflation power r and shift sigma of the factor
+    ||y - u||^-r + sigma; plain Newton ignores them.
     """
 
     tol: float = 1e-10
     max_iter: int = 100
     divergence_norm: float = 1e6
-    # Consecutive residual-norm increases tolerated before declaring divergence.
-    divergence_iter: int = 25
     power_r: float = 2.0
     shift_sigma: float = 1.0
 
@@ -71,7 +80,11 @@ class NewtonConfig:
 
 @dataclass
 class SolveResult:
-    """Outcome of a Newton run; `u` is the last iterate even on divergence."""
+    """Outcome of a Newton run; `u` is the last iterate even on divergence.
+
+    `residual_norm` is the dual norm of the residual at `u`, the quantity
+    compared with `NewtonConfig.tol`.
+    """
 
     u: np.ndarray
     converged: bool
@@ -169,7 +182,7 @@ class RootSet:
 
     Two states are the same root when norm(a - b) <= DISTINCTNESS_THRESHOLD *
     max(1, norm(a), norm(b)); `norm` is the model's `x_norm` for full-order
-    states and `np.linalg.norm` for reduced coefficient vectors.  `add`
+    states and the Euclidean norm for reduced coefficient vectors.  `add`
     silently refuses duplicates and reports whether it added.
     """
 
@@ -198,17 +211,21 @@ class RootSet:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_core(residual_fn, step_fn, guess, cfg, norm,
+def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
                  deflation: DeflationOperator | None = None) -> SolveResult:
     """Shared engine for all four solver entry points (full/reduced x plain/deflated).
 
     `step_fn(y, r)` returns the plain Newton step du solving Jac(y) du = -r:
     a banded solve for full-order states, a dense N x N solve for reduced
     ones.  A LinAlgError from it is reported as "singular_jacobian" and a
-    non-finite du as "nonfinite_step".  `norm` measures residuals, iterates
-    and, through a `RootSet`, whether a converged iterate is a deflated root.
-    Overflow during divergence is expected and handled through the norm
-    checks, so numpy warnings stay silenced for the whole iteration.
+    non-finite du as "nonfinite_step".  `residual_norm` is the dual norm of
+    the residual and decides convergence against cfg.tol.  `norm` measures
+    steps, iterates and, through a `RootSet`, whether a converged iterate is
+    a deflated root.  A run whose (deflated) step norm has not fallen below
+    half its best value for NO_PROGRESS_WINDOW iterations in a row ends
+    "no_progress".  Overflow during divergence is expected and handled
+    through the norm checks, so numpy warnings stay silenced for the whole
+    iteration.
     """
     y = np.array(guess, dtype=float).copy()
     known = None
@@ -218,8 +235,8 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm,
             return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
 
     r = residual_fn(y)
-    rnorm = norm(r)
-    growth = 0
+    rnorm = residual_norm(r)
+    best_step, stale = np.inf, 0
     for k in range(cfg.max_iter + 1):
         if not np.isfinite(rnorm):
             return SolveResult(y, False, k, rnorm, "nonfinite_residual")
@@ -244,27 +261,43 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm,
             if abs(denom) < STALL_THRESHOLD:
                 return SolveResult(y, False, k, rnorm, "deflation_stall")
             du = du / denom
+        step = norm(du)
+        if step < 0.5 * best_step:
+            best_step, stale = step, 0
+        else:
+            stale += 1
+            if stale >= NO_PROGRESS_WINDOW:
+                return SolveResult(y, False, k, rnorm, "no_progress")
         y = y + du
         if norm(y) > cfg.divergence_norm:
             return SolveResult(y, False, k + 1, rnorm, "divergence_norm")
         r = residual_fn(y)
-        new_rnorm = norm(r)
-        growth = growth + 1 if new_rnorm > rnorm else 0
-        if growth >= cfg.divergence_iter:
-            return SolveResult(y, False, k + 1, new_rnorm, "residual_growth")
-        rnorm = new_rnorm
+        rnorm = residual_norm(r)
     return SolveResult(y, False, cfg.max_iter, rnorm, "max_iter")
+
+
+def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfig,
+                      deflation: DeflationOperator | None = None) -> SolveResult:
+    """`_newton_core` on the full-order system, one Gauss evaluation per iterate.
+
+    Every new iterate is pinned on the model, so its residual and the
+    Jacobian of its Newton step share one set of Gauss-point values.
+    """
+    def residual(y):
+        model.pin(y)
+        return model.residual(y, mu)
+
+    try:
+        return _newton_core(residual, lambda y, r: model.newton_step(y, mu, r), guess, cfg,
+                            model.x_norm, model.x_dual_norm, deflation)
+    finally:
+        model.pin(None)
 
 
 def newton(model: ParametricModel, mu: float, guess: np.ndarray,
            cfg: NewtonConfig | None = None) -> SolveResult:
-    """Full-order Newton; converges when the residual X-norm drops below cfg.tol."""
-    cfg = cfg or NewtonConfig()
-    return _newton_core(
-        lambda y: model.residual(y, mu),
-        lambda y, r: model.newton_step(y, mu, r),
-        guess, cfg, model.x_norm,
-    )
+    """Full-order Newton; converges when the dual norm of the residual drops below cfg.tol."""
+    return _full_order_solve(model, mu, guess, cfg or NewtonConfig())
 
 
 def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
@@ -276,12 +309,9 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     factor is the empty product 1 and the step scaling is exactly 1.0.
     """
     cfg = cfg or NewtonConfig()
-    return _newton_core(
-        lambda y: model.residual(y, mu),
-        lambda y, r: model.newton_step(y, mu, r),
-        guess, cfg, model.x_norm,
-        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=model.x_apply),
-    )
+    return _full_order_solve(
+        model, mu, guess, cfg,
+        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=model.x_apply))
 
 
 def discover(deflated_solve, guesses, found: RootSet) -> RootSet:

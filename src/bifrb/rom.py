@@ -15,15 +15,18 @@ K_N = B^T X B, both computed once per basis,
 which are the quadrature sums of the full-order load vector and weighted mass
 matrix taken in another order (w the Gauss weight, g the model's source).  A
 reduced Newton iteration thus costs O(m N^2) for m interior nodes.  Reduced
-Newton iterates on coefficient vectors with a Euclidean convergence test,
-which by orthonormality agrees with the X-norm of the lifted increment.
-Reduced deflation therefore measures root distances in the Euclidean metric;
-otherwise the reduced solvers, root discovery and the distinctness rule are
-the full-order ones of `nlsolve` run with the Euclidean norm.
+Newton iterates on coefficient vectors and converges when ||G_N||_2 drops
+below the tolerance: since the basis is X-orthonormal, that is the dual norm
+of the Galerkin residual on span(B), the criterion of the full-order solvers.
+For the same reason the Euclidean norm of a coefficient vector is the X-norm
+of its lift, so steps, root distances in deflation, the "no_progress" exit
+and the distinctness rule all use the Euclidean norm; otherwise the reduced
+solvers and root discovery are the full-order ones of `nlsolve`.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,34 +202,34 @@ def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarr
     return k_n - (mu * model.gauss_weight) * (phi.T @ (weights[:, None] * phi))
 
 
-def _require_nonempty(basis: BasisMatrix) -> None:
+def _euclidean_norm(v: np.ndarray) -> float:
+    """||v||_2 as `np.linalg.norm` computes it, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,
+                   deflation: DeflationOperator | None = None) -> SolveResult:
+    """`_newton_core` on the reduced system, Euclidean norms throughout."""
     if basis.n == 0:
         raise ValueError("reduced solve requires a nonempty basis")
+    return _newton_core(
+        lambda y: reduced_residual(basis, y, mu),
+        lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
+        guess, cfg, _euclidean_norm, _euclidean_norm, deflation)
 
 
 def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                    cfg: NewtonConfig | None = None) -> SolveResult:
-    """Newton on the reduced system; converges on the Euclidean norm of G_N."""
-    _require_nonempty(basis)
-    cfg = cfg or NewtonConfig()
-    return _newton_core(
-        lambda y: reduced_residual(basis, y, mu),
-        lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, np.linalg.norm,
-    )
+    """Newton on the reduced system; converges on the Euclidean (dual) norm of G_N."""
+    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig())
 
 
 def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                             roots, cfg: NewtonConfig | None = None) -> SolveResult:
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
-    _require_nonempty(basis)
     cfg = cfg or NewtonConfig()
-    return _newton_core(
-        lambda y: reduced_residual(basis, y, mu),
-        lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, np.linalg.norm,
-        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=None),
-    )
+    return _reduced_solve(basis, mu, guess, cfg,
+                          DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=None))
 
 
 def reduced_solves(basis: BasisMatrix, mus, cfg: NewtonConfig | None = None,
@@ -254,7 +257,7 @@ def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
     cfg = cfg or NewtonConfig()
     return discover(
         lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg),
-        guesses, RootSet(np.linalg.norm)).roots
+        guesses, RootSet(_euclidean_norm)).roots
 
 
 @dataclass

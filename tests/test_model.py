@@ -171,6 +171,37 @@ def test_residual_rejects_wrong_shape(bratu):
         bratu.residual(np.zeros(7), 1.0)
 
 
+def test_dual_norm_rejects_wrong_shape(bratu):
+    with pytest.raises(ValueError):
+        bratu.x_dual_norm(np.ones(7))
+
+
+def test_pinned_state_shares_its_gauss_values(bratu, rng, monkeypatch):
+    calls = {"n": 0}
+    gauss_values = bratu._gauss_values
+
+    def counted(u):
+        calls["n"] += 1
+        return gauss_values(u)
+
+    monkeypatch.setattr(bratu, "_gauss_values", counted)
+    u = 0.1 * rng.standard_normal(bratu.mesh_size)
+    r, bands = bratu.residual(u, 2.0), bratu.jacobian_bands(u, 2.0)
+    assert calls["n"] == 2
+    bratu.pin(u)
+    try:
+        assert np.array_equal(bratu.residual(u, 2.0), r)
+        assert np.array_equal(bratu.jacobian_bands(u, 2.0), bands)
+        assert calls["n"] == 3
+        # an equal but distinct array is not the pinned one
+        assert np.array_equal(bratu.residual(u.copy(), 2.0), r)
+        assert calls["n"] == 4
+    finally:
+        bratu.pin(None)
+    assert np.array_equal(bratu.residual(u, 2.0), r)
+    assert calls["n"] == 5
+
+
 def test_dual_norm_of_non_finite_functional_is_inf(chafee, rng):
     # a NaN entry, or one whose quadratic form overflows, reads inf like x_norm
     for bad in (np.nan, 1e200):

@@ -3,16 +3,17 @@ import numpy as np
 import pytest
 from conftest import stiffness_matrix
 
-from bifrb.model import Bratu1D
-from bifrb.nlsolve import (DeflationOperator, DeflationSingularity, NewtonConfig,
-                           RootSet, deflated_newton, discover_solutions, newton)
+from bifrb.model import Bratu1D, make_model
+from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationOperator, DeflationSingularity,
+                           NewtonConfig, RootSet, deflated_newton, discover_solutions,
+                           newton)
 
 DIVERGENCE_CAUSES = {
     "nonfinite_residual",
     "nonfinite_step",
     "singular_jacobian",
     "divergence_norm",
-    "residual_growth",
+    "no_progress",
     "max_iter",
 }
 
@@ -284,3 +285,51 @@ def test_discovery_orders_bratu_branches_by_amplitude(bratu):
 def test_discover_requires_a_guess(bratu):
     with pytest.raises(ValueError):
         discover_solutions(bratu, 1.0, [])
+
+
+def test_fully_deflated_attempts_stop_for_lack_of_progress(chafee):
+    # with all three roots deflated nothing is left to find: the attempts
+    # wander until the step norm stops halving, far short of max_iter
+    mu = 12.0
+    roots = discover_solutions(chafee, mu, [np.zeros(chafee.mesh_size)] + chafee.default_guesses)
+    assert len(roots) == 3
+    for guess in chafee.default_guesses:
+        res = deflated_newton(chafee, mu, guess, roots)
+        assert res.cause == "no_progress"
+        assert NO_PROGRESS_WINDOW <= res.iterations <= 2 * NO_PROGRESS_WINDOW
+
+
+@pytest.mark.parametrize("mesh", [201, 401, 801, 1601, 3201])
+def test_newton_and_discovery_are_mesh_independent(mesh):
+    # the dual norm of the residual has no mesh-dependent roundoff floor
+    chafee, bratu = make_model("chafee", mesh), make_model("bratu", mesh)
+    for model, mu in ((chafee, 12.0), (bratu, 1.0)):
+        res = newton(model, mu, model.default_guess)
+        assert res.converged
+        assert res.residual_norm == model.x_dual_norm(model.residual(res.u, mu))
+        assert res.residual_norm < NewtonConfig().tol
+    assert len(discover_solutions(bratu, 1.0, bratu.default_guesses)) == 2
+
+
+def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
+    # the residual of an iterate and the Jacobian of its step share one
+    # evaluation: k iterations visit k + 1 iterates
+    mu = 12.0
+    root = newton(chafee, mu, chafee.default_guesses[0]).u
+    calls = {"n": 0}
+    gauss_values = chafee._gauss_values
+
+    def counted(u):
+        calls["n"] += 1
+        return gauss_values(u)
+
+    monkeypatch.setattr(chafee, "_gauss_values", counted)
+    for solve in (lambda g: newton(chafee, mu, g),
+                  lambda g: deflated_newton(chafee, mu, g, [root])):
+        calls["n"] = 0
+        res = solve(chafee.default_guesses[1])
+        assert res.converged and res.iterations > 0
+        assert calls["n"] == res.iterations + 1
+    # the solver releases its last iterate: changed in place, it is re-evaluated
+    res.u[:] = 0.0
+    assert np.array_equal(chafee.residual(res.u, mu), np.zeros(chafee.mesh_size))

@@ -4,7 +4,7 @@ import pytest
 
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
-from bifrb.rom import (BasisMatrix, GuessStore, reduced_deflated_newton,
+from bifrb.rom import (BasisMatrix, GuessStore, _euclidean_norm, reduced_deflated_newton,
                        reduced_jacobian, reduced_newton, reduced_residual)
 
 
@@ -182,6 +182,15 @@ def test_reduced_newton_requires_columns(chafee):
         reduced_newton(BasisMatrix(chafee), 9.0, np.zeros(0))
     with pytest.raises(ValueError):
         reduced_deflated_newton(BasisMatrix(chafee), 9.0, np.zeros(0), [])
+
+
+def test_euclidean_norm_is_numpys_norm(rng):
+    # the reduced solvers' norm reproduces np.linalg.norm bit for bit
+    with np.errstate(over="ignore"):
+        for v in (rng.standard_normal(3), rng.standard_normal(17) * 1e-200,
+                  np.array([1e200, 1.0]), np.array([np.nan, 1.0]), np.zeros(2)):
+            got, expected = _euclidean_norm(v), np.linalg.norm(v)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 def test_reduced_deflation_with_no_roots_is_plain(chafee, rng):
