@@ -1,10 +1,12 @@
 """Inf-sup constants, residual bounds, and the auto-switching sweep logic."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
+from scipy.linalg.lapack import dpttrs, dstebz
 
 from bifrb import estimators
 from bifrb.estimators import (EstimatorConfig, EstimatorKind, argmin_beta,
@@ -71,7 +73,8 @@ def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
     def forbidden(*args):
         raise AssertionError("non-finite Jacobian passed to LAPACK")
 
-    monkeypatch.setattr(estimators, "_DSBGV", forbidden)
+    for name in ("dpttrf", "dpttrs", "dsbmv", "dstev", "dstebz"):
+        monkeypatch.setattr(estimators, name, forbidden)
     for bad in (np.nan, np.inf):
         u = np.zeros(chafee.mesh_size)
         u[7] = bad
@@ -80,10 +83,115 @@ def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
 
 
 def test_pencil_failure_is_a_linalg_error(chafee):
-    # dsbgv reports info > m when the right-hand matrix is not positive definite
+    # dpttrf reports info > 0 when the right-hand matrix is not positive definite
     jac = chafee.jacobian_bands(np.zeros(chafee.mesh_size), 9.0)
     with pytest.raises(np.linalg.LinAlgError):
-        estimators._tridiagonal_pencil_eigenvalues(jac, -chafee.x_bands)
+        estimators._pencil_inf_sup(jac, -chafee.x_bands)
+
+
+def dense_pencil(model, u, mu):
+    """Every eigenvalue of J v = lam X v, dense: the reference spectrum."""
+    return eigh(model.jacobian(u, mu), stiffness_matrix(model.mesh_size), eigvals_only=True)
+
+
+def assert_matches_dense_pencil(model, u, mu):
+    beta, expect = inf_sup(model, u, mu), float(np.min(np.abs(dense_pencil(model, u, mu))))
+    tol = 1e-12 if expect < 1e-3 else 1e-10 * expect
+    assert abs(beta - expect) <= tol, (model.kind, model.mesh_size, mu, beta, expect)
+    return beta
+
+
+def test_inf_sup_at_hard_states_matches_dense_pencil(chafee_fine, bratu_fine):
+    zero = np.zeros(chafee_fine.mesh_size)
+    # the eigenvector nearest 0 is sin(2 pi x): a start vector with mirror
+    # symmetry would never see it
+    assert abs(assert_matches_dense_pencil(chafee_fine, zero, 35.0) - 0.1135111195917) < 1e-12
+    # on the mirror roots at mu = 35 the two eigenvalues nearest 0 lie 1.2e-7
+    # apart, and Lanczos must resolve them
+    for root in discover_solutions(chafee_fine, 35.0, chafee_fine.default_guesses):
+        assert_matches_dense_pencil(chafee_fine, root, 35.0)
+    # two negative eigenvalues below the one nearest 0
+    assert np.sum(dense_pencil(chafee_fine, zero, 60.0) < 0) == 2
+    assert_matches_dense_pencil(chafee_fine, zero, 60.0)
+    # bratu's upper root at mu = 0.5, with one negative eigenvalue
+    upper = max(discover_solutions(bratu_fine, 0.5, bratu_fine.default_guesses), key=np.max)
+    assert 5.0 < np.max(upper) < 5.2
+    assert np.sum(dense_pencil(bratu_fine, upper, 0.5) < 0) == 1
+    assert_matches_dense_pencil(bratu_fine, upper, 0.5)
+
+
+@pytest.mark.parametrize("mesh", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_inf_sup_on_tiny_meshes(kind, mesh, rng):
+    model = make_model(kind, mesh)
+    for u, mu in [(np.zeros(mesh), 0.0), (np.zeros(mesh), 3.0), (np.zeros(mesh), 40.0),
+                  (0.5 * rng.standard_normal(mesh), 2.0)]:
+        assert_matches_dense_pencil(model, u, mu)
+
+
+def test_inf_sup_is_bitwise_deterministic(chafee_fine, rng):
+    u = 0.4 * rng.standard_normal(chafee_fine.mesh_size)
+    assert inf_sup(chafee_fine, u, 10.0) == inf_sup(chafee_fine, u, 10.0)
+
+
+def spy_on_lapack(monkeypatch):
+    """Calls of `inf_sup` to `dpttrs` (the start vector's X solve, then one
+    per Lanczos step) and to `dstebz` (the inertia counts), by name."""
+    calls = Counter()
+
+    def spied(name, routine):
+        def counted(*args):
+            calls[name] += 1
+            return routine(*args)
+        return counted
+
+    for name, routine in (("dpttrs", dpttrs), ("dstebz", dstebz)):
+        monkeypatch.setattr(estimators, name, spied(name, routine))
+    return calls
+
+
+def test_inf_sup_cost_is_mesh_independent(monkeypatch):
+    calls = spy_on_lapack(monkeypatch)
+    for mesh in (201, 801, 3201):
+        model = make_model("chafee", mesh)
+        # (state, mu, most Lanczos steps): the roots at 12 and 9.87 take 4-5
+        # steps; the default guess at 12, whose two lowest eigenvalues lie
+        # 2e-6 apart, 9 (32 and bisection with one Gram-Schmidt pass); the
+        # zero state at 35, whose eigenvector nearest 0 is antisymmetric,
+        # 10-11 (more from a symmetric start)
+        cases = [(model.default_guess, 12.0, 12), (np.zeros(mesh), 35.0, 12)]
+        for mu in (12.0, 9.87):
+            cases += [(u, mu, 6) for u in [np.zeros(mesh)] + [
+                newton(model, mu, g).u for g in model.default_guesses]]
+        for u, mu, most in cases:
+            calls.clear()
+            assert inf_sup(model, u, mu) > 0.0
+            assert calls["dpttrs"] - 1 <= most, (mesh, mu, calls)
+            assert calls["dstebz"] == 4, (mesh, mu, calls)  # one certificate
+
+
+def test_counts_reject_a_ritz_value_that_is_not_nearest_zero(monkeypatch):
+    # B = I and a diagonal A: eigenvalue 1 on every unit vector but two, 3 on
+    # one and 0.5 on the one the start vector 1 + cos(2.39996 i) weights least
+    # (4e-6 of its norm).  Lanczos first meets Kato-Temple's test on t = 1;
+    # the counts see 0.5 below it, and the next step finds 0.5.
+    m = 100
+    least = int(np.argmin(1.0 + np.cos(2.39996 * np.arange(m))))
+    a, b = np.zeros((3, m)), np.zeros((3, m))
+    a[1], b[1] = 1.0, 1.0
+    a[1, least], a[1, (least + 1) % m] = 0.5, 3.0
+    calls = spy_on_lapack(monkeypatch)
+    assert abs(estimators._pencil_inf_sup(a, b) - 0.5) <= 1e-12
+    assert calls["dstebz"] == 8  # two certificates: the first one fails
+
+
+def test_inf_sup_bisects_inside_a_tight_cluster(monkeypatch):
+    # u = 1 puts every eigenvalue above 1 and beta at the bottom of a cluster
+    # of high modes: Lanczos stops after 32 steps and the counts bisect
+    model = make_model("chafee", 201)
+    calls = spy_on_lapack(monkeypatch)
+    assert_matches_dense_pencil(model, np.ones(201), 12.0)
+    assert calls["dpttrs"] == 33
 
 
 def test_inf_sup_of_exactly_singular_jacobian(chafee):

@@ -10,7 +10,7 @@ from bifrb.estimators import EstimatorConfig, estimator_sweep
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
                           refinement, vanilla_greedy)
-from bifrb.model import ParameterSpace
+from bifrb.model import ParameterSpace, make_model
 from bifrb.nlsolve import NewtonConfig, newton
 from bifrb.rom import BasisMatrix
 
@@ -243,3 +243,39 @@ def test_adaptive_greedy_stops_at_n_max_and_on_stagnation(chafee, bratu):
     assert report.records[0].train_size == len(space) + 2
     assert all(r.mu_bif is not None for r in report.records[:-1])
     assert last.train_size == len(report.train_final) > len(space)
+
+
+def _branch_count(report) -> int:
+    mus = [row["mu"] for row in report.sweeps[-1]]
+    return max(mus.count(mu) for mu in mus)
+
+
+@pytest.mark.parametrize("kind, deflated_grid, adaptive_interval", [
+    ("chafee", (5.0, 15.0, 11), (5.0, 15.0)),
+    ("bratu", (0.5, 3.0, 6), (0.5, 3.5)),
+])
+def test_greedy_pipeline_is_mesh_independent(kind, deflated_grid, adaptive_interval):
+    # Mesh 201 and 801 (measured: chafee n = 3, 3 branches, max_delta 7.110e-6
+    # and 7.116e-6, mu* = 9.870073; bratu n = 7, 2 branches, 1.0633e-5 and
+    # 1.0690e-5, mu* = 3.5 at both meshes)
+    runs = {}
+    for mesh in (201, 801):
+        model = make_model(kind, mesh)
+        basis, report = deflated_greedy(model, ParameterSpace.equispaced(*deflated_grid),
+                                        GreedyConfig(tol=1e-3))
+        a_basis, a_report = adaptive_greedy(
+            model, ParameterSpace.equispaced(*adaptive_interval, 4),
+            GreedyConfig(tol=1e-6, n_max=25), AdaptiveConfig(n_ref=16))
+        runs[mesh] = {"deflated": (report.status, basis.n, _branch_count(report)),
+                      "max_delta": report.records[-1].max_delta,
+                      "adaptive": (a_report.status, a_basis.n),
+                      "mu_bif": a_report.mu_bif, "train": np.sort(a_report.train_final)}
+    coarse, fine = runs[201], runs[801]
+    assert coarse["deflated"] == fine["deflated"]
+    assert coarse["deflated"][2] == (3 if kind == "chafee" else 2)
+    assert fine["max_delta"] == pytest.approx(coarse["max_delta"], rel=1e-2)
+    assert coarse["adaptive"] == fine["adaptive"]
+    # mu* of the fine mesh lies in the training cell around mu* of the coarse one
+    train = coarse["train"]
+    i = int(np.argmin(np.abs(train - coarse["mu_bif"])))
+    assert train[max(i - 1, 0)] <= fine["mu_bif"] <= train[min(i + 1, len(train) - 1)]

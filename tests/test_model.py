@@ -1,4 +1,6 @@
 """Finite element assembly, model constants, and the parameter grid type."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
@@ -236,6 +238,19 @@ def test_model_holds_no_dense_operator(kind, monkeypatch):
     dense = [name for name, value in vars(model).items()
              if isinstance(value, np.ndarray) and value.shape == (m, m)]
     assert dense == []
+
+
+def test_inf_sup_allocates_no_dense_matrix_at_mesh_3201():
+    # one m x m array of doubles would take 82 MB; Lanczos keeps 32 vectors
+    model = make_model("chafee", 3201)
+    for u in (model.default_guess, np.ones(3201)):  # certified, and bisected
+        tracemalloc.start()
+        try:
+            assert inf_sup(model, u, 12.0) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3201**2 * 8 / 20
 
 
 def test_embedding_constant_sup_norm_is_half(bratu):
