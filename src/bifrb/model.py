@@ -12,22 +12,23 @@ matrix) is used for all norms, projections and error measures.  Nonlinear
 terms are integrated with a two-point Gauss rule per element.
 
 X and the Jacobian are tridiagonal and are kept as (3, mesh_size) band arrays
-(`x_bands`, `jacobian_bands`; LAPACK layout for `scipy.linalg.solve_banded`):
-X products (`x_apply`), dual norms (a banded Cholesky factor of X) and the
-full-order Newton step all cost O(mesh_size).  Reduced solvers never assemble
-at full order: they take the basis values at the Gauss points (`gauss_matrix`)
-and the source terms (`source`, `source_prime`) and apply the same quadrature
-to the coefficients.  Only `jacobian()` and the one-off eigenproblem of the L4
-embedding constant expand bands into dense matrices.
+(`x_bands`, `jacobian_bands`; rows: super-, main and subdiagonal): X products
+(`x_apply`), dual norms (a banded Cholesky factor of X) and the full-order
+Newton step (LAPACK `dgtsv`) all cost O(mesh_size).  Reduced solvers never
+assemble at full order: they take the basis values at the Gauss points
+(`gauss_matrix`) and the source terms (`source`, `source_prime`) and apply the
+same quadrature to the coefficients.  Only `jacobian()` and the one-off
+eigenproblem of the L4 embedding constant expand bands into dense matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh, solve_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg.lapack import dgtsv, dpbtrs
 
 __all__ = [
     "ModelKind",
@@ -38,8 +39,10 @@ __all__ = [
     "make_model",
 ]
 
-# Two-point Gauss nodes on the reference element [0, 1] and the shared weight.
+# Two-point Gauss nodes t on [0, 1], the left hat function 1 - t and their products.
 _GAUSS_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0))])
+_GAUSS_S = 1.0 - _GAUSS_T
+_GAUSS_SS, _GAUSS_TT, _GAUSS_TS = _GAUSS_S**2, _GAUSS_T**2, _GAUSS_T * _GAUSS_S
 
 
 class ModelKind(str, Enum):
@@ -141,9 +144,9 @@ class ParametricModel:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.mesh_size,):
             raise ValueError(f"state vector must have shape ({self.mesh_size},)")
-        ue = np.concatenate([[0.0], u, [0.0]])
-        left, right = ue[:-1], ue[1:]
-        return left[:, None] * (1.0 - _GAUSS_T) + right[:, None] * _GAUSS_T
+        ue = np.zeros(self.mesh_size + 2)
+        ue[1:-1] = u
+        return ue[:-1, None] * _GAUSS_S + ue[1:, None] * _GAUSS_T
 
     def gauss_matrix(self, columns: np.ndarray) -> np.ndarray:
         """Values of every column at the 2(m+1) Gauss points, shape (2(m+1), N).
@@ -160,17 +163,13 @@ class ParametricModel:
 
     def _load(self, values: np.ndarray) -> np.ndarray:
         """Load vector int f(x) phi_i dx from per-Gauss-point values f, shape (m+1, 2)."""
-        w = self.gauss_weight
-        contrib_left = w * values @ (1.0 - _GAUSS_T)
-        contrib_right = w * values @ _GAUSS_T
-        return contrib_right[:-1] + contrib_left[1:]
+        wv = self.gauss_weight * values
+        return (wv @ _GAUSS_T)[:-1] + (wv @ _GAUSS_S)[1:]
 
     def _weighted_mass_bands(self, weights: np.ndarray) -> np.ndarray:
         """Bands of int w(x) phi_i phi_j dx from per-Gauss-point weights, shape (m+1, 2)."""
-        w = self.gauss_weight
-        d11 = w * weights @ (1.0 - _GAUSS_T) ** 2
-        d22 = w * weights @ _GAUSS_T**2
-        d12 = w * weights @ (_GAUSS_T * (1.0 - _GAUSS_T))
+        ww = self.gauss_weight * weights
+        d11, d22, d12 = ww @ _GAUSS_SS, ww @ _GAUSS_TT, ww @ _GAUSS_TS
         M = np.zeros((3, self.mesh_size))
         M[1] = d22[:-1] + d11[1:]
         M[0, 1:] = d12[1:-1]
@@ -193,7 +192,7 @@ class ParametricModel:
         """Tridiagonal Jac(u; mu) as a (3, m) band array: super-, main, subdiagonal.
 
         Row 0 holds the superdiagonal in columns 1..m-1 and row 2 the
-        subdiagonal in columns 0..m-2 (the `solve_banded` layout); the two
+        subdiagonal in columns 0..m-2 (LAPACK's banded layout); the two
         unused corners are zero.
         """
         gp = self.source_prime(self._state_values(u))
@@ -204,10 +203,20 @@ class ParametricModel:
         return _expand_bands(self.jacobian_bands(u, mu))
 
     def newton_step(self, u: np.ndarray, mu: float, r: np.ndarray) -> np.ndarray:
-        """Solve Jac(u; mu) du = -r by banded LU; LinAlgError on a zero pivot."""
-        # NaN entries propagate into du for the solvers to report, instead of
-        # raising the ValueError of the finiteness check.
-        return solve_banded((1, 1), self.jacobian_bands(u, mu), -r, check_finite=False)
+        """Solve Jac(u; mu) du = -r by LAPACK `dgtsv`; LinAlgError on a zero pivot.
+
+        At mesh_size 1, whose empty off-diagonals `dgtsv` rejects, du = -r / Jac.
+        NaN entries propagate into du for the solvers to report as non-finite.
+        """
+        ab = self.jacobian_bands(u, mu)
+        if self.mesh_size == 1:
+            if ab[1, 0] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            return -r / ab[1]
+        du, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -r)[3:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return du
 
     # -- geometry -----------------------------------------------------------
 
@@ -227,21 +236,17 @@ class ParametricModel:
         q = self.x_inner(u, u)
         # Quadratic forms of huge states overflow to +-inf/nan; report inf so
         # the solvers take their divergence path instead of a fake zero norm.
-        if not np.isfinite(q):
-            return float("inf")
-        return float(np.sqrt(max(q, 0.0)))
+        return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
 
     def x_dual_norm(self, g: np.ndarray) -> float:
         """Norm of a residual/functional vector in the dual metric X^{-1} (inf if non-finite)."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.mesh_size,):
             raise ValueError(f"functional vector must have shape ({self.mesh_size},)")
-        # LAPACK's banded Cholesky solve, called directly: at these sizes
-        # `cho_solve_banded` spends most of its time on argument dispatch.
+        # LAPACK's banded Cholesky solve, called directly (as is `dgtsv` in
+        # `newton_step`): at these sizes scipy's wrappers mostly dispatch.
         q = float(g @ dpbtrs(self._x_chol, g)[0])
-        if not np.isfinite(q):
-            return float("inf")
-        return float(np.sqrt(max(q, 0.0)))
+        return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
 
     def interpolate(self, f) -> np.ndarray:
         return np.asarray(f(self.nodes), dtype=float)

@@ -25,6 +25,7 @@ deflated solver.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -114,13 +115,18 @@ def deflation_parameter_problems(r: float, sigma: float) -> list[str]:
     return problems
 
 
+def _euclidean_norm(v: np.ndarray) -> float:
+    """||v||_2 as `np.linalg.norm` computes it, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 @dataclass
 class DeflationOperator:
     """Scalar deflation factor and its gradient for a fixed list of roots.
 
     `metric` applies the SPD matrix of the distance inner product (the model's
-    banded `x_apply` for full-order states); None means the Euclidean metric,
-    which reduced coefficient vectors use since the basis is X-orthonormal.
+    banded `x_apply` for full-order states); None means `_euclidean_norm`, the
+    one Euclidean norm, for reduced coefficients (the basis is X-orthonormal).
     """
 
     roots: list
@@ -140,7 +146,7 @@ class DeflationOperator:
         for u in self.roots:
             d = y - u
             if self.metric is None:
-                out.append((d, float(np.linalg.norm(d))))
+                out.append((d, _euclidean_norm(d)))
             else:
                 md = self.metric(d)
                 q = float(d @ md)

@@ -20,13 +20,13 @@ below the tolerance: since the basis is X-orthonormal, that is the dual norm
 of the Galerkin residual on span(B), the criterion of the full-order solvers.
 For the same reason the Euclidean norm of a coefficient vector is the X-norm
 of its lift, so steps, root distances in deflation, the "no_progress" exit
-and the distinctness rule all use the Euclidean norm; otherwise the reduced
-solvers and root discovery are the full-order ones of `nlsolve`.
+and the distinctness rule all use the Euclidean norm, `nlsolve._euclidean_norm`;
+otherwise the reduced solvers and root discovery are the full-order ones of
+`nlsolve`.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import ParametricModel, make_model
 from .nlsolve import (DeflationOperator, NewtonConfig, RootSet, SolveResult,
-                      _newton_core, discover)
+                      _euclidean_norm, _newton_core, discover)
 
 __all__ = [
     "REJECTION_TOL",
@@ -200,11 +200,6 @@ def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarr
     model = basis.model
     weights = model.source_prime(phi @ np.asarray(u_n, dtype=float))
     return k_n - (mu * model.gauss_weight) * (phi.T @ (weights[:, None] * phi))
-
-
-def _euclidean_norm(v: np.ndarray) -> float:
-    """||v||_2 as `np.linalg.norm` computes it, sqrt(v . v), without its dispatch."""
-    return math.sqrt(v.dot(v))
 
 
 def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bifrb.analysis import error_sweep, solution_ensemble
 from bifrb.estimators import EstimatorConfig, estimator_sweep
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
@@ -256,22 +257,29 @@ def _branch_count(report) -> int:
 ])
 def test_greedy_pipeline_is_mesh_independent(kind, deflated_grid, adaptive_interval):
     # Mesh 201 and 801 (measured: chafee n = 3, 3 branches, max_delta 7.110e-6
-    # and 7.116e-6, mu* = 9.870073; bratu n = 7, 2 branches, 1.0633e-5 and
-    # 1.0690e-5, mu* = 3.5 at both meshes)
+    # and 7.116e-6, mu* = 9.870073, 23 error rows, worst error 3.7865e-6 and
+    # 3.7902e-6; bratu n = 7, 2 branches, 1.0633e-5 and 1.0690e-5, mu* = 3.5,
+    # 22 error rows, worst error 1.1820e-6 and 1.1891e-6; none flagged)
     runs = {}
+    test_mus = np.linspace(deflated_grid[0], deflated_grid[1], 11)
     for mesh in (201, 801):
         model = make_model(kind, mesh)
         basis, report = deflated_greedy(model, ParameterSpace.equispaced(*deflated_grid),
                                         GreedyConfig(tol=1e-3))
+        sweep = error_sweep(model, basis, test_mus, solution_ensemble(model, test_mus))
         a_basis, a_report = adaptive_greedy(
             model, ParameterSpace.equispaced(*adaptive_interval, 4),
             GreedyConfig(tol=1e-6, n_max=25), AdaptiveConfig(n_ref=16))
         runs[mesh] = {"deflated": (report.status, basis.n, _branch_count(report)),
                       "max_delta": report.records[-1].max_delta,
                       "adaptive": (a_report.status, a_basis.n),
-                      "mu_bif": a_report.mu_bif, "train": np.sort(a_report.train_final)}
+                      "mu_bif": a_report.mu_bif, "train": np.sort(a_report.train_final),
+                      "flags": [row.flag for row in sweep.rows], "error": sweep.max_reduced()}
     coarse, fine = runs[201], runs[801]
     assert coarse["deflated"] == fine["deflated"]
+    assert coarse["flags"] == fine["flags"]
+    assert len(coarse["flags"]) == (23 if kind == "chafee" else 22)
+    assert fine["error"] == pytest.approx(coarse["error"], rel=1e-2)
     assert coarse["deflated"][2] == (3 if kind == "chafee" else 2)
     assert fine["max_delta"] == pytest.approx(coarse["max_delta"], rel=1e-2)
     assert coarse["adaptive"] == fine["adaptive"]

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbtrs
 
 from bifrb import model as model_module
+from bifrb import nlsolve as nlsolve_module
 from bifrb.estimators import inf_sup, residual_dual_norm
 from bifrb.model import (ChafeeInfante1D, Bratu1D, ModelKind, ParameterSpace,
                          make_model)
-from bifrb.nlsolve import deflated_newton, newton
+from bifrb.nlsolve import deflated_newton, discover_solutions, newton
 from bifrb.pod import pod_basis
 from bifrb.rom import BasisMatrix
 
@@ -127,6 +130,149 @@ def test_banded_newton_step_is_backward_stable_near_singularity(mesh):
         du = model.newton_step(u, mu, r)
         scale = np.linalg.norm(jac, np.inf) * np.linalg.norm(du, np.inf) + np.linalg.norm(r, np.inf)
         assert np.linalg.norm(jac @ du + r, np.inf) <= 1e-14 * scale
+
+
+# -- bit-for-bit reference ---------------------------------------------------
+# The assembly, the Newton step and the norms in their plain form: Gauss
+# products formed on every call, `np.concatenate` padding, the weight applied
+# per product, scipy's `solve_banded` and numpy's scalar sqrt.  The model must
+# reproduce them exactly, so that its roots, iteration counts and CSVs are
+# those of these formulas.
+
+_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0))])
+
+
+class _ReferenceFormulas:
+    def _gauss_values(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.mesh_size,):
+            raise ValueError(f"state vector must have shape ({self.mesh_size},)")
+        ue = np.concatenate([[0.0], u, [0.0]])
+        left, right = ue[:-1], ue[1:]
+        return left[:, None] * (1.0 - _T) + right[:, None] * _T
+
+    def _load(self, values):
+        w = self.gauss_weight
+        contrib_left = w * values @ (1.0 - _T)
+        contrib_right = w * values @ _T
+        return contrib_right[:-1] + contrib_left[1:]
+
+    def _weighted_mass_bands(self, weights):
+        w = self.gauss_weight
+        d11 = w * weights @ (1.0 - _T) ** 2
+        d22 = w * weights @ _T**2
+        d12 = w * weights @ (_T * (1.0 - _T))
+        M = np.zeros((3, self.mesh_size))
+        M[1] = d22[:-1] + d11[1:]
+        M[0, 1:] = d12[1:-1]
+        M[2, :-1] = d12[1:-1]
+        return M
+
+    def newton_step(self, u, mu, r):
+        return solve_banded((1, 1), self.jacobian_bands(u, mu), -r, check_finite=False)
+
+    def x_norm(self, u):
+        q = self.x_inner(u, u)
+        if not np.isfinite(q):
+            return float("inf")
+        return float(np.sqrt(max(q, 0.0)))
+
+    def x_dual_norm(self, g):
+        q = float(g @ dpbtrs(self._x_chol, g)[0])
+        if not np.isfinite(q):
+            return float("inf")
+        return float(np.sqrt(max(q, 0.0)))
+
+
+class _ReferenceBratu(_ReferenceFormulas, Bratu1D):
+    pass
+
+
+class _ReferenceChafee(_ReferenceFormulas, ChafeeInfante1D):
+    pass
+
+
+REFERENCE = {"bratu": _ReferenceBratu, "chafee": _ReferenceChafee}
+REFERENCE_MUS = {"bratu": (1.0, 3.51), "chafee": (9.87, 12.0)}
+
+
+def _step_or_error(model, u, mu, r):
+    try:
+        return model.newton_step(u, mu, r)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+@pytest.mark.parametrize("mesh", [1, 2, 3, 201, 801])
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_assembly_and_step_equal_the_reference_formulas_bit_for_bit(kind, mesh, rng):
+    model, ref = make_model(kind, mesh), REFERENCE[kind](mesh)
+    # Many random states: on the 1x1 and 2x2 products of the coarsest meshes,
+    # some changes of the operation order round differently on a few inputs only.
+    states = model.default_guesses + [np.full(mesh, np.nan), np.full(mesh, 1e200)] + [
+        scale * rng.standard_normal(mesh) for scale in (0.3, 1.0, 3.0) for _ in range(4)]
+    if kind == "bratu":
+        lower = newton(model, 3.51, model.default_guess)  # the lower root next to the fold
+        assert lower.converged or mesh < 201
+        states.append(lower.u)
+    with np.errstate(all="ignore"):
+        for mu in REFERENCE_MUS[kind]:
+            for u in states:
+                r = model.residual(u, mu)
+                assert np.array_equal(r, ref.residual(u, mu), equal_nan=True)
+                assert model.x_norm(u) == ref.x_norm(u)
+                assert model.x_dual_norm(r) == ref.x_dual_norm(r)
+                assert np.array_equal(model.jacobian_bands(u, mu), ref.jacobian_bands(u, mu),
+                                      equal_nan=True)
+                got, want = _step_or_error(model, u, mu, r), _step_or_error(ref, u, mu, r)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind, mu", [("bratu", 1.0), ("bratu", 3.51), ("bratu", 3.6),
+                                      ("chafee", 9.87), ("chafee", 12.0)])
+def test_discovery_equals_the_reference_formulas_bit_for_bit(kind, mu, monkeypatch):
+    # Every Newton run of the discovery, converged or not, ends on the same
+    # iterate after the same number of iterations for the same cause.
+    core, runs = nlsolve_module._newton_core, []
+
+    def recording_core(*args, **kwargs):
+        result = core(*args, **kwargs)
+        runs[-1].append(result)
+        return result
+
+    monkeypatch.setattr(nlsolve_module, "_newton_core", recording_core)
+    roots = []
+    for model in (make_model(kind, 201), REFERENCE[kind](201)):
+        runs.append([])
+        roots.append(discover_solutions(model, mu, model.default_guesses).roots)
+    (got, want), (got_runs, want_runs) = roots, runs
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got_runs) > len(got)
+    assert [(r.iterations, r.cause) for r in got_runs] == [(r.iterations, r.cause) for r in want_runs]
+    for a, b in zip(got_runs, want_runs):
+        assert np.array_equal(a.u, b.u, equal_nan=True)
+        assert np.array_equal(a.residual_norm, b.residual_norm, equal_nan=True)
+
+
+class _KeptBandsBratu(Bratu1D):
+    """Bratu with a non-symmetric Jacobian, whose bands are an array it keeps."""
+
+    def jacobian_bands(self, u, mu):
+        self.kept = super().jacobian_bands(u, mu)
+        self.kept[2] *= 0.5
+        return self.kept
+
+
+def test_newton_step_solves_non_symmetric_bands_and_leaves_them_intact(rng):
+    model = _KeptBandsBratu(201)
+    u = rng.standard_normal(model.mesh_size)
+    r = model.residual(u, 1.0)
+    bands, r_before = model.jacobian_bands(u, 1.0).copy(), r.copy()
+    du = model.newton_step(u, 1.0, r)
+    assert np.array_equal(model.kept, bands)
+    assert np.array_equal(r, r_before)
+    assert np.allclose(model.jacobian(u, 1.0) @ du, -r, rtol=0.0, atol=1e-10 * np.abs(r).max())
 
 
 def test_jacobian_expands_its_bands(chafee, rng):

@@ -88,6 +88,27 @@ def test_broken_jacobian_is_reported_not_raised(value, cause):
         assert np.array_equal(res.u, guess)
 
 
+@pytest.mark.parametrize("value, cause", [(0.0, "singular_jacobian"),
+                                          (np.nan, "nonfinite_step")])
+def test_broken_jacobian_at_mesh_1_is_reported_not_raised(value, cause):
+    # The 1x1 Jacobian is its own pivot: a zero entry is a singular Jacobian.
+    model = _BrokenJacobianBratu(1, value)
+    guess = model.default_guesses[1]
+    runs = [newton(model, 1.0, guess),
+            deflated_newton(model, 1.0, guess, [np.zeros(model.mesh_size)])]
+    for res in runs:
+        assert not res.converged
+        assert res.cause == cause
+        assert res.iterations == 0
+        assert np.array_equal(res.u, guess)
+
+
+def test_euclidean_deflation_distances_are_numpys_norm(rng):
+    roots = [rng.standard_normal(4) for _ in range(3)]
+    y = rng.standard_normal(4)
+    assert DeflationOperator(roots).distances(y) == [float(np.linalg.norm(y - u)) for u in roots]
+
+
 def test_deflation_scalar_matches_manual_product(rng):
     u1 = rng.standard_normal(5)
     u2 = rng.standard_normal(5)
