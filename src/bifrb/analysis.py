@@ -23,7 +23,7 @@ from .rom import BasisMatrix, discover_reduced_solutions, reduced_solves
 __all__ = [
     "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
     "BranchPoint", "SolutionEnsemble", "solution_ensemble",
-    "BifurcationDiagram", "bifurcation_diagram", "ensemble_diagram",
+    "BifurcationDiagram", "ensemble_diagram",
     "relative_error", "ErrorRow", "ErrorSweep", "error_sweep", "error_vs_n",
     "write_csv", "diagram_csv", "errors_csv", "error_vs_n_csv",
 ]
@@ -100,8 +100,7 @@ def _assign_labels(values: list[float], prev: list[BranchPoint],
 
 
 def solution_ensemble(model: ParametricModel, mus,
-                      cfg: NewtonConfig | None = None,
-                      extra_guesses=None) -> SolutionEnsemble:
+                      cfg: NewtonConfig | None = None) -> SolutionEnsemble:
     """Deflated discovery swept over the grid with continuation.
 
     At each parameter the guess battery is the previous parameter's roots
@@ -114,8 +113,6 @@ def solution_ensemble(model: ParametricModel, mus,
     next_label = 0
     for mu in mus:
         battery = [p.u for p in prev] + list(model.default_guesses)
-        if extra_guesses is not None:
-            battery += list(extra_guesses)
         roots = discover_solutions(model, mu, battery, cfg)
         values = [model.midpoint_value(u) for u in roots]
         labels, next_label = _assign_labels(values, prev, next_label)
@@ -144,11 +141,6 @@ def ensemble_diagram(ens: SolutionEnsemble) -> BifurcationDiagram:
             for p in ens.points]
     rows.sort(key=lambda r: (r["mu"], r["branch"]))
     return BifurcationDiagram(rows, ens)
-
-
-def bifurcation_diagram(model: ParametricModel, mus,
-                        cfg: NewtonConfig | None = None) -> BifurcationDiagram:
-    return ensemble_diagram(solution_ensemble(model, mus, cfg))
 
 
 # -- errors ----------------------------------------------------------------

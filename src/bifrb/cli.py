@@ -46,6 +46,11 @@ _ESTIMATORS = tuple(k.value for k in EstimatorKind)
 
 ESTIMATOR_FIELDS = ["mu", "branch", "delta", "beta", "tau", "valid"]
 
+# JSON values a config field takes, by the type of its default; never a bool.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"),
+               type(None): ((int, float, type(None)), "a number or null")}
+
 
 @dataclass
 class RunConfig:
@@ -77,6 +82,10 @@ class RunConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config field {unknown[0]!r}")
+        for name, value in data.items():
+            types, what = _JSON_TYPES[type(getattr(cls, name))]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {name!r} must be {what} (got {value!r})")
         return cls(**data)
 
     def validate(self) -> list[str]:
@@ -237,6 +246,8 @@ def cmd_error_sweep(cfg: RunConfig, basis_dir: str) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load basis from {basis_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    # The sweep runs on the basis's model, so the config echo names that one.
+    cfg.model_kind, cfg.mesh_size = basis.model.kind.value, basis.model.mesh_size
     oracle = _test_oracle(cfg, basis.model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep, scores = _score(cfg, basis, oracle)

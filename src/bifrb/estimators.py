@@ -20,7 +20,7 @@ bound for every entry, so a single sweep never mixes the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,13 +29,12 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstev
 
 from .model import ParametricModel
 from .nlsolve import NewtonConfig
-from .rom import (BasisMatrix, GuessStore, discover_reduced_solutions,
-                  reduced_newton, reduced_solves)
+from .rom import (BasisMatrix, discover_reduced_solutions, reduced_newton,
+                  reduced_solves)
 
 __all__ = [
     "BETA_FLOOR",
     "EstimatorKind",
-    "EstimatorConfig",
     "Estimate",
     "EstimatorEntry",
     "EstimatorSet",
@@ -58,12 +57,6 @@ class EstimatorKind(str, Enum):
     LINEAR = "linear"
     NONLINEAR_BRR = "nonlinear_brr"
     AUTO_SWITCH = "auto_switch"
-
-
-@dataclass
-class EstimatorConfig:
-    kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
 
 def _pencil_inf_sup(a: np.ndarray, b: np.ndarray) -> float:
@@ -247,50 +240,51 @@ def _entry(model, basis, mu, branch, result) -> EstimatorEntry:
 
 
 def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                    cfg: EstimatorConfig | None = None,
-                    continuation: bool = True) -> EstimatorSet:
+                    cfg: NewtonConfig | None = None,
+                    kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Single-branch sweep: one reduced solve and one estimate per parameter.
 
-    With continuation the previous parameter's solution seeds the next solve;
-    the first solve, and every solve after a divergence, starts from the
-    projected model default guess (`rom.reduced_solves`).
+    Every solve starts from the projected model default guess, without
+    continuation (`rom.reduced_solves`), as the single-branch snapshots start
+    from the model default guess.
     """
-    cfg = cfg or EstimatorConfig()
     entries = [_entry(model, basis, mu, 0, result)
-               for mu, result in reduced_solves(basis, mus, cfg.newton, continuation)]
-    return EstimatorSet(entries, cfg.kind)
+               for mu, result in reduced_solves(basis, mus, cfg, continuation=False)]
+    return EstimatorSet(entries, kind)
 
 
 def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                             cfg: EstimatorConfig | None = None,
-                             guess_store: GuessStore | None = None) -> EstimatorSet:
+                             cfg: NewtonConfig | None = None,
+                             kind: EstimatorKind = EstimatorKind.AUTO_SWITCH,
+                             warm: dict | None = None) -> EstimatorSet:
     """Multi-branch sweep: deflation discovers every reduced root per parameter.
 
     The guess battery at each parameter combines, in order, the roots carried
-    from the previous parameter, roots this sweep's predecessor stored for the
-    same parameter, and the projected model battery.  Discovered roots are
-    written back to the store so the next sweep warm-starts.
+    from the previous parameter, the warm starts `warm[mu]` (reduced roots of
+    an earlier sweep, zero-padded to the current basis size, which lifts them
+    to the same full-order states), and the projected model battery.  The
+    roots found at mu replace `warm[mu]`, so the next sweep warm-starts.
     """
-    cfg = cfg or EstimatorConfig()
     entries = []
     carried: list[np.ndarray] = []
     for mu in mus:
         battery = [g.copy() for g in carried]
-        if guess_store is not None:
-            battery.extend(guess_store.rb_for(mu, basis.n))
+        if warm is not None:
+            battery += [np.concatenate([r, np.zeros(basis.n - len(r))])
+                        for r in warm.get(float(mu), [])]
         battery.extend(basis.project(g) for g in model.default_guesses)
-        roots = discover_reduced_solutions(basis, mu, battery, cfg.newton)
+        roots = discover_reduced_solutions(basis, mu, battery, cfg)
         if not roots:
-            probe = reduced_newton(basis, mu, battery[0], cfg.newton)
+            probe = reduced_newton(basis, mu, battery[0], cfg)
             entries.append(EstimatorEntry(mu, 0, False, probe.cause))
         else:
             for k, root in enumerate(roots):
                 est = nonlinear_estimate(model, basis.lift(root), mu)
                 entries.append(EstimatorEntry(mu, k, True, None, root.copy(), est))
-        if guess_store is not None:
-            guess_store.set_rb(mu, roots)
+        if warm is not None:
+            warm[float(mu)] = roots
         carried = [r.copy() for r in roots]
-    return EstimatorSet(entries, cfg.kind)
+    return EstimatorSet(entries, kind)
 
 
 @dataclass
@@ -301,16 +295,16 @@ class BetaEntry:
 
 
 def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-               cfg: EstimatorConfig | None = None,
-               continuation: bool = True) -> list[BetaEntry]:
+               cfg: NewtonConfig | None = None) -> list[BetaEntry]:
     """Inf-sup profile over the training set at lifted reduced solutions.
 
-    Parameters where the reduced solve diverges get an infinite value so
-    they never win the argmin used for bifurcation localization.
+    The solves use continuation (`rom.reduced_solves`), which keeps the
+    profile on one solution family, whose inf-sup dips at the critical
+    parameter.  Parameters where the reduced solve diverges get an infinite
+    value so they never win the argmin used for bifurcation localization.
     """
-    cfg = cfg or EstimatorConfig()
     out = []
-    for mu, result in reduced_solves(basis, mus, cfg.newton, continuation):
+    for mu, result in reduced_solves(basis, mus, cfg):
         beta = inf_sup(model, basis.lift(result.u), mu) if result.converged else math.inf
         out.append(BetaEntry(mu, beta, result.converged))
     return out

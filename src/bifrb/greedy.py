@@ -30,13 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import (EstimatorConfig, EstimatorKind, EstimatorSet,
-                         argmin_beta, beta_sweep, deflated_estimator_sweep,
-                         estimator_sweep)
+from .estimators import (EstimatorKind, EstimatorSet, argmin_beta, beta_sweep,
+                         deflated_estimator_sweep, estimator_sweep)
 from .model import ParameterSpace, ParametricModel
 from .nlsolve import (NewtonConfig, RootSet, deflated_newton, discover,
                       newton)
-from .rom import BasisMatrix, GuessStore
+from .rom import BasisMatrix
 
 __all__ = [
     "GreedyStatus",
@@ -62,7 +61,6 @@ class GreedyStatus(str, Enum):
 class GreedyConfig:
     n_max: int = 35
     tol: float = 1e-3
-    mu0: float | None = None  # default: endpoint on the model's uniqueness side
     estimator_kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
@@ -75,15 +73,10 @@ class GreedyConfig:
             problems.append(f"tol must be positive (got {self.tol})")
         return problems
 
-    def validate(self, space: ParameterSpace) -> None:
+    def validate(self) -> None:
         problems = self.problems()
-        if self.mu0 is not None and not _in_train_set(self.mu0, space):
-            problems.append(f"mu0={self.mu0:g} is not a training parameter")
         if problems:
             raise ValueError("; ".join(problems))
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(self.estimator_kind, self.newton)
 
 
 @dataclass
@@ -153,26 +146,18 @@ class GreedyReport:
         }
 
 
-def _in_train_set(mu: float, space: ParameterSpace) -> bool:
-    scale = max(1e-12, 1e-12 * (space.upper - space.lower))
-    return any(abs(mu - p) <= scale for p in space.train_points)
-
-
 def _initialize(model: ParametricModel, space: ParameterSpace,
                 cfg: GreedyConfig) -> tuple[BasisMatrix, float, str | None, np.ndarray]:
     """First snapshot: solve at mu0 and enrich; scan outward on failure.
 
-    The default mu0 is the training endpoint on the model's uniqueness side.
-    Parameters whose solve diverges or whose snapshot is null (a model whose
+    mu0 is the training endpoint on the model's uniqueness side.  Parameters
+    whose solve diverges or whose snapshot is null (a model whose
     uniqueness-side solution is the zero state yields nothing enrichable) are
     skipped, moving to the next-nearest training parameter until a snapshot
-    sticks.  The report notes when the scan moved off the requested start.
+    sticks.  The report notes when the scan moved off mu0.
     """
     pts = list(space.train_points)
-    if cfg.mu0 is not None:
-        start = cfg.mu0
-    else:
-        start = pts[0] if model.uniqueness_side == "lower" else pts[-1]
+    start = pts[0] if model.uniqueness_side == "lower" else pts[-1]
     order = sorted(pts, key=lambda p: (abs(p - start), p))
     basis = BasisMatrix(model)
     rejected = 0
@@ -273,12 +258,11 @@ def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
                    cfg: GreedyConfig | None = None) -> tuple[BasisMatrix, GreedyReport]:
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
     cfg = cfg or GreedyConfig()
-    cfg.validate(space)
+    cfg.validate()
     basis, mu0, note, _ = _initialize(model, space, cfg)
-    ecfg = cfg.estimator_config()
     report = _greedy(
         "vanilla", basis, mu0, note, space, cfg,
-        lambda sp: estimator_sweep(model, basis, sp.train_points, ecfg, continuation=False),
+        lambda sp: estimator_sweep(model, basis, sp.train_points, cfg.newton, cfg.estimator_kind),
         lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry))
     return basis, report
 
@@ -316,15 +300,12 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     """
     cfg = cfg or GreedyConfig()
     acfg = acfg or AdaptiveConfig()
-    cfg.validate(space)
+    cfg.validate()
     acfg.validate()
     basis, mu0, note, _ = _initialize(model, space, cfg)
-    ecfg = cfg.estimator_config()
 
-    # The continuation sweep keeps the inf-sup profile on one solution
-    # family, whose inf-sup dips at the critical parameter.
     def critical_point(mus) -> float:
-        return argmin_beta(beta_sweep(model, basis, mus, ecfg, continuation=True)).mu
+        return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu
 
     def refine(sp: ParameterSpace, mu_prev: float | None):
         mu_bif = critical_point(sp.train_points)
@@ -332,7 +313,7 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
 
     report = _greedy(
         "adaptive", basis, mu0, note, space, cfg,
-        lambda sp: estimator_sweep(model, basis, sp.train_points, ecfg, continuation=False),
+        lambda sp: estimator_sweep(model, basis, sp.train_points, cfg.newton, cfg.estimator_kind),
         lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry),
         refine)
     # The last refinement postdates the last minimizer, so detect the critical
@@ -342,25 +323,23 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
 
 
 def deflated_snapshots(model: ParametricModel, roots_hf: RootSet,
-                       guesses: GuessStore, mu: float, cfg: NewtonConfig,
-                       basis: BasisMatrix) -> tuple[BasisMatrix, GuessStore, int]:
+                       guesses: RootSet, mu: float, cfg: NewtonConfig,
+                       basis: BasisMatrix) -> None:
     """Harvest every additional full-order root at mu into the basis.
 
-    Each stored guess is driven through deflated solves against the
+    Each full-order guess is driven through deflated solves against the
     accumulated roots until it diverges (`nlsolve.discover`).  New roots
-    always join the root set and the guess store, even when Gram-Schmidt
+    always join the root set and the guesses, even when Gram-Schmidt
     rejects their snapshot (a root already in the span still has to repel
-    later solves); only genuinely new directions grow the basis.  Returns
-    the basis, the updated guess store and the new basis size.
+    later solves); only genuinely new directions grow the basis.
     """
     known = len(roots_hf)
     discover(lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
-             list(guesses.hf), roots_hf)
+             list(guesses), roots_hf)
     for root in roots_hf.roots[known:]:
         basis.enrich(root, mu)
     for root in roots_hf:
-        guesses.hf.add(root)
-    return basis, guesses, basis.n
+        guesses.add(root)
 
 
 def deflated_greedy(model: ParametricModel, space: ParameterSpace,
@@ -375,13 +354,13 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     enrichment adds nothing anywhere fall through to the next-ranked entry.
     """
     cfg = cfg or GreedyConfig()
-    cfg.validate(space)
+    cfg.validate()
     basis, mu0, note, first_root = _initialize(model, space, cfg)
-    store = GuessStore(model)
-    for g in model.default_guesses:
-        store.hf.add(g)
-    store.hf.add(first_root)
-    ecfg = cfg.estimator_config()
+    # Full-order guesses of the root harvest, and reduced roots per parameter
+    # from the last sweep, which warm-start the next one.
+    guesses, warm = RootSet(model.x_norm), {}
+    for g in [*model.default_guesses, first_root]:
+        guesses.add(g)
 
     def snapshot(entry):
         guess = basis.lift(entry.u_n) if entry.u_n is not None else model.default_guess
@@ -392,8 +371,8 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
         roots = RootSet(model.x_norm)
         roots.add(result.u)
         enr = basis.enrich(result.u, entry.mu)
-        store.hf.add(result.u)
-        deflated_snapshots(model, roots, store, entry.mu, cfg.newton, basis)
+        guesses.add(result.u)
+        deflated_snapshots(model, roots, guesses, entry.mu, cfg.newton, basis)
         growth = basis.n - n_before
         if growth == 0:
             return "no_growth"
@@ -401,6 +380,7 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
 
     report = _greedy(
         "deflated", basis, mu0, note, space, cfg,
-        lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, ecfg, store),
+        lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
+                                            cfg.estimator_kind, warm),
         snapshot)
     return basis, report

@@ -37,6 +37,7 @@ __all__ = [
     "Bratu1D",
     "ChafeeInfante1D",
     "make_model",
+    "form_norm",
 ]
 
 # Two-point Gauss nodes t on [0, 1], the left hat function 1 - t and their products.
@@ -233,10 +234,7 @@ class ParametricModel:
         return float(u @ self.x_apply(v))
 
     def x_norm(self, u: np.ndarray) -> float:
-        q = self.x_inner(u, u)
-        # Quadratic forms of huge states overflow to +-inf/nan; report inf so
-        # the solvers take their divergence path instead of a fake zero norm.
-        return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
+        return form_norm(self.x_inner(u, u))
 
     def x_dual_norm(self, g: np.ndarray) -> float:
         """Norm of a residual/functional vector in the dual metric X^{-1} (inf if non-finite)."""
@@ -245,8 +243,7 @@ class ParametricModel:
             raise ValueError(f"functional vector must have shape ({self.mesh_size},)")
         # LAPACK's banded Cholesky solve, called directly (as is `dgtsv` in
         # `newton_step`): at these sizes scipy's wrappers mostly dispatch.
-        q = float(g @ dpbtrs(self._x_chol, g)[0])
-        return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
+        return form_norm(float(g @ dpbtrs(self._x_chol, g)[0]))
 
     def interpolate(self, f) -> np.ndarray:
         return np.asarray(f(self.nodes), dtype=float)
@@ -281,7 +278,7 @@ class ParametricModel:
         vals = self._gauss_values(v)
         return float(self.gauss_weight * np.sum(vals**4))
 
-    def _l4_embedding_constant(self, tol: float = 1e-8, max_iter: int = 500) -> float:
+    def _l4_embedding_constant(self) -> float:
         # Maximize sqrt(int v^4) / int v'^2 (scale invariant).  Stationarity is
         # the generalized eigenproblem W(v) z = lam K z with W the v^2-weighted
         # mass matrix, solved repeatedly for the top eigenpair.
@@ -289,12 +286,12 @@ class ParametricModel:
         v = v / self.x_norm(v)
         ratio = np.sqrt(self._l4_quartic(v))
         x_dense = _expand_bands(self.x_bands)
-        for _ in range(max_iter):
+        for _ in range(500):
             W = _expand_bands(self._weighted_mass_bands(self._gauss_values(v) ** 2))
             _, vecs = eigh(W, x_dense, subset_by_index=[self.mesh_size - 1, self.mesh_size - 1])
             v = vecs[:, 0] / self.x_norm(vecs[:, 0])
             new_ratio = np.sqrt(self._l4_quartic(v))
-            if abs(new_ratio - ratio) < tol:
+            if abs(new_ratio - ratio) < 1e-8:
                 return float(np.sqrt(new_ratio))
             ratio = new_ratio
         raise RuntimeError("L4 embedding fixed point did not converge within 500 iterations")
@@ -382,6 +379,12 @@ class ChafeeInfante1D(ParametricModel):
 
     def default_interval(self):
         return (5.0, 15.0)
+
+
+def form_norm(q: float) -> float:
+    """sqrt(q) of a quadratic form q = v^T A v, A SPD, or inf when q overflowed to
+    +-inf/nan, so a huge state takes the solvers' divergence path, not a zero norm."""
+    return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
 
 
 def _expand_bands(bands: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ParametricModel
+from .model import ParametricModel, form_norm
 
 __all__ = [
     "NewtonConfig",
@@ -53,6 +53,8 @@ STALL_THRESHOLD = 1e-14
 # Iterations in a row without the step norm halving its best value before a
 # run is abandoned as "no_progress".
 NO_PROGRESS_WINDOW = 20
+# An iterate whose state norm exceeds this ends its run as "divergence_norm".
+DIVERGENCE_NORM = 1e6
 
 
 @dataclass
@@ -67,7 +69,6 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 100
-    divergence_norm: float = 1e6
     power_r: float = 2.0
     shift_sigma: float = 1.0
 
@@ -149,8 +150,7 @@ class DeflationOperator:
                 out.append((d, _euclidean_norm(d)))
             else:
                 md = self.metric(d)
-                q = float(d @ md)
-                out.append((md, float(np.sqrt(max(q, 0.0))) if np.isfinite(q) else float("inf")))
+                out.append((md, form_norm(float(d @ md))))
         return out
 
     def distances(self, y: np.ndarray) -> list[float]:
@@ -173,13 +173,6 @@ class DeflationOperator:
         for (md, dist), f in zip(terms, factors):
             g += (m / f) * (-self.power_r) * dist ** (-self.power_r - 2.0) * md
         return m, g
-
-    def scalar(self, y: np.ndarray) -> float:
-        return self.factor_and_gradient(y)[0]
-
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of scalar() at y; pairs with plain dot products against steps."""
-        return self.factor_and_gradient(y)[1]
 
 
 @dataclass
@@ -275,7 +268,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
             if stale >= NO_PROGRESS_WINDOW:
                 return SolveResult(y, False, k, rnorm, "no_progress")
         y = y + du
-        if norm(y) > cfg.divergence_norm:
+        if norm(y) > DIVERGENCE_NORM:
             return SolveResult(y, False, k + 1, rnorm, "divergence_norm")
         r = residual_fn(y)
         rnorm = residual_norm(r)

@@ -27,7 +27,7 @@ otherwise the reduced solvers and root discovery are the full-order ones of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "reduced_deflated_newton",
     "reduced_solves",
     "discover_reduced_solutions",
-    "GuessStore",
 ]
 
 # A candidate whose orthogonal component is below this fraction of its own
@@ -254,33 +253,3 @@ def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
         lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg),
         guesses, RootSet(_euclidean_norm)).roots
 
-
-@dataclass
-class GuessStore:
-    """Warm starts threaded through greedy iterations.
-
-    `hf` collects distinct full-order guesses (the model battery plus every
-    root the deflated snapshot stage finds).  `rb` maps parameter -> reduced
-    roots from the most recent estimator sweep; when the basis grows, stored
-    coefficient vectors are zero-padded, which lifts to the same full-order
-    state.
-    """
-
-    model: ParametricModel
-    hf: RootSet = field(init=False)
-    rb: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.hf = RootSet(self.model.x_norm)
-
-    def set_rb(self, mu: float, roots) -> None:
-        self.rb[float(mu)] = [np.asarray(r, dtype=float).copy() for r in roots]
-
-    def rb_for(self, mu: float, n: int) -> list:
-        """Stored reduced guesses at mu, zero-padded to basis size n."""
-        out = []
-        for r in self.rb.get(float(mu), []):
-            if len(r) < n:
-                r = np.concatenate([r, np.zeros(n - len(r))])
-            out.append(r[:n])
-        return out

@@ -269,8 +269,7 @@ def _hf_deflated_steps(model, mu, guess, roots, cap=15):
             break
         jac = model.jacobian(y, mu)
         du = np.linalg.solve(jac, -res)
-        m = op.scalar(y)
-        g = op.gradient(y)
+        m, g = op.factor_and_gradient(y)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -296,8 +295,7 @@ def _rb_deflated_steps(basis, mu, guess, roots, cap=15):
             break
         jac = reduced_jacobian(basis, y, mu)
         du = np.linalg.solve(jac, -res)
-        m = op.scalar(y)
-        g = op.gradient(y)
+        m, g = op.factor_and_gradient(y)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -484,13 +482,14 @@ def test_criterion_8_derivative_consistency(chafee, bratu):
         metric = chafee.x_apply if k % 2 else None
         op = DeflationOperator(roots, metric=metric)
         u = base + rng.normal(0.0, 0.2, dim)
-        grad = op.gradient(u)
+        grad = op.factor_and_gradient(u)[1]
         h = 1e-5
         fd = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = h
-            fd[j] = (op.scalar(u + e) - op.scalar(u - e)) / (2 * h)
+            fd[j] = (op.factor_and_gradient(u + e)[0]
+                     - op.factor_and_gradient(u - e)[0]) / (2 * h)
         worst_grad = max(worst_grad, np.linalg.norm(fd - grad)
                          / max(np.linalg.norm(grad), 1e-30))
 

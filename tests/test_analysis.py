@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bifrb.analysis import (BranchPoint, ErrorRow, ErrorSweep, _assign_labels,
-                            _match_flags, bifurcation_diagram, diagram_csv,
-                            ensemble_diagram, error_sweep, error_vs_n,
-                            error_vs_n_csv, errors_csv, relative_error,
-                            solution_ensemble, write_csv)
+                            _match_flags, diagram_csv, ensemble_diagram,
+                            error_sweep, error_vs_n, error_vs_n_csv,
+                            errors_csv, relative_error, solution_ensemble,
+                            write_csv)
 from bifrb.nlsolve import newton
 from bifrb.rom import BasisMatrix
 
@@ -88,11 +88,6 @@ def test_diagram_rows_are_sorted_and_typed(chafee, pitchfork_ensemble):
     trivial = diagram.values(0)
     assert len(trivial) == 9
     assert all(abs(v) < 1e-8 for _, v in trivial)
-
-
-def test_bifurcation_diagram_convenience(bratu):
-    diagram = bifurcation_diagram(bratu, [1.0])
-    assert len(diagram.rows) == 2
 
 
 def test_relative_error_modes(chafee, rng):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from bifrb.cli import RunConfig, main
+from bifrb.model import make_model
 from bifrb.nlsolve import DeflationOperator
+from bifrb.rom import BasisMatrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -99,6 +101,20 @@ def test_unknown_config_field_exits_one(tmp_path, capsys):
     code = run_cli(["diagram", "--config", str(cfg_path)])
     assert code == 1
     assert "unknown config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": "1e-3"}, {"mesh_size": "201"}, {"r": None}, {"train_size": 5.5},
+    {"n_max": 2.5}, {"mesh_size": 21.7}, {"n_max": True}, {"model_kind": 3},
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mesh_size": 41, "test_size": 5, **bad}))
+    out = tmp_path / "o"
+    assert run_cli(["diagram", "--config", str(cfg_path), "--out", str(out)]) == 1
+    name = next(iter(bad))
+    assert f"config error: config field {name!r} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -212,6 +228,18 @@ def test_error_sweep_scores_saved_basis(tmp_path):
     assert report["basis_dir"] == str(build)
     assert report["errors"]["max_unflagged_error"] <= 1e-3
     assert (score / "errors.csv").is_file()
+
+
+def test_error_sweep_echoes_the_model_of_the_loaded_basis(tmp_path):
+    bratu = make_model("bratu", 41)
+    basis = BasisMatrix(bratu)
+    basis.enrich(bratu.interpolate(lambda x: np.sin(np.pi * x)))
+    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    score = tmp_path / "score"
+    assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--out", str(score)]) == 0
+    config = read_report(score)["config"]
+    assert (config["model_kind"], config["mesh_size"]) == ("bratu", 41)
 
 
 def test_error_sweep_rejects_missing_basis(tmp_path, capsys):

@@ -9,14 +9,14 @@ from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.linalg.lapack import dpttrs, dstebz
 
 from bifrb import estimators
-from bifrb.estimators import (EstimatorConfig, EstimatorKind, argmin_beta,
-                              beta_sweep, deflated_estimator_sweep,
+from bifrb.estimators import (EstimatorKind, argmin_beta, beta_sweep,
+                              deflated_estimator_sweep,
                               discover_reduced_solutions, estimator_sweep,
                               inf_sup, linear_estimate, nonlinear_estimate,
                               residual_dual_norm)
 from bifrb.model import make_model
 from bifrb.nlsolve import discover_solutions, newton
-from bifrb.rom import BasisMatrix, GuessStore
+from bifrb.rom import BasisMatrix
 
 # Inf-sup at the lower-branch state next to the fold, 201-node mesh, frozen
 # as a regression value.
@@ -244,8 +244,7 @@ def test_nonlinear_bound_brackets_linear_bound(chafee):
     # 2/(1 + sqrt(1-tau)) lies in [1, 1+tau] whenever tau <= 1
     basis, root = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
     for mu in (10.0, 11.0, 12.0, 13.0):
-        sw = estimator_sweep(chafee, basis, [mu],
-                             EstimatorConfig(kind=EstimatorKind.NONLINEAR_BRR))
+        sw = estimator_sweep(chafee, basis, [mu], kind=EstimatorKind.NONLINEAR_BRR)
         e = sw.entries[0]
         if not e.converged or e.tau > 1.0:
             continue
@@ -256,7 +255,7 @@ def test_nonlinear_bound_brackets_linear_bound(chafee):
 def test_stable_form_equals_textbook_form(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
     sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 7),
-                         EstimatorConfig(kind=EstimatorKind.NONLINEAR_BRR))
+                         kind=EstimatorKind.NONLINEAR_BRR)
     checked = 0
     for e in sw:
         if not e.converged or not (1e-12 < e.tau <= 1.0):
@@ -286,7 +285,7 @@ def test_delta_for_selects_by_kind(bratu):
 def test_auto_switch_falls_back_when_any_tau_exceeds_one(bratu):
     # a single snapshot at the fold leaves large residuals at small mu
     basis, _ = one_snapshot_basis(bratu, 3.5)
-    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 3.5, 51), EstimatorConfig())
+    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 3.5, 51))
     assert sw.requested_kind == EstimatorKind.AUTO_SWITCH
     assert sw.kind_used == EstimatorKind.LINEAR
     taus = [e.tau for e in sw if e.converged]
@@ -300,7 +299,7 @@ def test_auto_switch_falls_back_when_any_tau_exceeds_one(bratu):
 
 def test_auto_switch_keeps_nonlinear_bound_when_all_tau_small(bratu):
     basis, _ = one_snapshot_basis(bratu, 2.0)
-    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 2.0, 51), EstimatorConfig())
+    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 2.0, 51))
     assert sw.kind_used == EstimatorKind.NONLINEAR_BRR
     assert sw.all_valid
     assert all(e.tau <= 1.0 for e in sw)
@@ -310,7 +309,7 @@ def test_auto_switch_keeps_nonlinear_bound_when_all_tau_small(bratu):
 
 def test_sweep_reports_divergence_with_infinite_bound(bratu):
     basis, _ = one_snapshot_basis(bratu, 2.0)
-    sw = estimator_sweep(bratu, basis, [2.0, 5.0], EstimatorConfig())
+    sw = estimator_sweep(bratu, basis, [2.0, 5.0])
     ok, bad = sw.entries
     assert ok.converged and ok.delta < 1e-8
     assert not bad.converged
@@ -322,7 +321,7 @@ def test_sweep_reports_divergence_with_infinite_bound(bratu):
 
 def test_rows_schema(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    sw = estimator_sweep(chafee, basis, [11.0, 12.0], EstimatorConfig())
+    sw = estimator_sweep(chafee, basis, [11.0, 12.0])
     rows = sw.rows()
     assert len(rows) == 2
     for row in rows:
@@ -344,9 +343,8 @@ def test_discover_reduced_solutions_counts(chafee):
 
 def test_deflated_sweep_emits_one_entry_per_root(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    store = GuessStore(chafee)
-    sw = deflated_estimator_sweep(chafee, basis, [11.0, 12.0], EstimatorConfig(),
-                                  guess_store=store)
+    warm = {}
+    sw = deflated_estimator_sweep(chafee, basis, [11.0, 12.0], warm=warm)
     by_mu = {}
     for e in sw:
         by_mu.setdefault(e.mu, []).append(e)
@@ -355,7 +353,38 @@ def test_deflated_sweep_emits_one_entry_per_root(chafee):
         assert len(entries) == 3
         assert [e.branch for e in entries] == [0, 1, 2]
         assert all(e.converged for e in entries)
-        assert len(store.rb[mu]) == 3
+        assert len(warm[mu]) == 3
+
+
+def test_deflated_sweep_pads_warm_starts_from_a_smaller_basis(chafee, monkeypatch):
+    basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
+    basis.enrich(newton(chafee, 14.0, chafee.default_guesses[0]).u, 14.0)
+    assert basis.n == 2
+    mus = [11.0, 12.0]
+    warm = {}
+    deflated_estimator_sweep(chafee, basis.truncated(1), mus, warm=warm)
+    small = {mu: [r.copy() for r in roots] for mu, roots in warm.items()}
+    assert sorted(small) == mus and all(len(r) == 1 for r in small[12.0])
+    cold = deflated_estimator_sweep(chafee, basis, mus)
+
+    batteries = {}
+    discover = estimators.discover_reduced_solutions
+
+    def spy(basis, mu, battery, cfg=None):
+        batteries[mu] = battery
+        return discover(basis, mu, battery, cfg)
+
+    monkeypatch.setattr(estimators, "discover_reduced_solutions", spy)
+    hot = deflated_estimator_sweep(chafee, basis, mus, warm=warm)
+    for mu in mus:
+        padded = [np.concatenate([r, [0.0]]) for r in small[mu]]
+        assert all(any(np.array_equal(p, g) for g in batteries[mu]) for p in padded)
+        cold_roots = sorted((e.u_n for e in cold if e.mu == mu), key=tuple)
+        hot_roots = sorted((e.u_n for e in hot if e.mu == mu), key=tuple)
+        assert len(hot_roots) == len(cold_roots) == len(warm[mu]) == 3
+        for a, b in zip(hot_roots, cold_roots):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+        assert all(r.shape == (2,) for r in warm[mu])
 
 
 def test_beta_sweep_dips_at_the_pitchfork(chafee):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bifrb.analysis import error_sweep, solution_ensemble
-from bifrb.estimators import EstimatorConfig, estimator_sweep
+from bifrb.estimators import estimator_sweep
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
                           refinement, vanilla_greedy)
@@ -17,14 +17,11 @@ from bifrb.rom import BasisMatrix
 
 
 def test_greedy_config_validation():
-    space = ParameterSpace.equispaced(0.0, 1.0, 5)
     with pytest.raises(ValueError):
-        GreedyConfig(n_max=0).validate(space)
+        GreedyConfig(n_max=0).validate()
     with pytest.raises(ValueError):
-        GreedyConfig(tol=0.0).validate(space)
-    with pytest.raises(ValueError):
-        GreedyConfig(mu0=0.3).validate(space)
-    GreedyConfig(mu0=0.25).validate(space)
+        GreedyConfig(tol=0.0).validate()
+    GreedyConfig().validate()
 
 
 def test_adaptive_config_validation():
@@ -78,13 +75,6 @@ def test_vanilla_greedy_certifies_unique_branch_region(bratu):
     final = report.sweeps[-1]
     assert all(row["valid"] == 1 and row["delta"] <= 1e-3 for row in final)
     assert report.records[-1].enrich_status == "tolerance_met"
-
-
-def test_vanilla_greedy_honors_explicit_start(bratu):
-    space = ParameterSpace.equispaced(0.5, 2.0, 7)
-    basis, report = vanilla_greedy(bratu, space, GreedyConfig(tol=1e-2, mu0=1.25))
-    assert report.mu0 == 1.25
-    assert basis.mu_values[0] == 1.25
 
 
 def test_initialization_scans_past_null_snapshots(chafee):
@@ -185,7 +175,7 @@ def test_greedy_respects_n_max(chafee):
 def test_ranked_candidates_put_largest_bound_first(chafee):
     basis = BasisMatrix(chafee)
     basis.enrich(newton(chafee, 12.0, chafee.default_guesses[0]).u, 12.0)
-    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 13), EstimatorConfig())
+    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 13))
     ranked = _ranked_candidates(sw, 0.0, basis.mu_values)
     deltas = [e.delta for e in ranked]
     assert deltas == sorted(deltas, reverse=True)

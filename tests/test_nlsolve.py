@@ -117,7 +117,7 @@ def test_deflation_scalar_matches_manual_product(rng):
     d1 = np.linalg.norm(y - u1)
     d2 = np.linalg.norm(y - u2)
     manual = (d1**-2.0 + 0.7) * (d2**-2.0 + 0.7)
-    assert np.isclose(op.scalar(y), manual, rtol=1e-13)
+    assert np.isclose(op.factor_and_gradient(y)[0], manual, rtol=1e-13)
 
 
 def test_deflation_scalar_with_energy_metric(bratu, rng):
@@ -126,19 +126,19 @@ def test_deflation_scalar_with_energy_metric(bratu, rng):
     op = DeflationOperator([u1], metric=bratu.x_apply)
     X = stiffness_matrix(bratu.mesh_size)
     d = np.sqrt((y - u1) @ X @ (y - u1))
-    assert np.isclose(op.scalar(y), d**-2.0 + 1.0, rtol=1e-12)
+    assert np.isclose(op.factor_and_gradient(y)[0], d**-2.0 + 1.0, rtol=1e-12)
 
 
 def test_deflation_gradient_matches_finite_differences(rng):
     roots = [rng.standard_normal(8) for _ in range(3)]
     op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5)
     y = rng.standard_normal(8) + 4.0  # keep away from the roots
-    grad = op.gradient(y)
+    grad = op.factor_and_gradient(y)[1]
     eps = 1e-6
     for i in range(8):
         e = np.zeros(8)
         e[i] = eps
-        fd = (op.scalar(y + e) - op.scalar(y - e)) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e)[0] - op.factor_and_gradient(y - e)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
@@ -146,12 +146,12 @@ def test_deflation_gradient_with_metric_matches_finite_differences(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size)]
     op = DeflationOperator(roots, metric=bratu.x_apply)
     y = rng.standard_normal(bratu.mesh_size)
-    grad = op.gradient(y)
+    grad = op.factor_and_gradient(y)[1]
     eps = 1e-7
     for i in rng.choice(bratu.mesh_size, size=10, replace=False):
         e = np.zeros(bratu.mesh_size)
         e[i] = eps
-        fd = (op.scalar(y + e) - op.scalar(y - e)) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e)[0] - op.factor_and_gradient(y - e)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-5 * max(1.0, abs(grad[i]))
 
 
@@ -159,10 +159,8 @@ def test_deflation_singularity_and_validation(rng):
     u1 = rng.standard_normal(4)
     op = DeflationOperator([u1])
     with pytest.raises(DeflationSingularity):
-        op.scalar(u1)
-    with pytest.raises(DeflationSingularity):
-        op.gradient(u1.copy())
-    assert op.gradient(np.zeros(4) + 10.0).shape == (4,)
+        op.factor_and_gradient(u1.copy())
+    assert op.factor_and_gradient(np.zeros(4) + 10.0)[1].shape == (4,)
     with pytest.raises(ValueError):
         DeflationOperator([u1], power_r=0.5)
     with pytest.raises(ValueError):
@@ -174,9 +172,7 @@ def test_factor_and_gradient_in_one_pass(bratu, rng):
     y = rng.standard_normal(bratu.mesh_size)
     for metric in (None, bratu.x_apply):
         op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5, metric=metric)
-        m, g = op.factor_and_gradient(y)
-        assert m == op.scalar(y)
-        assert np.array_equal(g, op.gradient(y))
+        m, _ = op.factor_and_gradient(y)
         manual = 1.0
         for d in op.distances(y):
             manual *= d**-3.0 + 0.5
@@ -184,7 +180,7 @@ def test_factor_and_gradient_in_one_pass(bratu, rng):
 
 
 def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
-    # one factor-and-gradient pass per Newton step, never the two views
+    # one factor-and-gradient pass per Newton step
     mu = 12.0
     root = newton(chafee, mu, chafee.default_guesses[0]).u
     calls = {"pair": 0}
@@ -194,12 +190,7 @@ def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
         calls["pair"] += 1
         return pair(self, y)
 
-    def forbidden(self, y):
-        raise AssertionError("scalar()/gradient() called inside the Newton loop")
-
     monkeypatch.setattr(DeflationOperator, "factor_and_gradient", counted)
-    monkeypatch.setattr(DeflationOperator, "scalar", forbidden)
-    monkeypatch.setattr(DeflationOperator, "gradient", forbidden)
     res = deflated_newton(chafee, mu, chafee.default_guesses[1], [root])
     assert res.converged
     assert calls["pair"] == res.iterations
@@ -225,8 +216,7 @@ def test_sherman_morrison_step_equals_dense_rank_one_solve(chafee, rng):
         y = rng.standard_normal(chafee.mesh_size) * 0.3
         G = chafee.residual(y, mu)
         J = chafee.jacobian(y, mu)
-        m = op.scalar(y)
-        g = op.gradient(y)
+        m, g = op.factor_and_gradient(y)
         dense = np.linalg.solve(m * J + np.outer(G, g), -m * G)
         du = np.linalg.solve(J, -G)
         sm = du / (1.0 - float(g @ du) / m)

@@ -4,7 +4,7 @@ import pytest
 
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
-from bifrb.rom import (BasisMatrix, GuessStore, _euclidean_norm, reduced_deflated_newton,
+from bifrb.rom import (BasisMatrix, _euclidean_norm, reduced_deflated_newton,
                        reduced_jacobian, reduced_newton, reduced_residual)
 
 
@@ -259,21 +259,6 @@ def test_load_rejects_tampered_columns(tmp_path, chafee, rng):
     np.savetxt(path, cols, delimiter=",", fmt="%.17g")
     with pytest.raises(ValueError):
         BasisMatrix.load(path)
-
-
-def test_guess_store_deduplicates_and_pads(chafee, rng):
-    store = GuessStore(chafee)
-    u = rng.standard_normal(chafee.mesh_size)
-    assert store.hf.add(u)
-    assert not store.hf.add(u + 1e-9 * u)
-    assert store.hf.add(-u)
-    assert len(store.hf) == 2
-
-    store.set_rb(9.0, [np.array([1.0, 2.0])])
-    padded = store.rb_for(9.0, 4)
-    assert len(padded) == 1
-    assert np.array_equal(padded[0], np.array([1.0, 2.0, 0.0, 0.0]))
-    assert store.rb_for(8.0, 4) == []
 
 
 def test_padded_reduced_guess_lifts_to_same_state(chafee, rng):

@@ -1,0 +1,40 @@
+#!/bin/sh
+# Run the nine mesh-201 CLI runs whose artifacts a refactor must keep byte for
+# byte, importing the package from <src-dir> and writing into <out-dir>.
+#
+#   tools/cli_artifacts.sh <parent-checkout>/src /tmp/parent_out
+#   tools/cli_artifacts.sh src /tmp/change_out
+#   diff -r /tmp/parent_out /tmp/change_out
+#
+# Every run uses one BLAS thread and a relative --out path, so the two trees
+# differ only where the program's results do.  The stdout and exit code of
+# every run are appended to <out-dir>/stdout.txt.
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <src-dir> <out-dir>" >&2
+    exit 1
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+export OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src"
+unset BIFRB_OUT_DIR
+: > stdout.txt
+
+bifrb() {
+    name=$1
+    shift
+    code=0
+    python3 -m bifrb.cli "$@" --mesh 201 --out "$name" >> stdout.txt || code=$?
+    echo "[$name] exit $code" >> stdout.txt
+}
+
+bifrb run_deflated_chafee run --model chafee --strategy deflated
+bifrb run_deflated_bratu run --model bratu --strategy deflated
+bifrb run_vanilla_bratu run --model bratu --strategy vanilla
+bifrb run_vanilla_chafee run --model chafee --strategy vanilla
+bifrb run_adaptive_chafee run --model chafee --strategy adaptive
+bifrb run_adaptive_bratu run --model bratu --strategy adaptive
+bifrb compare compare --model chafee --strategies vanilla,deflated,pod --matched-n
+bifrb error_sweep error-sweep --basis-dir run_deflated_chafee
+bifrb diagram_bratu diagram --model bratu
