@@ -239,15 +239,22 @@ def cmd_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_error_sweep(cfg: RunConfig, basis_dir: str) -> int:
+def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
     try:
         basis = BasisMatrix.load(os.path.join(basis_dir, "basis.csv"),
                                  os.path.join(basis_dir, "basis.json"))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load basis from {basis_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    # The sweep runs on the basis's model, so the config echo names that one.
-    cfg.model_kind, cfg.mesh_size = basis.model.kind.value, basis.model.mesh_size
+    # The sweep runs on the basis's model: a model or mesh the user gave must
+    # match it, and the config echo names it.
+    for name, value in (("model_kind", basis.model.kind.value),
+                        ("mesh_size", basis.model.mesh_size)):
+        if name in given and getattr(cfg, name) != value:
+            print(f"config error: {name} is {getattr(cfg, name)!r} but the basis "
+                  f"in {basis_dir} has {value!r}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+        setattr(cfg, name, value)
     oracle = _test_oracle(cfg, basis.model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep, scores = _score(cfg, basis, oracle)
@@ -353,18 +360,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def build_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """The layered config and the names of the fields a config file or flag set."""
+    data = {}
     if args.config:
         with open(args.config) as f:
-            cfg = RunConfig.from_dict(json.load(f))
+            data = json.load(f)
+    cfg = RunConfig.from_dict(data)
+    given = set(data)
     for f in dataclass_fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+            given.add(f.name)
     if OUT_DIR_ENV in os.environ:
         cfg.out_dir = os.environ[OUT_DIR_ENV]
-    return cfg
+    return cfg, given
 
 
 def main(argv=None) -> int:
@@ -395,7 +406,7 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        cfg = build_config(args)
+        cfg, given = build_config(args)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -412,7 +423,7 @@ def main(argv=None) -> int:
         return cmd_compare(cfg, strategies, args.n_modes, args.matched_n)
     if args.command == "diagram":
         return cmd_diagram(cfg)
-    return cmd_error_sweep(cfg, args.basis_dir)
+    return cmd_error_sweep(cfg, args.basis_dir, given)
 
 
 if __name__ == "__main__":

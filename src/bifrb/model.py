@@ -17,8 +17,9 @@ X and the Jacobian are tridiagonal and are kept as (3, mesh_size) band arrays
 Newton step (LAPACK `dgtsv`) all cost O(mesh_size).  Reduced solvers never
 assemble at full order: they take the basis values at the Gauss points
 (`gauss_matrix`) and the source terms (`source`, `source_prime`) and apply the
-same quadrature to the coefficients.  Only `jacobian()` and the one-off
-eigenproblem of the L4 embedding constant expand bands into dense matrices.
+same quadrature to the coefficients.  Only `jacobian()` expands bands into a
+dense matrix.  The Sobolev constants of the Lipschitz bounds are closed forms
+of the continuous space, which hold on every mesh.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dgtsv, dpbtrs
 
 __all__ = [
@@ -38,12 +39,19 @@ __all__ = [
     "ChafeeInfante1D",
     "make_model",
     "form_norm",
+    "RHO4",
 ]
 
 # Two-point Gauss nodes t on [0, 1], the left hat function 1 - t and their products.
 _GAUSS_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0))])
 _GAUSS_S = 1.0 - _GAUSS_T
 _GAUSS_SS, _GAUSS_TT, _GAUSS_TS = _GAUSS_S**2, _GAUSS_T**2, _GAUSS_T * _GAUSS_S
+
+# Sharp constant of ||v||_{L4} <= RHO4 ||v'||_{L2} on H^1_0(0, 1) (Talenti 1976):
+# (2 sqrt2 A^3 J)^(-1/4), A = 2 sqrt2 K, K = B(1/4, 1/2)/4, J = B(5/4, 1/2)/4, B = Beta.
+_K = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 4.0
+_J = math.gamma(1.25) * math.gamma(0.5) / math.gamma(1.75) / 4.0
+RHO4 = (2.0 * math.sqrt(2.0) * (2.0 * math.sqrt(2.0) * _K) ** 3 * _J) ** -0.25
 
 
 class ModelKind(str, Enum):
@@ -117,7 +125,6 @@ class ParametricModel:
         self.x_bands[0, 1:] = self.x_bands[2, :-1] = -1.0 / self.h
         # Upper banded Cholesky factor of X, for the dual norm.
         self._x_chol = cholesky_banded(self.x_bands[:2])
-        self._embedding_cache: dict[float, float] = {}
         self._pinned: list | None = None
 
     def pin(self, u: np.ndarray | None) -> None:
@@ -260,41 +267,19 @@ class ParametricModel:
     # -- model-specific constants ------------------------------------------
 
     def embedding_constant(self, p: float) -> float:
-        """Discrete Sobolev constant rho_p with ||v||_{L^p} <= rho_p ||v'||_{L2}.
+        """Sobolev constant rho_p with ||v||_{L^p} <= rho_p ||v'||_{L2} on H^1_0(0, 1).
 
-        p = inf returns the exact H^1_0(0,1) -> L^inf constant 1/2.  p = 4 runs
-        the eigenvalue/fixed-point iteration for rho_4**2 = sup ||v||_{L4}**2 /
-        ||v'||_{L2}**2 on the discrete space and returns the square root.
+        p = inf gives the sharp 1/2, p = 4 the sharp `RHO4` (G. Talenti, "Best
+        constant in Sobolev inequality", 1976).  The P1 space lies in H^1_0, so
+        they bound the exact ratio of every discrete state on every mesh, and
+        the two-point Gauss value of int v^4 too: on a linear piece v^4 has a
+        positive fourth derivative, so that rule never exceeds the exact integral.
         """
-        if p == np.inf or p == "inf":
+        if p == np.inf:
             return 0.5
-        if p != 4:
-            raise ValueError("only p = 4 and p = inf are supported")
-        if 4.0 not in self._embedding_cache:
-            self._embedding_cache[4.0] = self._l4_embedding_constant()
-        return self._embedding_cache[4.0]
-
-    def _l4_quartic(self, v: np.ndarray) -> float:
-        vals = self._gauss_values(v)
-        return float(self.gauss_weight * np.sum(vals**4))
-
-    def _l4_embedding_constant(self) -> float:
-        # Maximize sqrt(int v^4) / int v'^2 (scale invariant).  Stationarity is
-        # the generalized eigenproblem W(v) z = lam K z with W the v^2-weighted
-        # mass matrix, solved repeatedly for the top eigenpair.
-        v = self.interpolate(lambda x: np.sin(np.pi * x))
-        v = v / self.x_norm(v)
-        ratio = np.sqrt(self._l4_quartic(v))
-        x_dense = _expand_bands(self.x_bands)
-        for _ in range(500):
-            W = _expand_bands(self._weighted_mass_bands(self._gauss_values(v) ** 2))
-            _, vecs = eigh(W, x_dense, subset_by_index=[self.mesh_size - 1, self.mesh_size - 1])
-            v = vecs[:, 0] / self.x_norm(vecs[:, 0])
-            new_ratio = np.sqrt(self._l4_quartic(v))
-            if abs(new_ratio - ratio) < 1e-8:
-                return float(np.sqrt(new_ratio))
-            ratio = new_ratio
-        raise RuntimeError("L4 embedding fixed point did not converge within 500 iterations")
+        if p == 4:
+            return RHO4
+        raise ValueError("only p = 4 and p = inf are supported")
 
     def lipschitz_constant(self, u: np.ndarray, mu: float, radius: float) -> float:
         """Jacobian Lipschitz bound on the X-ball of `radius` around state `u`."""

@@ -242,6 +242,28 @@ def test_error_sweep_echoes_the_model_of_the_loaded_basis(tmp_path):
     assert (config["model_kind"], config["mesh_size"]) == ("bratu", 41)
 
 
+@pytest.mark.parametrize("given", [["--model", "bratu"], ["--mesh", "81"],
+                                   {"model_kind": "bratu"}, {"mesh_size": 81}])
+def test_error_sweep_rejects_a_model_or_mesh_the_basis_does_not_have(
+        tmp_path, capsys, given):
+    chafee = make_model("chafee", 41)
+    basis = BasisMatrix(chafee)
+    basis.enrich(chafee.default_guess)
+    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    if isinstance(given, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(given))
+        given = ["--config", str(tmp_path / "cfg.json")]
+    score = tmp_path / "score"
+    code = run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--out", str(score)] + given)
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not score.exists()
+    # the values of the basis itself are accepted
+    assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--model", "chafee", "--mesh", "41", "--out", str(score)]) == 0
+
+
 def test_error_sweep_rejects_missing_basis(tmp_path, capsys):
     code = run_cli(["error-sweep", "--basis-dir", str(tmp_path / "nowhere"),
                     "--out", str(tmp_path / "o")])

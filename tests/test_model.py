@@ -4,21 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh, solve_banded
 from scipy.linalg.lapack import dpbtrs
 
 from bifrb import model as model_module
 from bifrb import nlsolve as nlsolve_module
-from bifrb.estimators import inf_sup, residual_dual_norm
-from bifrb.model import (ChafeeInfante1D, Bratu1D, ModelKind, ParameterSpace,
-                         make_model)
+from bifrb.estimators import inf_sup, nonlinear_estimate, residual_dual_norm
+from bifrb.model import (RHO4, ChafeeInfante1D, Bratu1D, ModelKind,
+                         ParameterSpace, make_model)
 from bifrb.nlsolve import deflated_newton, discover_solutions, newton
 from bifrb.pod import pod_basis
 from bifrb.rom import BasisMatrix
-
-# Discrete Sobolev constant rho_4 on the 201-node mesh, computed once by the
-# fixed-point iteration and frozen here as a regression value.
-RHO4_MESH201 = 0.35490987
 
 
 def p1_mass_matrix(m):
@@ -364,7 +360,6 @@ def test_dual_norm_of_non_finite_functional_is_inf(chafee, rng):
 def test_model_holds_no_dense_operator(kind, monkeypatch):
     m = 61
     model = make_model(kind, m)
-    model.embedding_constant(4)  # the one-off L4 eigenproblem may expand bands
 
     def forbidden(*args, **kwargs):
         raise AssertionError("banded operator expanded to a dense matrix")
@@ -376,6 +371,8 @@ def test_model_holds_no_dense_operator(kind, monkeypatch):
     deflated_newton(model, mu, model.default_guesses[-1], [root.u])
     assert inf_sup(model, root.u, mu) > 0.0
     assert residual_dual_norm(model, root.u, mu) < 1e-9
+    assert model.lipschitz_constant(root.u, mu, 0.1) > 0.0
+    assert nonlinear_estimate(model, root.u, mu).tau < 1.0
     basis = BasisMatrix(model)
     for guess in model.default_guesses:
         basis.enrich(guess)
@@ -403,8 +400,44 @@ def test_embedding_constant_sup_norm_is_half(bratu):
     assert bratu.embedding_constant(np.inf) == 0.5
 
 
-def test_embedding_constant_l4_frozen_value(chafee_fine):
-    assert abs(chafee_fine.embedding_constant(4) - RHO4_MESH201) < 1e-6
+def discrete_rho4(model):
+    """Dense reference: the discrete L4 constant of the P1 space under the
+    two-point Gauss rule, sup sqrt(int v^4) / int v'^2 = rho_4^2, found by the
+    fixed point whose stationarity condition is the generalized eigenproblem
+    W(v) z = lam X z, W the v^2-weighted mass matrix; O(m^3) a step."""
+    def quartic_root(v):
+        return np.sqrt(model.gauss_weight * np.sum(model._gauss_values(v) ** 4))
+
+    x_dense = stiffness_matrix(model.mesh_size)
+    v = model.interpolate(lambda x: np.sin(np.pi * x))
+    v = v / model.x_norm(v)
+    ratio = quartic_root(v)
+    for _ in range(500):
+        b = model._weighted_mass_bands(model._gauss_values(v) ** 2)
+        W = np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1)
+        z = eigh(W, x_dense, subset_by_index=[model.mesh_size - 1] * 2)[1][:, 0]
+        v = z / model.x_norm(z)
+        new_ratio = quartic_root(v)
+        if abs(new_ratio - ratio) < 1e-8:
+            return float(np.sqrt(new_ratio))
+        ratio = new_ratio
+    raise AssertionError("L4 fixed point did not converge within 500 iterations")
+
+
+def test_embedding_constant_l4_is_the_sharp_continuous_constant():
+    assert abs(RHO4 - 0.35491397112117784) < 1e-15
+    assert make_model("chafee", 3201).embedding_constant(4) == RHO4
+    with pytest.raises(ValueError):
+        make_model("chafee", 5).embedding_constant(2)
+    # every discrete constant lies below the continuous one ...
+    gaps = {}
+    for m in (1, 2, 3, 5, 15, 31, 63, 127):
+        rho = discrete_rho4(make_model("chafee", m))
+        assert rho <= RHO4
+        gaps[m + 1] = (RHO4 - rho) / RHO4
+    # ... and converges to it at O(h^2): the gap shrinks about 4x per halving of h
+    for n in (16, 32, 64):
+        assert gaps[n] >= 3.0 * gaps[2 * n]
 
 
 def l4_norm_p1(model, u):

@@ -1,0 +1,58 @@
+"""Repository tools, run as the command lines they are."""
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+DRIFT = Path(__file__).resolve().parents[1] / "tools" / "artifact_drift.py"
+
+
+def drift(a, b, rtol="1e-4"):
+    return subprocess.run([sys.executable, str(DRIFT), str(a), str(b), rtol],
+                          capture_output=True, text=True)
+
+
+def test_artifact_drift_allows_numbers_to_move_within_rtol(tmp_path):
+    a = tmp_path / "a"
+    (a / "run").mkdir(parents=True)
+    (a / "run" / "errors.csv").write_text("mu,branch,estimator,flag\n5,0,1.25e-3,\n6,1,2.5e-3,x\n")
+    (a / "run" / "report.json").write_text('{"n_basis": 4, "errors": {"max": 0.5}, "status": "ok"}\n')
+    (a / "stdout.txt").write_text("deflated: n_basis=4\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    same = drift(a, b)
+    assert (same.returncode, same.stdout) == (0, "")
+
+    (b / "run" / "errors.csv").write_text("mu,branch,estimator,flag\n5,0,1.25001e-3,\n6,1,2.5e-3,x\n")
+    (b / "run" / "report.json").write_text('{"n_basis": 4, "errors": {"max": 0.500001}, "status": "ok"}\n')
+    close = drift(a, b)
+    assert close.returncode == 0
+    assert "run/errors.csv: worst relative drift 8.000e-06" in close.stdout
+    assert "run/report.json: worst relative drift 2.000e-06" in close.stdout
+    assert drift(a, b, "1e-6").returncode == 1
+
+    (b / "run" / "errors.csv").write_text("mu,branch,estimator,flag\n5,0,1.25e-3,\n")
+    dropped = drift(a, b)
+    assert dropped.returncode == 1
+    assert "run/errors.csv: 3 rows against 2" in dropped.stdout
+
+
+def test_artifact_drift_rejects_every_non_numeric_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    (a / "report.json").write_text('{"n_basis": 4, "status": "ok", "mus": [1.0, 2.0]}\n')
+    (a / "errors.csv").write_text("mu,flag\n5,\n")
+    (a / "stdout.txt").write_text("n_basis=4\n")
+    for name, text in [("report.json", '{"n_basis": 5, "status": "ok", "mus": [1.0, 2.0]}\n'),
+                       ("report.json", '{"n_basis": 4, "status": "no", "mus": [1.0, 2.0]}\n'),
+                       ("report.json", '{"n_basis": 4, "status": "ok", "mus": [1.0]}\n'),
+                       ("report.json", '{"n_basis": 4, "status": "ok"}\n'),
+                       ("errors.csv", "mu,flags\n5,\n"),
+                       ("errors.csv", "mu,flag\n5,x\n"),
+                       ("stdout.txt", "n_basis=4 \n")]:
+        shutil.rmtree(b, ignore_errors=True)
+        shutil.copytree(a, b)
+        (b / name).write_text(text)
+        assert drift(a, b).returncode == 1, (name, text)
+    (b / "stdout.txt").unlink()
+    assert "stdout.txt: only in" in drift(a, b).stdout
