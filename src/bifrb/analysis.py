@@ -17,8 +17,8 @@ import numpy as np
 
 from .estimators import nonlinear_estimate
 from .model import ParametricModel
-from .nlsolve import NewtonConfig, discover_solutions
-from .rom import BasisMatrix, discover_reduced_solutions, reduced_solves
+from .nlsolve import NewtonConfig, continuation, discover_solutions
+from .rom import BasisMatrix, discover_reduced_solutions, reduced_root
 
 __all__ = [
     "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
@@ -103,17 +103,16 @@ def solution_ensemble(model: ParametricModel, mus,
                       cfg: NewtonConfig | None = None) -> SolutionEnsemble:
     """Deflated discovery swept over the grid with continuation.
 
-    At each parameter the guess battery is the previous parameter's roots
-    followed by the model battery, so established branches are tracked and
-    new ones are opened as deflation exposes them.
+    At each parameter the guesses are the previous parameter's roots followed
+    by the model battery (`nlsolve.continuation`), so established branches
+    are tracked and new ones are opened as deflation exposes them.
     """
     cfg = cfg or NewtonConfig()
     points: list[BranchPoint] = []
     prev: list[BranchPoint] = []
     next_label = 0
-    for mu in mus:
-        battery = [p.u for p in prev] + list(model.default_guesses)
-        roots = discover_solutions(model, mu, battery, cfg)
+    for mu, roots in continuation(lambda mu, guesses: discover_solutions(model, mu, guesses, cfg),
+                                  mus, model.default_guesses):
         values = [model.midpoint_value(u) for u in roots]
         labels, next_label = _assign_labels(values, prev, next_label)
         here = [BranchPoint(mu, lab, u, v)
@@ -238,28 +237,22 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     """
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
-    carried: list[np.ndarray] = []
     tested = [mu for mu in mus if oracle.at(mu)]
-    single_seed = reduced_solves(basis, tested, cfg)
-    for mu in tested:
+    solve = discover_reduced_solutions if deflate else reduced_root
+    battery = [basis.project(g)
+               for g in (model.default_guesses if deflate else [model.default_guess])]
+
+    def solve_at(mu, guesses):
+        return solve(basis, mu, guesses, cfg) if basis.n else []
+
+    for mu, roots in continuation(solve_at, tested, battery):
         refs = oracle.at(mu)
-        if basis.n == 0:
-            roots = []
-        elif deflate:
-            battery = [r.copy() for r in carried]
-            battery += [basis.project(g) for g in model.default_guesses]
-            roots = discover_reduced_solutions(basis, mu, battery, cfg)
-            carried = [r.copy() for r in roots]
-        else:
-            _, result = next(single_seed)
-            roots = [result.u.copy()] if result.converged else []
         lifted = [basis.lift(r) for r in roots]
         values = [model.midpoint_value(u) for u in lifted]
         bounds: dict[int, float] = {}
         dists_per_ref = [[abs(v - p.value) for v in values] for p in refs]
         matches = [int(np.argmin(d)) if roots else None for d in dists_per_ref]
-        flags = (_match_flags(dists_per_ref, matches, len(roots))
-                 if deflate else [""] * len(refs))
+        flags = _match_flags(dists_per_ref, matches, len(roots))
         for p, i, flag in zip(refs, matches, flags):
             kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
             proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))

@@ -78,6 +78,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object (got {type(data).__name__})")
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

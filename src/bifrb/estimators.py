@@ -28,9 +28,8 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstev
 
 from .model import ParametricModel
-from .nlsolve import NewtonConfig
-from .rom import (BasisMatrix, discover_reduced_solutions, reduced_newton,
-                  reduced_solves)
+from .nlsolve import NewtonConfig, continuation
+from .rom import BasisMatrix, discover_reduced_solutions, reduced_root
 
 __all__ = [
     "BETA_FLOOR",
@@ -171,7 +170,6 @@ class EstimatorEntry:
     mu: float
     branch: int
     converged: bool
-    cause: str | None = None
     u_n: np.ndarray | None = None
     estimate: Estimate | None = None
     # Effective certified bound under the kind the sweep settled on.
@@ -232,11 +230,12 @@ class EstimatorSet:
                 for e in self.entries]
 
 
-def _entry(model, basis, mu, branch, result) -> EstimatorEntry:
-    if not result.converged:
-        return EstimatorEntry(mu, branch, False, result.cause)
-    est = nonlinear_estimate(model, basis.lift(result.u), mu)
-    return EstimatorEntry(mu, branch, True, None, result.u.copy(), est)
+def _entries(model, basis, mu, roots) -> list[EstimatorEntry]:
+    """One estimated entry per reduced root at mu, or one unconverged entry if none."""
+    if not roots:
+        return [EstimatorEntry(mu, 0, False)]
+    return [EstimatorEntry(mu, k, True, u.copy(), nonlinear_estimate(model, basis.lift(u), mu))
+            for k, u in enumerate(roots)]
 
 
 def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
@@ -245,11 +244,12 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     """Single-branch sweep: one reduced solve and one estimate per parameter.
 
     Every solve starts from the projected model default guess, without
-    continuation (`rom.reduced_solves`), as the single-branch snapshots start
+    continuation (`rom.reduced_root`), as the single-branch snapshots start
     from the model default guess.
     """
-    entries = [_entry(model, basis, mu, 0, result)
-               for mu, result in reduced_solves(basis, mus, cfg, continuation=False)]
+    default = [basis.project(model.default_guess)]
+    entries = [e for mu in mus
+               for e in _entries(model, basis, mu, reduced_root(basis, mu, default, cfg))]
     return EstimatorSet(entries, kind)
 
 
@@ -259,31 +259,19 @@ def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                              warm: dict | None = None) -> EstimatorSet:
     """Multi-branch sweep: deflation discovers every reduced root per parameter.
 
-    The guess battery at each parameter combines, in order, the roots carried
-    from the previous parameter, the warm starts `warm[mu]` (reduced roots of
-    an earlier sweep, zero-padded to the current basis size, which lifts them
-    to the same full-order states), and the projected model battery.  The
-    roots found at mu replace `warm[mu]`, so the next sweep warm-starts.
+    The guesses at each parameter are, in order (`nlsolve.continuation`), the
+    roots of the previous parameter, the warm starts `warm[mu]` (reduced roots
+    of an earlier sweep, zero-padded to the current basis size, which lifts
+    them to the same full-order states), and the projected model battery.
+    The roots found at mu replace `warm[mu]`, so the next sweep warm-starts.
     """
-    entries = []
-    carried: list[np.ndarray] = []
-    for mu in mus:
-        battery = [g.copy() for g in carried]
-        if warm is not None:
-            battery += [np.concatenate([r, np.zeros(basis.n - len(r))])
-                        for r in warm.get(float(mu), [])]
-        battery.extend(basis.project(g) for g in model.default_guesses)
-        roots = discover_reduced_solutions(basis, mu, battery, cfg)
-        if not roots:
-            probe = reduced_newton(basis, mu, battery[0], cfg)
-            entries.append(EstimatorEntry(mu, 0, False, probe.cause))
-        else:
-            for k, root in enumerate(roots):
-                est = nonlinear_estimate(model, basis.lift(root), mu)
-                entries.append(EstimatorEntry(mu, k, True, None, root.copy(), est))
-        if warm is not None:
-            warm[float(mu)] = roots
-        carried = [r.copy() for r in roots]
+    if warm is not None:
+        for mu, roots in warm.items():
+            warm[mu] = [np.concatenate([r, np.zeros(basis.n - len(r))]) for r in roots]
+    battery = [basis.project(g) for g in model.default_guesses]
+    sweep = continuation(lambda mu, guesses: discover_reduced_solutions(basis, mu, guesses, cfg),
+                         mus, battery, warm)
+    entries = [e for mu, roots in sweep for e in _entries(model, basis, mu, roots)]
     return EstimatorSet(entries, kind)
 
 
@@ -298,15 +286,18 @@ def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                cfg: NewtonConfig | None = None) -> list[BetaEntry]:
     """Inf-sup profile over the training set at lifted reduced solutions.
 
-    The solves use continuation (`rom.reduced_solves`), which keeps the
-    profile on one solution family, whose inf-sup dips at the critical
-    parameter.  Parameters where the reduced solve diverges get an infinite
-    value so they never win the argmin used for bifurcation localization.
+    The solves use continuation (`rom.reduced_root` from the previous root,
+    then the default guess), which keeps the profile on one solution family,
+    whose inf-sup dips at the critical parameter.  Parameters where the
+    reduced solve diverges get an infinite value so they never win the argmin
+    used for bifurcation localization.
     """
+    default = [basis.project(model.default_guess)]
     out = []
-    for mu, result in reduced_solves(basis, mus, cfg):
-        beta = inf_sup(model, basis.lift(result.u), mu) if result.converged else math.inf
-        out.append(BetaEntry(mu, beta, result.converged))
+    for mu, roots in continuation(lambda mu, guesses: reduced_root(basis, mu, guesses, cfg),
+                                  mus, default):
+        beta = inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf
+        out.append(BetaEntry(mu, beta, bool(roots)))
     return out
 
 

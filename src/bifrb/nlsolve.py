@@ -20,8 +20,9 @@ carries them to every deflated solve of an experiment, full-order or reduced.
 
 Full-order and reduced solvers share this engine and differ only in residual,
 Newton step and norms; the state norm measures steps and also decides root
-identity (`RootSet`).  `discover` is the one multi-root loop on top of either
-deflated solver.
+identity (`RootSet`).  `discover` is the one multi-root loop at a parameter,
+on top of either deflated solver, and `continuation` is the one sweep over
+parameters: each parameter starts from the previous parameter's roots.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "newton",
     "deflated_newton",
     "discover",
+    "continuation",
     "discover_solutions",
 ]
 
@@ -328,6 +330,21 @@ def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
             if not result.converged or not found.add(result.u):
                 break
     return found
+
+
+def continuation(solve_at, mus, battery, warm: dict | None = None):
+    """Yield (mu, roots) over `mus` in order, roots = solve_at(mu, guesses).
+
+    The guesses are the previous parameter's roots, then `warm[float(mu)]`,
+    then `battery`.  With `warm` given, the roots found replace its entry.
+    """
+    roots: list = []
+    for mu in mus:
+        starts = warm.get(float(mu), []) if warm is not None else []
+        roots = list(solve_at(mu, [*roots, *starts, *battery]))
+        if warm is not None:
+            warm[float(mu)] = roots
+        yield mu, roots
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,

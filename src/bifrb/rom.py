@@ -22,7 +22,8 @@ For the same reason the Euclidean norm of a coefficient vector is the X-norm
 of its lift, so steps, root distances in deflation, the "no_progress" exit
 and the distinctness rule all use the Euclidean norm, `nlsolve._euclidean_norm`;
 otherwise the reduced solvers and root discovery are the full-order ones of
-`nlsolve`.
+`nlsolve`, and sweeps run `reduced_root` (one branch) or
+`discover_reduced_solutions` (all branches) through `nlsolve.continuation`.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ __all__ = [
     "reduced_jacobian",
     "reduced_newton",
     "reduced_deflated_newton",
-    "reduced_solves",
+    "reduced_root",
     "discover_reduced_solutions",
 ]
 
@@ -178,7 +179,10 @@ class BasisMatrix:
         cols = np.loadtxt(csv_path, delimiter=",", ndmin=2)
         if cols.shape != (meta["mesh_size"], meta["n_basis"]):
             raise ValueError("basis matrix shape does not match its metadata")
-        basis = cls(model, cols, meta["mu_train"])
+        mus = meta["mu_train"]
+        if not isinstance(mus, list) or len(mus) != meta["n_basis"]:
+            raise ValueError(f"mu_train must list one parameter per column (got {mus!r})")
+        basis = cls(model, cols, mus)
         defect = basis.orthonormality_defect()
         if defect > 1e-10:
             raise ValueError(f"loaded basis is not X-orthonormal (defect {defect:.3e})")
@@ -226,23 +230,14 @@ def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                           DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=None))
 
 
-def reduced_solves(basis: BasisMatrix, mus, cfg: NewtonConfig | None = None,
-                   continuation: bool = True):
-    """One reduced Newton solve per parameter, yielded as (mu, result).
-
-    Solves start from the projected model default guess.  With continuation
-    the previous parameter's converged solution seeds the next solve instead,
-    and a seeded solve that diverges is retried from the default guess.
-    """
-    cfg = cfg or NewtonConfig()
-    default = basis.project(basis.model.default_guess)
-    carried = None
-    for mu in mus:
-        result = reduced_newton(basis, mu, default if carried is None else carried, cfg)
-        if not result.converged and carried is not None:
-            result = reduced_newton(basis, mu, default, cfg)
-        carried = result.u.copy() if continuation and result.converged else None
-        yield mu, result
+def reduced_root(basis: BasisMatrix, mu: float, guesses,
+                 cfg: NewtonConfig | None = None) -> list[np.ndarray]:
+    """[u_N] from the first guess whose reduced Newton solve converges, [] if none does."""
+    for guess in guesses:
+        result = reduced_newton(basis, mu, guess, cfg)
+        if result.converged:
+            return [result.u]
+    return []
 
 
 def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,

@@ -117,6 +117,17 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ('"chafee"', "str"),
+                                        ("null", "NoneType"), ("3", "int")])
+def test_config_file_that_is_not_an_object_exits_one(tmp_path, capsys, text, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli(["diagram", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file must hold a JSON object (got {kind})")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     code = run_cli(["diagram", "--config", str(tmp_path / "absent.json")])
     assert code == 1
@@ -262,6 +273,25 @@ def test_error_sweep_rejects_a_model_or_mesh_the_basis_does_not_have(
     # the values of the basis itself are accepted
     assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
                     "--model", "chafee", "--mesh", "41", "--out", str(score)]) == 0
+
+
+@pytest.mark.parametrize("mu_train", [[12.0], None])
+def test_error_sweep_rejects_a_basis_whose_parameters_do_not_match_its_columns(
+        tmp_path, capsys, mu_train):
+    chafee = make_model("chafee", 41)
+    basis = BasisMatrix(chafee)
+    for guess in (chafee.default_guess, chafee.interpolate(lambda x: np.sin(2 * np.pi * x))):
+        basis.enrich(guess, 12.0)
+    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    meta = json.loads((tmp_path / "basis.json").read_text())
+    meta["mu_train"] = mu_train
+    (tmp_path / "basis.json").write_text(json.dumps(meta))
+    code = run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--out", str(tmp_path / "score")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot load basis" in err and "one parameter per column" in err
+    assert not (tmp_path / "score").exists()
 
 
 def test_error_sweep_rejects_missing_basis(tmp_path, capsys):

