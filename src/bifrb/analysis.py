@@ -25,7 +25,7 @@ __all__ = [
     "BranchPoint", "SolutionEnsemble", "solution_ensemble",
     "BifurcationDiagram", "ensemble_diagram",
     "relative_error", "ErrorRow", "ErrorSweep", "error_sweep", "error_vs_n",
-    "write_csv", "diagram_csv", "errors_csv", "error_vs_n_csv",
+    "write_csv", "diagram_csv", "errors_csv",
 ]
 
 # Two candidate matches closer than this in midpoint value are ambiguous.
@@ -318,7 +318,3 @@ def errors_csv(path, sweep: ErrorSweep) -> None:
     write_csv(path, ["mu", "branch", "reduced_error", "projection_error",
                      "estimator", "error_kind", "flag"],
               [r.to_dict() for r in sweep.rows])
-
-
-def error_vs_n_csv(path, table: list[dict]) -> None:
-    write_csv(path, ["n", "max_error", "avg_error", "n_flagged"], table)

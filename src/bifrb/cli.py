@@ -63,14 +63,14 @@ class RunConfig:
     train_size: int = 51
     test_size: int = 151
     strategy: str = "deflated"
-    n_max: int = 35
-    tol: float = 1e-3
-    estimator_kind: str = "auto_switch"
-    n_ref: int = 4
-    bif_tol: float = 1e-2
-    r: float = 2.0
-    sigma: float = 1.0
-    newton_tol: float = 1e-10
+    n_max: int = GreedyConfig.n_max
+    tol: float = GreedyConfig.tol
+    estimator_kind: str = GreedyConfig.estimator_kind.value
+    n_ref: int = AdaptiveConfig.n_ref
+    bif_tol: float = AdaptiveConfig.bif_tol
+    r: float = NewtonConfig.power_r
+    sigma: float = NewtonConfig.shift_sigma
+    newton_tol: float = NewtonConfig.tol
     out_dir: str = "out"
 
     def to_dict(self) -> dict:
@@ -149,7 +149,7 @@ def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
     else:
         train_oracle = solution_ensemble(model, space.train_points, cfg.newton())
         snapshots = [p.u for p in train_oracle.points]
-        result = pod_basis(model, snapshots, n_modes=pod_modes or cfg.n_max)
+        result = pod_basis(model, snapshots, cfg.n_max if pod_modes is None else pod_modes)
         payload = {
             "strategy": "pod",
             "status": "tolerance_met",  # no greedy stopping notion
@@ -268,19 +268,21 @@ def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
 
 def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
                 matched_n: bool) -> int:
-    if len(strategies) < 2:
-        print("compare requires at least 2 strategies", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    unknown = [s for s in strategies if s not in _STRATEGIES]
-    if unknown:
-        print(f"unknown strategy {unknown[0]!r}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if "pod" in strategies and n_modes is None and not matched_n:
-        print("compare with pod requires --n-modes or --matched-n", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if matched_n and "deflated" not in strategies:
-        print("--matched-n needs the deflated strategy in the comparison",
-              file=sys.stderr)
+    distinct = set(strategies)
+    unknown = sorted(distinct - set(_STRATEGIES))
+    problem = None
+    if len(distinct) < 2:
+        problem = f"compare requires at least 2 distinct strategies (got {sorted(distinct)})"
+    elif unknown:
+        problem = f"unknown strategy {unknown[0]!r}"
+    elif n_modes is not None and n_modes < 1:
+        problem = f"--n-modes must be >= 1 (got {n_modes})"
+    elif "pod" in distinct and n_modes is None and not matched_n:
+        problem = "compare with pod requires --n-modes or --matched-n"
+    elif matched_n and "deflated" not in distinct:
+        problem = "--matched-n needs the deflated strategy in the comparison"
+    if problem:
+        print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     model = make_model(cfg.model_kind, cfg.mesh_size)
@@ -288,7 +290,7 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
     oracle = _test_oracle(cfg, model)
 
     # The deflated run goes first so its final size can cap the pod modes.
-    ordered = sorted(set(strategies), key=lambda s: (s != "deflated", s))
+    ordered = sorted(distinct, key=lambda s: (s != "deflated", s))
     table: list[dict] = []
     summary: list[dict] = []
     matched = None

@@ -358,7 +358,7 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     basis, mu0, note, first_root = _initialize(model, space, cfg)
     # Full-order guesses of the root harvest, and reduced roots per parameter
     # from the last sweep, which warm-start the next one.
-    guesses, warm = RootSet(model.x_norm), {}
+    guesses, warm = RootSet(model.x_apply), {}
     for g in [*model.default_guesses, first_root]:
         guesses.add(g)
 
@@ -368,7 +368,7 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
         if not result.converged:
             return f"hf_{result.cause}"
         n_before = basis.n
-        roots = RootSet(model.x_norm)
+        roots = RootSet(model.x_apply)
         roots.add(result.u)
         enr = basis.enrich(result.u, entry.mu)
         guesses.add(result.u)

@@ -19,8 +19,9 @@ The power r and shift sigma are fields of `NewtonConfig`, so one config
 carries them to every deflated solve of an experiment, full-order or reduced.
 
 Full-order and reduced solvers share this engine and differ only in residual,
-Newton step and norms; the state norm measures steps and also decides root
-identity (`RootSet`).  `discover` is the one multi-root loop at a parameter,
+Newton step and state metric.  The known roots of a parameter live in one
+`RootSet`, built on that metric: its norm measures steps, it deflates, and it
+decides root identity.  `discover` is the one multi-root loop at a parameter,
 on top of either deflated solver, and `continuation` is the one sweep over
 parameters: each parameter starts from the previous parameter's roots.
 """
@@ -37,7 +38,6 @@ from .model import ParametricModel, form_norm
 __all__ = [
     "NewtonConfig",
     "SolveResult",
-    "DeflationOperator",
     "DeflationSingularity",
     "deflation_parameter_problems",
     "RootSet",
@@ -124,71 +124,29 @@ def _euclidean_norm(v: np.ndarray) -> float:
 
 
 @dataclass
-class DeflationOperator:
-    """Scalar deflation factor and its gradient for a fixed list of roots.
-
-    `metric` applies the SPD matrix of the distance inner product (the model's
-    banded `x_apply` for full-order states); None means `_euclidean_norm`, the
-    one Euclidean norm, for reduced coefficients (the basis is X-orthonormal).
-    """
-
-    roots: list
-    power_r: float = 2.0
-    shift_sigma: float = 1.0
-    metric: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        problems = deflation_parameter_problems(self.power_r, self.shift_sigma)
-        if problems:
-            raise ValueError("; ".join(problems))
-        self.roots = [np.asarray(u, dtype=float) for u in self.roots]
-
-    def _metric_diffs(self, y: np.ndarray) -> list[tuple[np.ndarray, float]]:
-        """(metric(y - u_i), ||y - u_i||) for every root u_i."""
-        out = []
-        for u in self.roots:
-            d = y - u
-            if self.metric is None:
-                out.append((d, _euclidean_norm(d)))
-            else:
-                md = self.metric(d)
-                out.append((md, form_norm(float(d @ md))))
-        return out
-
-    def distances(self, y: np.ndarray) -> list[float]:
-        return [dist for _, dist in self._metric_diffs(np.asarray(y, dtype=float))]
-
-    def factor_and_gradient(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """The deflation factor m(y) and its gradient, from one pass over the roots.
-
-        The gradient pairs with plain dot products against steps.
-        """
-        y = np.asarray(y, dtype=float)
-        terms = self._metric_diffs(y)
-        if any(dist < 1e-100 for _, dist in terms):
-            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
-        factors = [dist ** (-self.power_r) + self.shift_sigma for _, dist in terms]
-        m = 1.0
-        for f in factors:
-            m *= f
-        g = np.zeros_like(y)
-        for (md, dist), f in zip(terms, factors):
-            g += (m / f) * (-self.power_r) * dist ** (-self.power_r - 2.0) * md
-        return m, g
-
-
-@dataclass
 class RootSet:
-    """Distinct solutions of one parameter value, with the distinctness guard.
+    """Distinct solutions of one parameter value: the distinctness guard and deflation.
 
-    Two states are the same root when norm(a - b) <= DISTINCTNESS_THRESHOLD *
-    max(1, norm(a), norm(b)); `norm` is the model's `x_norm` for full-order
-    states and the Euclidean norm for reduced coefficient vectors.  `add`
-    silently refuses duplicates and reports whether it added.
+    `metric` applies the SPD matrix of the state inner product: the model's
+    banded `x_apply` for full-order states, None for reduced coefficients,
+    whose norm is then `_euclidean_norm` (the basis is X-orthonormal).  Two
+    states are the same root when norm(a - b) <= DISTINCTNESS_THRESHOLD *
+    max(1, norm(a), norm(b)); `add` silently refuses duplicates and reports
+    whether it added.
     """
 
-    norm: Callable[[np.ndarray], float]
+    metric: Callable[[np.ndarray], np.ndarray] | None = None
     roots: list = field(default_factory=list)
+
+    def _measured(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """(metric(v), ||v||), with metric(v) = v when there is no metric."""
+        if self.metric is None:
+            return v, _euclidean_norm(v)
+        mv = self.metric(v)
+        return mv, form_norm(float(v @ mv))
+
+    def norm(self, v: np.ndarray) -> float:
+        return self._measured(v)[1]
 
     def is_distinct(self, u: np.ndarray) -> bool:
         nu = self.norm(u)
@@ -210,30 +168,65 @@ class RootSet:
     def __iter__(self):
         return iter(self.roots)
 
+    def distances(self, y: np.ndarray) -> list[float]:
+        y = np.asarray(y, dtype=float)
+        return [self.norm(y - u) for u in self.roots]
+
+    def factor_and_gradient(self, y: np.ndarray, power_r: float,
+                            shift_sigma: float) -> tuple[float, np.ndarray]:
+        """The deflation factor m(y) and its gradient, from one pass over the roots.
+
+        The gradient pairs with plain dot products against steps.
+        """
+        y = np.asarray(y, dtype=float)
+        terms = [self._measured(y - u) for u in self.roots]
+        if any(dist < 1e-100 for _, dist in terms):
+            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
+        factors = [dist ** (-power_r) + shift_sigma for _, dist in terms]
+        m = 1.0
+        for f in factors:
+            m *= f
+        g = np.zeros_like(y)
+        for (md, dist), f in zip(terms, factors):
+            g += (m / f) * (-power_r) * dist ** (-power_r - 2.0) * md
+        return m, g
+
+
+def _deflation_roots(roots, metric, cfg: NewtonConfig) -> RootSet:
+    """`roots` (a RootSet or list of states) as a RootSet in `metric`, not copied.
+
+    Raises ValueError for an invalid cfg r or sigma, also with no roots.
+    """
+    problems = deflation_parameter_problems(cfg.power_r, cfg.shift_sigma)
+    if problems:
+        raise ValueError("; ".join(problems))
+    if isinstance(roots, RootSet) and roots.metric == metric:
+        return roots
+    return RootSet(metric, [np.asarray(u, dtype=float) for u in roots])
+
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
-                 deflation: DeflationOperator | None = None) -> SolveResult:
+def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet) -> SolveResult:
     """Shared engine for all four solver entry points (full/reduced x plain/deflated).
 
     `step_fn(y, r)` returns the plain Newton step du solving Jac(y) du = -r:
     a banded solve for full-order states, a dense N x N solve for reduced
     ones.  A LinAlgError from it is reported as "singular_jacobian" and a
     non-finite du as "nonfinite_step".  `residual_norm` is the dual norm of
-    the residual and decides convergence against cfg.tol.  `norm` measures
-    steps, iterates and, through a `RootSet`, whether a converged iterate is
-    a deflated root.  A run whose (deflated) step norm has not fallen below
-    half its best value for NO_PROGRESS_WINDOW iterations in a row ends
-    "no_progress".  Overflow during divergence is expected and handled
-    through the norm checks, so numpy warnings stay silenced for the whole
-    iteration.
+    the residual and decides convergence against cfg.tol.  `roots.norm`
+    measures steps and iterates; a non-empty `roots` deflates each step with
+    cfg's r and sigma and rejects a converged iterate that is one of them.
+    With no roots the deflation factor would be 1 and the step scaling
+    exactly 1.0, so plain runs skip it.  A run whose (deflated) step norm
+    has not fallen below half its best value for NO_PROGRESS_WINDOW
+    iterations in a row ends "no_progress".  Overflow during divergence is
+    expected and handled through the norm checks, so numpy warnings stay
+    silenced for the whole iteration.
     """
+    norm = roots.norm
     y = np.array(guess, dtype=float).copy()
-    known = None
-    if deflation is not None and deflation.roots:
-        known = RootSet(norm, deflation.roots)
-        if min(deflation.distances(y)) <= 1e-12 * max(1.0, norm(y)):
-            return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
+    if roots and min(roots.distances(y)) <= 1e-12 * max(1.0, norm(y)):
+        return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
 
     r = residual_fn(y)
     rnorm = residual_norm(r)
@@ -242,7 +235,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
         if not np.isfinite(rnorm):
             return SolveResult(y, False, k, rnorm, "nonfinite_residual")
         if rnorm < cfg.tol:
-            if known is not None and not known.is_distinct(y):
+            if roots and not roots.is_distinct(y):
                 return SolveResult(y, False, k, rnorm, "converged_to_known_root")
             return SolveResult(y, True, k, rnorm, None)
         if k == cfg.max_iter:
@@ -253,9 +246,9 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
             return SolveResult(y, False, k, rnorm, "singular_jacobian")
         if not np.all(np.isfinite(du)):
             return SolveResult(y, False, k, rnorm, "nonfinite_step")
-        if deflation is not None:
+        if roots:
             try:
-                m, grad = deflation.factor_and_gradient(y)
+                m, grad = roots.factor_and_gradient(y, cfg.power_r, cfg.shift_sigma)
             except DeflationSingularity:
                 return SolveResult(y, False, k, rnorm, "deflation_singular_guess")
             denom = 1.0 - float(grad @ du) / m
@@ -278,7 +271,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, norm, residual_norm,
 
 
 def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfig,
-                      deflation: DeflationOperator | None = None) -> SolveResult:
+                      roots: RootSet) -> SolveResult:
     """`_newton_core` on the full-order system, one Gauss evaluation per iterate.
 
     Every new iterate is pinned on the model, so its residual and the
@@ -290,7 +283,7 @@ def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfi
 
     try:
         return _newton_core(residual, lambda y, r: model.newton_step(y, mu, r), guess, cfg,
-                            model.x_norm, model.x_dual_norm, deflation)
+                            model.x_dual_norm, roots)
     finally:
         model.pin(None)
 
@@ -298,7 +291,7 @@ def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfi
 def newton(model: ParametricModel, mu: float, guess: np.ndarray,
            cfg: NewtonConfig | None = None) -> SolveResult:
     """Full-order Newton; converges when the dual norm of the residual drops below cfg.tol."""
-    return _full_order_solve(model, mu, guess, cfg or NewtonConfig())
+    return _full_order_solve(model, mu, guess, cfg or NewtonConfig(), RootSet(model.x_apply))
 
 
 def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
@@ -306,13 +299,10 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     """Full-order Newton repelled from `roots` (a RootSet or list of states).
 
     The deflation power and shift are `cfg.power_r` and `cfg.shift_sigma`.
-    With an empty root list this reproduces `newton` bit for bit: the deflation
-    factor is the empty product 1 and the step scaling is exactly 1.0.
+    With an empty root list this reproduces `newton` bit for bit.
     """
     cfg = cfg or NewtonConfig()
-    return _full_order_solve(
-        model, mu, guess, cfg,
-        DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=model.x_apply))
+    return _full_order_solve(model, mu, guess, cfg, _deflation_roots(roots, model.x_apply, cfg))
 
 
 def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
@@ -356,4 +346,4 @@ def discover_solutions(model: ParametricModel, mu: float, guesses,
         raise ValueError("discover_solutions needs at least one initial guess")
     return discover(
         lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
-        guesses, RootSet(model.x_norm))
+        guesses, RootSet(model.x_apply))

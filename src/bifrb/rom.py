@@ -19,9 +19,9 @@ Newton iterates on coefficient vectors and converges when ||G_N||_2 drops
 below the tolerance: since the basis is X-orthonormal, that is the dual norm
 of the Galerkin residual on span(B), the criterion of the full-order solvers.
 For the same reason the Euclidean norm of a coefficient vector is the X-norm
-of its lift, so steps, root distances in deflation, the "no_progress" exit
-and the distinctness rule all use the Euclidean norm, `nlsolve._euclidean_norm`;
-otherwise the reduced solvers and root discovery are the full-order ones of
+of its lift, so reduced roots live in a `RootSet` without metric: steps, root
+distances in deflation, "no_progress" and distinctness all use that norm.
+Otherwise the reduced solvers and root discovery are the full-order ones of
 `nlsolve`, and sweeps run `reduced_root` (one branch) or
 `discover_reduced_solutions` (all branches) through `nlsolve.continuation`.
 """
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ParametricModel, make_model
-from .nlsolve import (DeflationOperator, NewtonConfig, RootSet, SolveResult,
+from .nlsolve import (NewtonConfig, RootSet, SolveResult, _deflation_roots,
                       _euclidean_norm, _newton_core, discover)
 
 __all__ = [
@@ -206,28 +206,27 @@ def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarr
 
 
 def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,
-                   deflation: DeflationOperator | None = None) -> SolveResult:
+                   roots: RootSet) -> SolveResult:
     """`_newton_core` on the reduced system, Euclidean norms throughout."""
     if basis.n == 0:
         raise ValueError("reduced solve requires a nonempty basis")
     return _newton_core(
         lambda y: reduced_residual(basis, y, mu),
         lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, _euclidean_norm, _euclidean_norm, deflation)
+        guess, cfg, _euclidean_norm, roots)
 
 
 def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                    cfg: NewtonConfig | None = None) -> SolveResult:
     """Newton on the reduced system; converges on the Euclidean (dual) norm of G_N."""
-    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig())
+    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig(), RootSet())
 
 
 def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                             roots, cfg: NewtonConfig | None = None) -> SolveResult:
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
     cfg = cfg or NewtonConfig()
-    return _reduced_solve(basis, mu, guess, cfg,
-                          DeflationOperator(roots, cfg.power_r, cfg.shift_sigma, metric=None))
+    return _reduced_solve(basis, mu, guess, cfg, _deflation_roots(roots, None, cfg))
 
 
 def reduced_root(basis: BasisMatrix, mu: float, guesses,
@@ -246,5 +245,5 @@ def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
     cfg = cfg or NewtonConfig()
     return discover(
         lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg),
-        guesses, RootSet(_euclidean_norm)).roots
+        guesses, RootSet()).roots
 

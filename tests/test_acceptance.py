@@ -17,13 +17,16 @@ from bifrb.estimators import EstimatorKind, discover_reduced_solutions
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           adaptive_greedy, deflated_greedy, vanilla_greedy)
 from bifrb.model import ParameterSpace
-from bifrb.nlsolve import DeflationOperator, discover_solutions, newton
+from bifrb.nlsolve import NewtonConfig, RootSet, discover_solutions, newton
 from bifrb.pod import branchwise_pod, pod_basis
 from bifrb.rom import BasisMatrix, reduced_jacobian, reduced_residual
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 PI_SQ = float(np.pi ** 2)
+
+# The deflation power r and shift sigma of every solve at default settings.
+DEFLATION = (NewtonConfig.power_r, NewtonConfig.shift_sigma)
 
 VERDICTS: list[str] = []
 TIMES: dict[str, float] = {}
@@ -259,8 +262,7 @@ def test_criterion_4_baseline_failure(chafee_fine, ci_space, ci_run,
 def _hf_deflated_steps(model, mu, guess, roots, cap=15):
     """Per-step relative gap between the scalar-update step and the dense
     rank-one solve along a full-order deflated trajectory."""
-    op = DeflationOperator([np.asarray(r) for r in roots],
-                          metric=model.x_apply)
+    op = RootSet(model.x_apply, [np.asarray(r) for r in roots])
     y = np.asarray(guess, dtype=float).copy()
     rels = []
     for _ in range(cap):
@@ -269,7 +271,7 @@ def _hf_deflated_steps(model, mu, guess, roots, cap=15):
             break
         jac = model.jacobian(y, mu)
         du = np.linalg.solve(jac, -res)
-        m, g = op.factor_and_gradient(y)
+        m, g = op.factor_and_gradient(y, *DEFLATION)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -286,7 +288,7 @@ def _hf_deflated_steps(model, mu, guess, roots, cap=15):
 def _rb_deflated_steps(basis, mu, guess, roots, cap=15):
     # Coordinates of an X-orthonormal basis: the Euclidean norm here is the
     # X-norm of the lifted vector.
-    op = DeflationOperator([np.asarray(r) for r in roots], metric=None)
+    op = RootSet(None, [np.asarray(r) for r in roots])
     y = np.asarray(guess, dtype=float).copy()
     rels = []
     for _ in range(cap):
@@ -295,7 +297,7 @@ def _rb_deflated_steps(basis, mu, guess, roots, cap=15):
             break
         jac = reduced_jacobian(basis, y, mu)
         du = np.linalg.solve(jac, -res)
-        m, g = op.factor_and_gradient(y)
+        m, g = op.factor_and_gradient(y, *DEFLATION)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -480,16 +482,16 @@ def test_criterion_8_derivative_consistency(chafee, bratu):
         base = rng.normal(0.0, 0.5, dim)
         roots = [base + rng.normal(0.0, 0.3, dim) for _ in range(1 + k % 3)]
         metric = chafee.x_apply if k % 2 else None
-        op = DeflationOperator(roots, metric=metric)
+        op = RootSet(metric, roots)
         u = base + rng.normal(0.0, 0.2, dim)
-        grad = op.factor_and_gradient(u)[1]
+        grad = op.factor_and_gradient(u, *DEFLATION)[1]
         h = 1e-5
         fd = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = h
-            fd[j] = (op.factor_and_gradient(u + e)[0]
-                     - op.factor_and_gradient(u - e)[0]) / (2 * h)
+            fd[j] = (op.factor_and_gradient(u + e, *DEFLATION)[0]
+                     - op.factor_and_gradient(u - e, *DEFLATION)[0]) / (2 * h)
         worst_grad = max(worst_grad, np.linalg.norm(fd - grad)
                          / max(np.linalg.norm(grad), 1e-30))
 

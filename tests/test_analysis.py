@@ -6,9 +6,8 @@ import pytest
 
 from bifrb.analysis import (BranchPoint, ErrorRow, ErrorSweep, _assign_labels,
                             _match_flags, diagram_csv, ensemble_diagram,
-                            error_sweep, error_vs_n, error_vs_n_csv,
-                            errors_csv, relative_error, solution_ensemble,
-                            write_csv)
+                            error_sweep, error_vs_n, errors_csv,
+                            relative_error, solution_ensemble, write_csv)
 from bifrb.nlsolve import newton
 from bifrb.rom import BasisMatrix
 
@@ -203,11 +202,6 @@ def test_csv_writers_emit_expected_headers(tmp_path, chafee, pitchfork_ensemble,
     errors_csv(tmp_path / "errors.csv", sweep)
     head = (tmp_path / "errors.csv").read_text().splitlines()[0]
     assert head == "mu,branch,reduced_error,projection_error,estimator,error_kind,flag"
-
-    error_vs_n_csv(tmp_path / "table.csv", [
-        {"n": 1, "max_error": 0.5, "avg_error": 0.25, "n_flagged": 0}])
-    head = (tmp_path / "table.csv").read_text().splitlines()[0]
-    assert head == "n,max_error,avg_error,n_flagged"
 
 
 def test_error_rows_round_trip_to_dicts():

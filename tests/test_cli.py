@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from bifrb.cli import RunConfig, main
+from bifrb.cli import RunConfig, _greedy_config, main
+from bifrb.estimators import EstimatorKind
+from bifrb.greedy import AdaptiveConfig, GreedyConfig
 from bifrb.model import make_model
-from bifrb.nlsolve import DeflationOperator
+from bifrb.nlsolve import NewtonConfig, RootSet
 from bifrb.rom import BasisMatrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -314,6 +316,32 @@ def test_compare_argument_validation(tmp_path, capsys):
     assert "needs the deflated strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_modes", ["-1", "0"])
+def test_compare_rejects_a_mode_count_below_one(tmp_path, capsys, n_modes):
+    out = tmp_path / "o"
+    code = run_cli(["compare", "--strategies", "deflated,pod", "--n-modes", n_modes]
+                   + FAST + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: --n-modes must be >= 1 (got {n_modes})")
+    assert not out.exists()
+
+
+def test_compare_needs_two_distinct_strategies(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["compare", "--strategies", "deflated,deflated"]
+                   + FAST + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: compare requires at least 2 distinct")
+    assert not out.exists()
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.newton() == NewtonConfig()
+    assert _greedy_config(cfg) == GreedyConfig()
+    assert EstimatorKind(cfg.estimator_kind) is GreedyConfig().estimator_kind
+    assert AdaptiveConfig(n_ref=cfg.n_ref, bif_tol=cfg.bif_tol) == AdaptiveConfig()
+
+
 def test_compare_matched_n_table(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(["compare", "--model", "chafee",
@@ -332,16 +360,16 @@ def test_compare_matched_n_table(tmp_path, capsys):
 
 
 def test_deflation_flags_reach_every_deflated_solve(tmp_path, monkeypatch):
-    """--r/--sigma govern every deflation operator a command builds: the greedy,
+    """--r/--sigma govern every deflated step a command takes: the greedy,
     the test-grid oracle, the diagram and compare's reduced discovery."""
     seen = []
-    post_init = DeflationOperator.__post_init__
+    pair = RootSet.factor_and_gradient
 
-    def spy(self):
-        seen.append((self.power_r, self.shift_sigma))
-        post_init(self)
+    def spy(self, y, power_r, shift_sigma):
+        seen.append((power_r, shift_sigma))
+        return pair(self, y, power_r, shift_sigma)
 
-    monkeypatch.setattr(DeflationOperator, "__post_init__", spy)
+    monkeypatch.setattr(RootSet, "factor_and_gradient", spy)
     flags = ["--model", "chafee", "--r", "3", "--sigma", "0.5"] + FAST
     build = str(tmp_path / "build")
     commands = [

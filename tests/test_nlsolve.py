@@ -1,12 +1,13 @@
-"""Newton iteration, deflation operator, and multi-root discovery."""
+"""Newton iteration, the root set's deflation, and multi-root discovery."""
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
 
 from bifrb.model import Bratu1D, make_model
-from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationOperator, DeflationSingularity,
-                           NewtonConfig, RootSet, continuation, deflated_newton,
-                           discover_solutions, newton)
+from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationSingularity, NewtonConfig,
+                           RootSet, continuation, deflated_newton, discover_solutions,
+                           newton)
+from bifrb.rom import BasisMatrix, reduced_deflated_newton
 
 DIVERGENCE_CAUSES = {
     "nonfinite_residual",
@@ -106,73 +107,95 @@ def test_broken_jacobian_at_mesh_1_is_reported_not_raised(value, cause):
 def test_euclidean_deflation_distances_are_numpys_norm(rng):
     roots = [rng.standard_normal(4) for _ in range(3)]
     y = rng.standard_normal(4)
-    assert DeflationOperator(roots).distances(y) == [float(np.linalg.norm(y - u)) for u in roots]
+    assert RootSet(None, roots).distances(y) == [float(np.linalg.norm(y - u)) for u in roots]
 
 
 def test_deflation_scalar_matches_manual_product(rng):
     u1 = rng.standard_normal(5)
     u2 = rng.standard_normal(5)
     y = rng.standard_normal(5)
-    op = DeflationOperator([u1, u2], power_r=2.0, shift_sigma=0.7)
+    op = RootSet(None, [u1, u2])
     d1 = np.linalg.norm(y - u1)
     d2 = np.linalg.norm(y - u2)
     manual = (d1**-2.0 + 0.7) * (d2**-2.0 + 0.7)
-    assert np.isclose(op.factor_and_gradient(y)[0], manual, rtol=1e-13)
+    assert np.isclose(op.factor_and_gradient(y, 2.0, 0.7)[0], manual, rtol=1e-13)
 
 
 def test_deflation_scalar_with_energy_metric(bratu, rng):
     u1 = rng.standard_normal(bratu.mesh_size)
     y = rng.standard_normal(bratu.mesh_size)
-    op = DeflationOperator([u1], metric=bratu.x_apply)
+    op = RootSet(bratu.x_apply, [u1])
     X = stiffness_matrix(bratu.mesh_size)
     d = np.sqrt((y - u1) @ X @ (y - u1))
-    assert np.isclose(op.factor_and_gradient(y)[0], d**-2.0 + 1.0, rtol=1e-12)
+    assert np.isclose(op.factor_and_gradient(y, 2.0, 1.0)[0], d**-2.0 + 1.0, rtol=1e-12)
 
 
 def test_deflation_gradient_matches_finite_differences(rng):
     roots = [rng.standard_normal(8) for _ in range(3)]
-    op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5)
+    op = RootSet(None, roots)
     y = rng.standard_normal(8) + 4.0  # keep away from the roots
-    grad = op.factor_and_gradient(y)[1]
+    grad = op.factor_and_gradient(y, 3.0, 0.5)[1]
     eps = 1e-6
     for i in range(8):
         e = np.zeros(8)
         e[i] = eps
-        fd = (op.factor_and_gradient(y + e)[0] - op.factor_and_gradient(y - e)[0]) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e, 3.0, 0.5)[0]
+              - op.factor_and_gradient(y - e, 3.0, 0.5)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
 def test_deflation_gradient_with_metric_matches_finite_differences(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size)]
-    op = DeflationOperator(roots, metric=bratu.x_apply)
+    op = RootSet(bratu.x_apply, roots)
     y = rng.standard_normal(bratu.mesh_size)
-    grad = op.factor_and_gradient(y)[1]
+    grad = op.factor_and_gradient(y, 2.0, 1.0)[1]
     eps = 1e-7
     for i in rng.choice(bratu.mesh_size, size=10, replace=False):
         e = np.zeros(bratu.mesh_size)
         e[i] = eps
-        fd = (op.factor_and_gradient(y + e)[0] - op.factor_and_gradient(y - e)[0]) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e, 2.0, 1.0)[0]
+              - op.factor_and_gradient(y - e, 2.0, 1.0)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-5 * max(1.0, abs(grad[i]))
 
 
-def test_deflation_singularity_and_validation(rng):
+def test_deflation_singularity_and_validation(chafee, rng):
     u1 = rng.standard_normal(4)
-    op = DeflationOperator([u1])
+    op = RootSet(None, [u1])
     with pytest.raises(DeflationSingularity):
-        op.factor_and_gradient(u1.copy())
-    assert op.factor_and_gradient(np.zeros(4) + 10.0)[1].shape == (4,)
-    with pytest.raises(ValueError):
-        DeflationOperator([u1], power_r=0.5)
-    with pytest.raises(ValueError):
-        DeflationOperator([u1], shift_sigma=0.0)
+        op.factor_and_gradient(u1.copy(), 2.0, 1.0)
+    assert op.factor_and_gradient(np.zeros(4) + 10.0, 2.0, 1.0)[1].shape == (4,)
+    # every deflated entry point rejects a bad r or sigma, with or without roots
+    mu = 12.0
+    root = newton(chafee, mu, chafee.default_guesses[0])
+    basis = BasisMatrix(chafee)
+    basis.enrich(root.u, mu)
+    for cfg in (NewtonConfig(power_r=0.5), NewtonConfig(shift_sigma=0.0)):
+        for roots in ([], [root.u]):
+            with pytest.raises(ValueError, match="deflation"):
+                deflated_newton(chafee, mu, chafee.default_guesses[1], roots, cfg)
+            with pytest.raises(ValueError, match="deflation"):
+                reduced_deflated_newton(basis, mu, basis.project(root.u),
+                                        [basis.project(u) for u in roots], cfg)
+        # plain Newton never deflates, so it ignores r and sigma
+        plain = newton(chafee, mu, chafee.default_guesses[0], cfg)
+        assert plain.converged and np.array_equal(plain.u, root.u)
+
+
+def test_root_set_norm_is_the_models_x_norm(chafee, rng):
+    roots = RootSet(chafee.x_apply)
+    m = chafee.mesh_size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in (rng.standard_normal(m), np.full(m, np.nan), np.full(m, 1e200),
+                  np.zeros(m)):
+            assert roots.norm(v) == chafee.x_norm(v)
 
 
 def test_factor_and_gradient_in_one_pass(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size) for _ in range(3)]
     y = rng.standard_normal(bratu.mesh_size)
     for metric in (None, bratu.x_apply):
-        op = DeflationOperator(roots, power_r=3.0, shift_sigma=0.5, metric=metric)
-        m, _ = op.factor_and_gradient(y)
+        op = RootSet(metric, roots)
+        m, _ = op.factor_and_gradient(y, 3.0, 0.5)
         manual = 1.0
         for d in op.distances(y):
             manual *= d**-3.0 + 0.5
@@ -184,13 +207,13 @@ def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
     mu = 12.0
     root = newton(chafee, mu, chafee.default_guesses[0]).u
     calls = {"pair": 0}
-    pair = DeflationOperator.factor_and_gradient
+    pair = RootSet.factor_and_gradient
 
-    def counted(self, y):
+    def counted(self, y, power_r, shift_sigma):
         calls["pair"] += 1
-        return pair(self, y)
+        return pair(self, y, power_r, shift_sigma)
 
-    monkeypatch.setattr(DeflationOperator, "factor_and_gradient", counted)
+    monkeypatch.setattr(RootSet, "factor_and_gradient", counted)
     res = deflated_newton(chafee, mu, chafee.default_guesses[1], [root])
     assert res.converged
     assert calls["pair"] == res.iterations
@@ -211,12 +234,12 @@ def test_sherman_morrison_step_equals_dense_rank_one_solve(chafee, rng):
     # assembled deflated Jacobian m*J + G grad(m)^T
     mu = 12.0
     root = newton(chafee, mu, chafee.default_guesses[0]).u
-    op = DeflationOperator([root], metric=chafee.x_apply)
+    op = RootSet(chafee.x_apply, [root])
     for _ in range(10):
         y = rng.standard_normal(chafee.mesh_size) * 0.3
         G = chafee.residual(y, mu)
         J = chafee.jacobian(y, mu)
-        m, g = op.factor_and_gradient(y)
+        m, g = op.factor_and_gradient(y, 2.0, 1.0)
         dense = np.linalg.solve(m * J + np.outer(G, g), -m * G)
         du = np.linalg.solve(J, -G)
         sm = du / (1.0 - float(g @ du) / m)
@@ -241,7 +264,7 @@ def test_deflated_newton_rejects_guess_on_root(chafee):
 
 
 def test_root_set_distinctness_guard(bratu, rng):
-    roots = RootSet(bratu.x_norm)
+    roots = RootSet(bratu.x_apply)
     u = rng.standard_normal(bratu.mesh_size)
     assert roots.add(u)
     assert not roots.add(u + 1e-9 * rng.standard_normal(bratu.mesh_size))
@@ -251,7 +274,7 @@ def test_root_set_distinctness_guard(bratu, rng):
 
 
 def test_root_set_scales_threshold_with_norm(bratu):
-    roots = RootSet(bratu.x_norm)
+    roots = RootSet(bratu.x_apply)
     big = np.full(bratu.mesh_size, 50.0)
     roots.add(big)
     # absolute perturbation below threshold * ||big||_X counts as the same root
@@ -259,7 +282,7 @@ def test_root_set_scales_threshold_with_norm(bratu):
 
 
 def test_root_set_applies_the_same_rule_to_coefficient_vectors():
-    roots = RootSet(np.linalg.norm)
+    roots = RootSet()
     big = np.array([60.0, 80.0])  # norm 100: the threshold scales to 1e-4
     assert roots.add(big)
     assert not roots.add(big + [0.0, 9e-5])
