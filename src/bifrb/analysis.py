@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .estimators import nonlinear_estimate
 from .model import ParametricModel
 from .nlsolve import NewtonConfig, continuation, discover_solutions
-from .rom import BasisMatrix, discover_reduced_solutions, reduced_root
+from .rom import BasisMatrix, discover_reduced_solutions, reduced_morse_index, reduced_root
 
 __all__ = [
     "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
@@ -103,16 +104,18 @@ def solution_ensemble(model: ParametricModel, mus,
                       cfg: NewtonConfig | None = None) -> SolutionEnsemble:
     """Deflated discovery swept over the grid with continuation.
 
-    At each parameter the guesses are the previous parameter's roots followed
-    by the model battery (`nlsolve.continuation`), so established branches
-    are tracked and new ones are opened as deflation exposes them.
+    At each parameter the guesses are the previous parameter's roots, followed
+    by the model battery where a branch can be born, as the Morse indices of
+    the roots tell (`nlsolve.continuation`), so established branches are
+    tracked and new ones are opened as deflation exposes them.
     """
     cfg = cfg or NewtonConfig()
     points: list[BranchPoint] = []
     prev: list[BranchPoint] = []
     next_label = 0
-    for mu, roots in continuation(lambda mu, guesses: discover_solutions(model, mu, guesses, cfg),
-                                  mus, model.default_guesses):
+    for mu, roots in continuation(
+            lambda mu, guesses, roots: discover_solutions(model, mu, guesses, cfg, roots),
+            mus, model.default_guesses, count=model.morse_index):
         values = [model.midpoint_value(u) for u in roots]
         labels, next_label = _assign_labels(values, prev, next_label)
         here = [BranchPoint(mu, lab, u, v)
@@ -226,14 +229,19 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                 deflate: bool = True) -> ErrorSweep:
     """Reduced vs full-order errors over a test grid, matched per branch.
 
-    With deflate on, every reduced root reachable from the carried and
-    projected batteries is found and each reference branch is matched to the
-    reduced root with the nearest midpoint value.  With deflate off a single
-    continuation-seeded solve stands in for all branches, which is the honest
-    way to score a basis built by a single-branch method.  Each row also
-    carries the best-approximation projection error and the a-posteriori
-    bound evaluated at the matched reduced solution.  An empty basis scores
-    the zero state; references left without a reduced root are "diverged".
+    With deflate on, every reduced root reachable from the carried roots and
+    the projected battery (run where the reduced Morse indices tell a branch
+    can be born, `nlsolve.continuation`) is found and each reference branch
+    is matched to the reduced root with the nearest midpoint value.  A
+    reduced root connected to no tracked reduced branch (a spurious isola of
+    the basis) is found, and flagged by the matching, only at the parameters
+    where the battery runs; elsewhere it goes unscored.  With
+    deflate off a single continuation-seeded solve stands in for all
+    branches, which is the honest way to score a basis built by a
+    single-branch method.  Each row also carries the best-approximation
+    projection error and the a-posteriori bound evaluated at the matched
+    reduced solution.  An empty basis scores the zero state; references left
+    without a reduced root are "diverged".
     """
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
@@ -242,10 +250,11 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     battery = [basis.project(g)
                for g in (model.default_guesses if deflate else [model.default_guess])]
 
-    def solve_at(mu, guesses):
-        return solve(basis, mu, guesses, cfg) if basis.n else []
+    def solve_at(mu, guesses, roots):
+        return solve(basis, mu, guesses, cfg, roots) if basis.n else []
 
-    for mu, roots in continuation(solve_at, tested, battery):
+    count = partial(reduced_morse_index, basis) if deflate else None
+    for mu, roots in continuation(solve_at, tested, battery, count=count):
         refs = oracle.at(mu)
         lifted = [basis.lift(r) for r in roots]
         values = [model.midpoint_value(u) for u in lifted]

@@ -22,14 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstev
+from scipy.linalg.lapack import dpttrf, dpttrs, dstev
 
-from .model import ParametricModel
+from .model import ParametricModel, sturm_count
 from .nlsolve import NewtonConfig, continuation
-from .rom import BasisMatrix, discover_reduced_solutions, reduced_root
+from .rom import BasisMatrix, discover_reduced_solutions, reduced_morse_index, reduced_root
 
 __all__ = [
     "BETA_FLOOR",
@@ -66,9 +67,8 @@ def _pencil_inf_sup(a: np.ndarray, b: np.ndarray) -> float:
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
 
-    def near(s: float) -> bool:  # some |lam| <= s?  ABSTOL = 1e300: dstebz only counts
-        n = [dstebz(p[1], p[0, o:], 1, -1e300, 0, 0, 0, 1e300, "B") for p in (a - s * b, a + s * b)]
-        return n[0][0] > n[1][0]  # pencil eigenvalues <= s, <= -s: Sylvester's law of inertia
+    def near(s: float) -> bool:  # some |lam| <= s?  pencil eigenvalues <= s against <= -s
+        return sturm_count(a - s * b) > sturm_count(a + s * b)
 
     qs, bqs = np.empty((2, min(m, 32), m))  # Lanczos vectors and B times them, as rows
     q = dpttrs(b_d, b_e, c := 1.0 + np.cos(2.39996 * np.arange(m)))[0]  # see `inf_sup`
@@ -262,15 +262,17 @@ def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     The guesses at each parameter are, in order (`nlsolve.continuation`), the
     roots of the previous parameter, the warm starts `warm[mu]` (reduced roots
     of an earlier sweep, zero-padded to the current basis size, which lifts
-    them to the same full-order states), and the projected model battery.
-    The roots found at mu replace `warm[mu]`, so the next sweep warm-starts.
+    them to the same full-order states), and, where the reduced Morse indices
+    tell a branch can be born, the projected model battery.  The roots found
+    at mu replace `warm[mu]`, so the next sweep warm-starts.
     """
     if warm is not None:
         for mu, roots in warm.items():
             warm[mu] = [np.concatenate([r, np.zeros(basis.n - len(r))]) for r in roots]
     battery = [basis.project(g) for g in model.default_guesses]
-    sweep = continuation(lambda mu, guesses: discover_reduced_solutions(basis, mu, guesses, cfg),
-                         mus, battery, warm)
+    sweep = continuation(
+        lambda mu, guesses, roots: discover_reduced_solutions(basis, mu, guesses, cfg, roots),
+        mus, battery, warm, partial(reduced_morse_index, basis))
     entries = [e for mu, roots in sweep for e in _entries(model, basis, mu, roots)]
     return EstimatorSet(entries, kind)
 
@@ -294,8 +296,9 @@ def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     """
     default = [basis.project(model.default_guess)]
     out = []
-    for mu, roots in continuation(lambda mu, guesses: reduced_root(basis, mu, guesses, cfg),
-                                  mus, default):
+    for mu, roots in continuation(
+            lambda mu, guesses, roots: reduced_root(basis, mu, guesses, cfg, roots),
+            mus, default):
         beta = inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf
         out.append(BetaEntry(mu, beta, bool(roots)))
     return out

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dgtsv, dpbtrs
+from scipy.linalg.lapack import dgtsv, dpbtrs, dstebz
 
 __all__ = [
     "ModelKind",
@@ -39,6 +39,7 @@ __all__ = [
     "ChafeeInfante1D",
     "make_model",
     "form_norm",
+    "sturm_count",
     "RHO4",
 ]
 
@@ -226,6 +227,10 @@ class ParametricModel:
             raise np.linalg.LinAlgError("singular matrix")
         return du
 
+    def morse_index(self, u: np.ndarray, mu: float) -> int:
+        """Number of eigenvalues <= 0 of Jac(u; mu), by one Sturm count on its bands."""
+        return sturm_count(self.jacobian_bands(u, mu))
+
     # -- geometry -----------------------------------------------------------
 
     def x_apply(self, v: np.ndarray) -> np.ndarray:
@@ -370,6 +375,17 @@ def form_norm(q: float) -> float:
     """sqrt(q) of a quadratic form q = v^T A v, A SPD, or inf when q overflowed to
     +-inf/nan, so a huge state takes the solvers' divergence path, not a zero norm."""
     return math.sqrt(max(q, 0.0)) if math.isfinite(q) else math.inf
+
+
+def sturm_count(bands: np.ndarray) -> int:
+    """Number of eigenvalues <= 0 of a symmetric tridiagonal (3, m) band array.
+
+    One Sturm sequence, O(m): `dstebz` with ABSTOL = 1e300 only counts.  By
+    Sylvester's law of inertia the count of A - s B, B SPD, is the number of
+    pencil eigenvalues A v = lam B v at or below s.
+    """
+    o = min(bands.shape[1] - 1, 1)  # LAPACK wants an off-diagonal even at m = 1
+    return dstebz(bands[1], bands[0, o:], 1, -1e300, 0, 0, 0, 1e300, "B")[0]
 
 
 def _expand_bands(bands: np.ndarray) -> np.ndarray:

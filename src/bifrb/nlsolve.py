@@ -23,7 +23,8 @@ Newton step and state metric.  The known roots of a parameter live in one
 `RootSet`, built on that metric: its norm measures steps, it deflates, and it
 decides root identity.  `discover` is the one multi-root loop at a parameter,
 on top of either deflated solver, and `continuation` is the one sweep over
-parameters: each parameter starts from the previous parameter's roots.
+parameters: each parameter starts from the previous parameter's roots and
+runs the guess battery only where a branch can be born.
 """
 from __future__ import annotations
 
@@ -322,28 +323,61 @@ def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
     return found
 
 
-def continuation(solve_at, mus, battery, warm: dict | None = None):
-    """Yield (mu, roots) over `mus` in order, roots = solve_at(mu, guesses).
+def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
+    """Yield (mu, roots) over `mus` in order, the roots found at each mu.
 
-    The guesses are the previous parameter's roots, then `warm[float(mu)]`,
-    then `battery`.  With `warm` given, the roots found replace its entry.
+    `solve_at(mu, guesses, roots)` returns `roots`, already found at mu,
+    followed by the roots its guesses add; a single-root solver adds none to
+    a non-empty `roots`.  At each mu the carried guesses (the previous
+    parameter's roots, then `warm[float(mu)]`) are solved first.  The
+    `battery` then runs against the same roots only where a branch can be
+    born:
+
+    (a) at the first parameter;
+    (b) where no root was found;
+    (c) where the sorted list of `count(u, mu)` over the roots (the number of
+        eigenvalues <= 0 of the Jacobian at u) differs from the previous
+        parameter's list: a branch is born where a tracked branch changes
+        stability (the test functions of bifurcation analysis);
+    (d) right after a parameter where the battery added a root, since it may
+        have found one of a pitchfork's +- pair only, and the count list at
+        the next parameter does not change again.
+
+    Where the battery runs, the guesses meet one growing root set in the
+    order of a battery run at every parameter: carried roots, warm starts,
+    battery.  Where it does not, a branch connected to no tracked branch (an
+    isola) goes unseen; bratu and chafee have none.  Without `count`, (c)
+    never fires.  With `warm` given, the roots found replace its entry.
     """
     roots: list = []
-    for mu in mus:
+    counts, born = None, False
+    for k, mu in enumerate(mus):
         starts = warm.get(float(mu), []) if warm is not None else []
-        roots = list(solve_at(mu, [*roots, *starts, *battery]))
+        carried = [*roots, *starts]
+        roots = list(solve_at(mu, carried, [])) if carried else []
+        here = sorted(count(u, mu) for u in roots) if count else None
+        if k == 0 or not roots or here != counts or born:
+            n = len(roots)
+            roots = list(solve_at(mu, list(battery), roots))
+            born = len(roots) > n
+            if born and count:
+                here = sorted(here + [count(u, mu) for u in roots[n:]])
+        else:
+            born = False
+        counts = here
         if warm is not None:
             warm[float(mu)] = roots
         yield mu, roots
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,
-                       cfg: NewtonConfig | None = None) -> RootSet:
-    """Collect the distinct full-order solutions reachable from `guesses` at mu."""
+                       cfg: NewtonConfig | None = None, roots=()) -> RootSet:
+    """The full-order solutions `roots`, already known at mu, and the distinct
+    ones `guesses` reach from there."""
     cfg = cfg or NewtonConfig()
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if not guesses:
         raise ValueError("discover_solutions needs at least one initial guess")
     return discover(
-        lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
-        guesses, RootSet(model.x_apply))
+        lambda g, found: deflated_newton(model, mu, g, found, cfg),
+        guesses, RootSet(model.x_apply, list(roots)))

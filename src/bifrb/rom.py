@@ -24,6 +24,8 @@ distances in deflation, "no_progress" and distinctness all use that norm.
 Otherwise the reduced solvers and root discovery are the full-order ones of
 `nlsolve`, and sweeps run `reduced_root` (one branch) or
 `discover_reduced_solutions` (all branches) through `nlsolve.continuation`.
+Deflated sweeps gate that loop's guess battery on `reduced_morse_index`, the
+count of eigenvalues <= 0 of the N x N reduced Jacobian at each root.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ __all__ = [
     "reduced_deflated_newton",
     "reduced_root",
     "discover_reduced_solutions",
+    "reduced_morse_index",
 ]
 
 # A candidate whose orthogonal component is below this fraction of its own
@@ -230,8 +233,11 @@ def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
 
 
 def reduced_root(basis: BasisMatrix, mu: float, guesses,
-                 cfg: NewtonConfig | None = None) -> list[np.ndarray]:
-    """[u_N] from the first guess whose reduced Newton solve converges, [] if none does."""
+                 cfg: NewtonConfig | None = None, roots=()) -> list[np.ndarray]:
+    """`roots` if a root is already known at mu, else [u_N] from the first guess
+    whose reduced Newton solve converges, [] if none does."""
+    if roots:
+        return list(roots)
     for guess in guesses:
         result = reduced_newton(basis, mu, guess, cfg)
         if result.converged:
@@ -240,10 +246,16 @@ def reduced_root(basis: BasisMatrix, mu: float, guesses,
 
 
 def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
-                               cfg: NewtonConfig | None = None) -> list[np.ndarray]:
-    """All distinct reduced roots reachable from the guess battery (`nlsolve.discover`)."""
+                               cfg: NewtonConfig | None = None, roots=()) -> list[np.ndarray]:
+    """The reduced roots `roots`, already known at mu, and the distinct ones
+    `guesses` reach from there (`nlsolve.discover`)."""
     cfg = cfg or NewtonConfig()
     return discover(
-        lambda g, roots: reduced_deflated_newton(basis, mu, g, roots, cfg),
-        guesses, RootSet()).roots
+        lambda g, found: reduced_deflated_newton(basis, mu, g, found, cfg),
+        guesses, RootSet(None, list(roots))).roots
+
+
+def reduced_morse_index(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> int:
+    """Number of eigenvalues <= 0 of the N x N reduced Jacobian at u_N."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(reduced_jacobian(basis, u_n, mu)) <= 0.0))
 

@@ -73,8 +73,9 @@ def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
     def forbidden(*args):
         raise AssertionError("non-finite Jacobian passed to LAPACK")
 
-    for name in ("dpttrf", "dpttrs", "dsbmv", "dstev", "dstebz"):
+    for name in ("dpttrf", "dpttrs", "dsbmv", "dstev"):
         monkeypatch.setattr(estimators, name, forbidden)
+    monkeypatch.setattr("bifrb.model.dstebz", forbidden)  # the counts of `model.sturm_count`
     for bad in (np.nan, np.inf):
         u = np.zeros(chafee.mesh_size)
         u[7] = bad
@@ -136,7 +137,8 @@ def test_inf_sup_is_bitwise_deterministic(chafee_fine, rng):
 
 def spy_on_lapack(monkeypatch):
     """Calls of `inf_sup` to `dpttrs` (the start vector's X solve, then one
-    per Lanczos step) and to `dstebz` (the inertia counts), by name."""
+    per Lanczos step) and to `dstebz` (the inertia counts of
+    `model.sturm_count`), by name."""
     calls = Counter()
 
     def spied(name, routine):
@@ -145,8 +147,8 @@ def spy_on_lapack(monkeypatch):
             return routine(*args)
         return counted
 
-    for name, routine in (("dpttrs", dpttrs), ("dstebz", dstebz)):
-        monkeypatch.setattr(estimators, name, spied(name, routine))
+    for target, routine in (("bifrb.estimators.dpttrs", dpttrs), ("bifrb.model.dstebz", dstebz)):
+        monkeypatch.setattr(target, spied(target.rsplit(".", 1)[1], routine))
     return calls
 
 
@@ -366,18 +368,18 @@ def test_deflated_sweep_pads_warm_starts_from_a_smaller_basis(chafee, monkeypatc
     assert sorted(small) == mus and all(len(r) == 1 for r in small[12.0])
     cold = deflated_estimator_sweep(chafee, basis, mus)
 
-    batteries = {}
+    tried = {}  # every guess of every discovery call at mu
     discover = estimators.discover_reduced_solutions
 
-    def spy(basis, mu, battery, cfg=None):
-        batteries[mu] = battery
-        return discover(basis, mu, battery, cfg)
+    def spy(basis, mu, guesses, *args):
+        tried.setdefault(mu, []).extend(guesses)
+        return discover(basis, mu, guesses, *args)
 
     monkeypatch.setattr(estimators, "discover_reduced_solutions", spy)
     hot = deflated_estimator_sweep(chafee, basis, mus, warm=warm)
     for mu in mus:
         padded = [np.concatenate([r, [0.0]]) for r in small[mu]]
-        assert all(any(np.array_equal(p, g) for g in batteries[mu]) for p in padded)
+        assert all(any(np.array_equal(p, g) for g in tried[mu]) for p in padded)
         cold_roots = sorted((e.u_n for e in cold if e.mu == mu), key=tuple)
         hot_roots = sorted((e.u_n for e in hot if e.mu == mu), key=tuple)
         assert len(hot_roots) == len(cold_roots) == len(warm[mu]) == 3

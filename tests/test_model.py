@@ -548,3 +548,15 @@ def test_parameter_space_with_points_merges_and_dedupes():
     pts = np.asarray(refined.train_points)
     assert np.all(np.diff(pts) > 0.0)
     assert 2.5 in refined.train_points and 7.25 in refined.train_points
+
+
+@pytest.mark.parametrize("mesh", [1, 2, 3, 201])
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_morse_index_counts_the_jacobians_nonpositive_eigenvalues(kind, mesh, rng):
+    # one Sturm count on the bands, with the off-diagonal guard at mesh 1
+    model = make_model(kind, mesh)
+    zero = np.zeros(mesh)
+    for u, mu in [(zero, 0.0), (zero, 3.0), (zero, 40.0), (zero, 400.0),
+                  (0.5 * rng.standard_normal(mesh), 2.0)]:
+        expect = np.count_nonzero(np.linalg.eigvalsh(model.jacobian(u, mu)) <= 0.0)
+        assert model.morse_index(u, mu) == expect, (u, mu)

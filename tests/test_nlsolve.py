@@ -1,8 +1,12 @@
 """Newton iteration, the root set's deflation, and multi-root discovery."""
+import itertools
+
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
+from scipy.linalg import eigh
 
+from bifrb.analysis import solution_ensemble
 from bifrb.model import Bratu1D, make_model
 from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationSingularity, NewtonConfig,
                            RootSet, continuation, deflated_newton, discover_solutions,
@@ -369,27 +373,121 @@ def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
     assert np.array_equal(chafee.residual(res.u, mu), np.zeros(chafee.mesh_size))
 
 
+# A sweep on strings: the roots existing at each mu with their Morse index.
+# A carried root or warm start reaches itself, battery guess gi the root
+# BATTERY_REACHES[gi], each only where it exists.
+BATTERY = ["g0", "g1", "g2"]
+BATTERY_REACHES = {"g0": "z", "g1": "p", "g2": "m"}
+EXISTS = {
+    1.0: {"z": 0},                  # (a) first parameter: the battery finds z
+    2.0: {"z": 0},                  # (d) after a battery root: nothing new
+    3.0: {"z": 0},                  # quiet; the warm start w reaches nothing
+    4.0: {"z": 1, "p": 0},          # (c) z changes stability: p is born
+    5.0: {"z": 1, "p": 0, "m": 0},  # (d) m, p's partner, with the same counts
+    6.0: {"z": 1, "p": 0, "m": 0},  # (d) after m: nothing new
+    7.0: {"z": 1, "p": 0, "m": 0},  # quiet
+    8.0: {},                        # (b) no root
+    9.0: {"z": 0},                  # (b) nothing carried: the battery alone
+}
+
+
+def string_sweep(counted=True, warm=None):
+    """(swept roots, solve_at calls as (mu, guesses, roots passed in))."""
+    calls = []
+
+    def solve_at(mu, guesses, roots):
+        calls.append((mu, list(guesses), list(roots)))
+        out = list(roots)
+        for g in guesses:
+            root = BATTERY_REACHES.get(g, g)
+            if root in EXISTS[mu] and root not in out:
+                out.append(root)
+        return out
+
+    count = (lambda u, mu: EXISTS[mu][u]) if counted else None
+    swept = dict(continuation(solve_at, list(EXISTS), BATTERY, warm, count))
+    return swept, calls
+
+
 def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
-    found = {1.0: ["a", "b"], 2.0: [], 3.0: ["c"], 4.0: ["d"]}
-    guesses = {}
+    warm = {3.0: ["w"], 9.5: ["x"]}
+    swept, calls = string_sweep(warm=warm)
+    assert swept == {1.0: ["z"], 2.0: ["z"], 3.0: ["z"], 4.0: ["z", "p"],
+                     5.0: ["z", "p", "m"], 6.0: ["z", "p", "m"], 7.0: ["z", "p", "m"],
+                     8.0: [], 9.0: ["z"]}
+    # every call has a guess; the battery pass continues from the carried
+    # pass's roots, and with nothing carried the battery runs alone
+    assert all(guesses for _, guesses, _ in calls)
+    assert [c for c in calls if c[0] == 4.0] == [(4.0, ["z"], []), (4.0, BATTERY, ["z"])]
+    assert [c for c in calls if c[0] == 9.0] == [(9.0, BATTERY, [])]
+    assert BATTERY == ["g0", "g1", "g2"]
+    # solve_at may consume its guesses: the caller's battery stays as it was
+    battery = list(BATTERY)
 
-    def solve_at(mu, tried):
-        guesses[mu] = tried
-        return found[mu]
+    def consume(mu, guesses, roots):
+        guesses.clear()
+        return []
 
-    battery = ["g0", "g1"]
-    warm = {2.0: ["w2"], 4.0: ["w4"], 9.0: ["w9"]}
-    swept = list(continuation(solve_at, [1.0, 2.0, 3.0, 4.0], battery, warm))
-    assert swept == [(1.0, ["a", "b"]), (2.0, []), (3.0, ["c"]), (4.0, ["d"])]
-    assert guesses == {
-        1.0: ["g0", "g1"],
-        2.0: ["a", "b", "w2", "g0", "g1"],
-        3.0: ["g0", "g1"],  # no roots at 2.0: the battery alone
-        4.0: ["c", "w4", "g0", "g1"],
-    }
+    assert list(continuation(consume, [1.0, 2.0], battery)) == [(1.0, []), (2.0, [])]
+    assert battery == BATTERY
+    # the guesses at mu are previous roots, then warm starts, then (if it
+    # runs) the battery: the order of a battery run at every parameter
+    tried = {}
+    for mu, guesses, _ in calls:
+        tried.setdefault(mu, []).extend(guesses)
+    previous = [[]] + list(swept.values())[:-1]
+    for mu, before in zip(swept, previous):
+        carried = before + (["w"] if mu == 3.0 else [])
+        assert tried[mu] in (carried, carried + BATTERY), mu
     # the roots found replace the warm starts; other parameters keep theirs
-    assert warm == {1.0: ["a", "b"], 2.0: [], 3.0: ["c"], 4.0: ["d"], 9.0: ["w9"]}
-    assert battery == ["g0", "g1"]
-    guesses.clear()
-    assert [mu for mu, _ in continuation(solve_at, [1.0, 2.0], battery)] == [1.0, 2.0]
-    assert guesses == {1.0: ["g0", "g1"], 2.0: ["a", "b", "g0", "g1"]}
+    assert warm == {**swept, 9.5: ["x"]}
+
+
+def test_continuation_runs_the_battery_only_where_a_branch_can_be_born():
+    def fired(calls):
+        return sorted(mu for mu, guesses, _ in calls if guesses == BATTERY)
+
+    assert fired(string_sweep()[1]) == [1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0]
+    # without counts only (a), (b) and (d) fire, so p and m stay unseen
+    swept, calls = string_sweep(counted=False)
+    assert fired(calls) == [1.0, 2.0, 8.0, 9.0]
+    assert swept[7.0] == ["z"]
+
+
+def discrete_pitchfork(model):
+    """mu_h where the zero state's Jacobian X - mu M turns singular."""
+    zero = np.zeros(model.mesh_size)
+    x = model.jacobian(zero, 0.0)
+    return float(eigh(x, x - model.jacobian(zero, 1.0), eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("case", ["chafee_crosses_pi2", "chafee_just_past_mu_h", "bratu_descends",
+                                  "chafee_mesh_1"])
+def test_gated_ensemble_is_the_ensemble_of_a_battery_at_every_parameter(case, chafee, bratu,
+                                                                      monkeypatch):
+    # grid, and the root count at each point (None: not pinned)
+    if case == "chafee_crosses_pi2":
+        model, grid, expected = chafee, [8.0, 9.5, 10.0, 11.0, 12.5], [1, 1, 3, 3, 3]
+    elif case == "chafee_just_past_mu_h":
+        # the ± pair has barely left zero at the first point past the discrete
+        # pitchfork: the battery finds one of the two there, and clause (d)
+        # runs it again at the next point, where the counts do not change,
+        # for the other
+        mu_h = discrete_pitchfork(chafee)
+        model, grid, expected = chafee, [9.0, mu_h + 1e-12, mu_h + 0.25, 11.0, 13.0], \
+            [1, None, 3, 3, 3]
+    elif case == "bratu_descends":
+        model, grid, expected = bratu, [3.6, 3.5, 3.0, 2.0, 1.0, 0.5], [0, 2, 2, 2, 2, 2]
+    else:  # one interior node, pitchfork at mu = 12: the counts' off-diagonal guard
+        model, grid, expected = make_model("chafee", 1), [9.0, 11.0, 13.0, 15.0], [1, 1, 3, 3]
+    gated = solution_ensemble(model, grid)
+    # a fresh count on every call makes every count list differ: the battery
+    # runs at every parameter
+    fresh = itertools.count()
+    monkeypatch.setattr(model, "morse_index", lambda u, mu: next(fresh))
+    always = solution_ensemble(model, grid)
+    assert all(n is None or len(always.at(mu)) == n for n, mu in zip(expected, grid))
+    assert len(gated) == len(always)
+    for p, q in zip(gated.points, always.points):
+        assert (p.mu, p.branch, p.value) == (q.mu, q.branch, q.value)
+        assert np.array_equal(p.u, q.u)

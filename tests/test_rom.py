@@ -5,8 +5,8 @@ import pytest
 from bifrb.model import make_model
 from bifrb.nlsolve import newton
 from bifrb.rom import (BasisMatrix, _euclidean_norm, reduced_deflated_newton,
-                       reduced_jacobian, reduced_newton, reduced_residual,
-                       reduced_root)
+                       reduced_jacobian, reduced_morse_index, reduced_newton,
+                       reduced_residual, reduced_root)
 
 
 def random_basis(model, rng, n):
@@ -281,3 +281,13 @@ def test_padded_reduced_guess_lifts_to_same_state(chafee, rng):
     small = basis.truncated(3).lift(coeffs)
     padded = np.concatenate([coeffs, np.zeros(2)])
     assert np.allclose(basis.lift(padded), small, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["bratu", "chafee"])
+def test_reduced_morse_index_on_a_complete_basis_is_the_full_order_one(kind, rng):
+    # B^T Jac B with B invertible has the inertia of Jac (Sylvester)
+    model = make_model(kind, 6)
+    basis = random_basis(model, rng, 6)
+    for mu in (0.0, 3.0, 40.0, 400.0):
+        u = 0.5 * rng.standard_normal(6)
+        assert reduced_morse_index(basis, basis.project(u), mu) == model.morse_index(u, mu)
