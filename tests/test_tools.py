@@ -7,8 +7,8 @@ from pathlib import Path
 DRIFT = Path(__file__).resolve().parents[1] / "tools" / "artifact_drift.py"
 
 
-def drift(a, b, rtol="1e-4"):
-    return subprocess.run([sys.executable, str(DRIFT), str(a), str(b), rtol],
+def drift(a, b, rtol="1e-4", *atol):
+    return subprocess.run([sys.executable, str(DRIFT), str(a), str(b), rtol, *atol],
                           capture_output=True, text=True)
 
 
@@ -56,3 +56,39 @@ def test_artifact_drift_rejects_every_non_numeric_difference(tmp_path):
         assert drift(a, b).returncode == 1, (name, text)
     (b / "stdout.txt").unlink()
     assert "stdout.txt: only in" in drift(a, b).stdout
+
+
+def test_artifact_drift_compares_a_header_less_csv_as_numbers(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "basis.csv").write_text("0.5,1.25\n2,4\n")
+    (b / "basis.csv").write_text("0.5000000005,1.25\n2,4\n")
+    moved = drift(a, b, "1e-6")
+    assert moved.returncode == 0
+    assert "basis.csv: worst relative drift 1.000e-09, absolute 5.000e-10" in moved.stdout
+    assert drift(a, b, "1e-10").returncode == 1
+    # a first row with a word in it is a header, compared as text
+    (b / "basis.csv").write_text("0.5,x\n2,4\n")
+    assert "basis.csv: header differs" in drift(a, b).stdout
+
+
+def test_artifact_drift_excuses_a_drift_within_the_absolute_floor(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "errors.csv").write_text("mu,error\n5,1e-20\n6,0.5\n")
+    (b / "errors.csv").write_text("mu,error\n5,3e-20\n6,0.5\n")
+    (a / "report.json").write_text('{"estimator": 1e-13, "max": 0.5}\n')
+    (b / "report.json").write_text('{"estimator": 2e-13, "max": 0.5}\n')
+    # without atol a drift between roundoff-level values fails; rtol still
+    # bounds every pair farther apart than atol
+    assert drift(a, b, "1e-6").returncode == 1
+    floored = drift(a, b, "1e-6", "1e-9")
+    assert floored.returncode == 0
+    assert "errors.csv: worst relative drift 6.667e-01, absolute 2.000e-20" in floored.stdout
+    assert "report.json: worst relative drift 5.000e-01, absolute 1.000e-13" in floored.stdout
+    (b / "report.json").write_text('{"estimator": 1e-13, "max": 0.5001}\n')
+    beyond = drift(a, b, "1e-6", "1e-9")
+    assert beyond.returncode == 1
+    assert "report.json: relative drift 2.000e-04 exceeds 1e-06 beyond atol 1e-09" in beyond.stdout
