@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+# Significant digits of the error bound that rank greedy candidates.
+TIE_DIGITS = 8
+
+
 class GreedyStatus(str, Enum):
     TOLERANCE_MET = "tolerance_met"
     N_MAX_REACHED = "n_max_reached"
@@ -178,14 +182,17 @@ def _initialize(model: ParametricModel, space: ParameterSpace,
 def _ranked_candidates(sweep: EstimatorSet, tol: float, sampled: list) -> list:
     """Entries above tolerance, worst first.
 
-    Ties (infinite bounds mostly) break toward the parameter farthest from
-    the already-sampled ones, then toward smaller parameter values.
+    Bounds equal to TIE_DIGITS significant digits tie: the mirror branches
+    of a symmetric model agree in delta to about 13 digits, and roundoff
+    must not choose between them.  Ties (infinite bounds mostly) break
+    toward the parameter farthest from the already-sampled ones, then
+    toward smaller parameter values, then toward the lower branch index.
     """
     known = [s for s in sampled if s is not None]
 
     def key(e):
         dist = min((abs(e.mu - s) for s in known), default=math.inf)
-        return (-e.delta, -dist, e.mu)
+        return (-float(f"{e.delta:.{TIE_DIGITS - 1}e}"), -dist, e.mu, e.branch)
 
     return sorted((e for e in sweep if e.delta > tol), key=key)
 

@@ -182,10 +182,27 @@ def test_ranked_candidates_put_largest_bound_first(chafee):
     assert ranked[0].delta == sw.max_delta
     # Entries at or below tolerance drop out; equal bounds go farthest from
     # the sampled parameters first, then to the smaller parameter.
-    entries = [SimpleNamespace(mu=mu, delta=d) for mu, d in
+    entries = [SimpleNamespace(mu=mu, branch=0, delta=d) for mu, d in
                [(1.0, math.inf), (2.0, 0.5), (3.0, math.inf), (4.0, 1e-4), (5.0, 0.5)]]
     ranked = _ranked_candidates(entries, 1e-3, [1.5, None])
     assert [e.mu for e in ranked] == [3.0, 1.0, 5.0, 2.0]
+
+
+def test_ranked_candidates_do_not_let_roundoff_pick_between_mirror_branches():
+    # the ± branches at one parameter agree in delta to about 13 digits:
+    # the lower branch index wins, whichever bound is a few ulps larger
+    delta = 2.718281828459045e-2
+    for bump in (np.nextafter(delta, 1.0), np.nextafter(delta, 0.0), delta * (1 + 1e-10)):
+        for k in (1, 2):
+            entries = [SimpleNamespace(mu=15.0, branch=b, delta=delta) for b in range(3)]
+            entries[0].delta = 1e-2
+            entries[k].delta = bump
+            ranked = _ranked_candidates(entries, 1e-3, [12.0])
+            assert [e.branch for e in ranked] == [1, 2, 0], (bump, k)
+    # bounds that differ in the 8th digit still rank by size
+    entries = [SimpleNamespace(mu=15.0, branch=b, delta=d)
+               for b, d in enumerate([1.0000001, 1.0000002])]
+    assert [e.branch for e in _ranked_candidates(entries, 1e-3, [])] == [1, 0]
 
 
 def _assert_terminal(report, status):
