@@ -210,7 +210,7 @@ def cmd_run(cfg: RunConfig) -> int:
         return EXIT_UNCERTIFIED
 
     basis.save(os.path.join(cfg.out_dir, "basis.csv"),
-               os.path.join(cfg.out_dir, "basis.json"))
+               os.path.join(cfg.out_dir, "basis.json"), strategy=cfg.strategy)
     for k, rows in enumerate(sweeps):
         write_csv(os.path.join(cfg.out_dir, f"estimators_iter_{k}.csv"),
                   ESTIMATOR_FIELDS, rows)
@@ -242,9 +242,13 @@ def cmd_diagram(cfg: RunConfig) -> int:
 
 
 def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
+    json_path = os.path.join(basis_dir, "basis.json")
     try:
-        basis = BasisMatrix.load(os.path.join(basis_dir, "basis.csv"),
-                                 os.path.join(basis_dir, "basis.json"))
+        basis = BasisMatrix.load(os.path.join(basis_dir, "basis.csv"), json_path)
+        with open(json_path) as f:
+            recorded = json.load(f).get("strategy")
+        if recorded is not None and recorded not in _STRATEGIES:
+            raise ValueError(f"unknown strategy {recorded!r}")
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load basis from {basis_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -257,6 +261,10 @@ def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
                   f"in {basis_dir} has {value!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         setattr(cfg, name, value)
+    # Without a --strategy the basis is scored as the strategy that built it
+    # scored it; a basis saved without one keeps the configured strategy.
+    if "strategy" not in given and recorded is not None:
+        cfg.strategy = recorded
     oracle = _test_oracle(cfg, basis.model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep, scores = _score(cfg, basis, oracle)

@@ -158,7 +158,12 @@ class BasisMatrix:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, csv_path, json_path=None) -> None:
+    def save(self, csv_path, json_path=None, strategy: str | None = None) -> None:
+        """Write the columns to csv_path and the metadata to json_path.
+
+        `strategy`, the method that built the basis, is recorded when given,
+        so the basis can later be scored the way its own run scored it.
+        """
         csv_path = Path(csv_path)
         json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
         np.savetxt(csv_path, self._columns, delimiter=",", fmt="%.17g")
@@ -168,6 +173,8 @@ class BasisMatrix:
             "n_basis": self.n,
             "mu_train": [None if m is None else float(m) for m in self.mu_values],
         }
+        if strategy is not None:
+            meta["strategy"] = strategy
         json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod

@@ -243,6 +243,32 @@ def test_error_sweep_scores_saved_basis(tmp_path):
     assert (score / "errors.csv").is_file()
 
 
+@pytest.mark.parametrize("strategy", ["vanilla", "adaptive", "deflated"])
+def test_error_sweep_scores_a_basis_as_its_own_run_did(tmp_path, strategy):
+    # basis.json records the strategy, so error-sweep needs no --strategy to
+    # pick the run's single-seed or deflated test sweep
+    build, score = tmp_path / "build", tmp_path / "score"
+    run_cli(["run", "--model", "chafee", "--strategy", strategy] + FAST + ["--out", str(build)])
+    assert json.loads((build / "basis.json").read_text())["strategy"] == strategy
+    assert run_cli(["error-sweep", "--basis-dir", str(build)] + FAST
+                   + ["--out", str(score)]) == 0
+    assert (score / "errors.csv").read_bytes() == (build / "errors.csv").read_bytes()
+    assert read_report(score)["config"]["strategy"] == strategy
+    assert read_report(score)["deflated_test_sweep"] == (strategy == "deflated")
+
+
+def test_error_sweep_of_a_basis_without_a_strategy_keeps_the_configured_one(tmp_path):
+    basis = BasisMatrix(make_model("chafee", 41))
+    basis.enrich(np.sin(np.pi * basis.model.nodes), 12.0)
+    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    assert "strategy" not in json.loads((tmp_path / "basis.json").read_text())
+    for flags, deflated in (([], True), (["--strategy", "vanilla"], False)):
+        out = tmp_path / f"score{len(flags)}"
+        assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5"]
+                       + flags + ["--out", str(out)]) == 0
+        assert read_report(out)["deflated_test_sweep"] is deflated
+
+
 def test_error_sweep_echoes_the_model_of_the_loaded_basis(tmp_path):
     bratu = make_model("bratu", 41)
     basis = BasisMatrix(bratu)
