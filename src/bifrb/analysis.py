@@ -104,8 +104,8 @@ def solution_ensemble(model: ParametricModel, mus,
                       cfg: NewtonConfig | None = None) -> SolutionEnsemble:
     """Deflated discovery swept over the grid with continuation.
 
-    At each parameter the guesses are the previous parameter's roots, followed
-    by the model battery where a branch can be born, as the Morse indices of
+    At each parameter every previous root is continued by one solve, and the
+    model battery runs where a branch can be born, as the Morse indices of
     the roots tell (`nlsolve.continuation`), so established branches are
     tracked and new ones are opened as deflation exposes them.
     """
@@ -113,9 +113,11 @@ def solution_ensemble(model: ParametricModel, mus,
     points: list[BranchPoint] = []
     prev: list[BranchPoint] = []
     next_label = 0
-    for mu, roots in continuation(
-            lambda mu, guesses, roots: discover_solutions(model, mu, guesses, cfg, roots),
-            mus, model.default_guesses, count=model.morse_index):
+
+    def solve_at(mu, guesses, roots, drive):
+        return discover_solutions(model, mu, guesses, cfg, roots, drive)
+
+    for mu, roots in continuation(solve_at, mus, model.default_guesses, count=model.morse_index):
         values = [model.midpoint_value(u) for u in roots]
         labels, next_label = _assign_labels(values, prev, next_label)
         here = [BranchPoint(mu, lab, u, v)
@@ -229,14 +231,14 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                 deflate: bool = True) -> ErrorSweep:
     """Reduced vs full-order errors over a test grid, matched per branch.
 
-    With deflate on, every reduced root reachable from the carried roots and
-    the projected battery (run where the reduced Morse indices tell a branch
-    can be born, `nlsolve.continuation`) is found and each reference branch
-    is matched to the reduced root with the nearest midpoint value.  A
-    reduced root connected to no tracked reduced branch (a spurious isola of
-    the basis) is found, and flagged by the matching, only at the parameters
-    where the battery runs; elsewhere it goes unscored.  With
-    deflate off a single continuation-seeded solve stands in for all
+    With deflate on, every reduced root reachable from the carried roots (one
+    solve each) and the projected battery (run where the reduced Morse
+    indices tell a branch can be born, `nlsolve.continuation`) is found and
+    each reference branch is matched to the reduced root with the nearest
+    midpoint value.  A reduced root connected to no tracked reduced branch (a
+    spurious isola of the basis) is found, and flagged by the matching, only
+    at the parameters where the battery runs; elsewhere it goes unscored.
+    With deflate off a single continuation-seeded solve stands in for all
     branches, which is the honest way to score a basis built by a
     single-branch method.  Each row also carries the best-approximation
     projection error and the a-posteriori bound evaluated at the matched
@@ -246,12 +248,15 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
     tested = [mu for mu in mus if oracle.at(mu)]
-    solve = discover_reduced_solutions if deflate else reduced_root
     battery = [basis.project(g)
                for g in (model.default_guesses if deflate else [model.default_guess])]
 
-    def solve_at(mu, guesses, roots):
-        return solve(basis, mu, guesses, cfg, roots) if basis.n else []
+    def solve_at(mu, guesses, roots, drive):
+        if not basis.n:
+            return []
+        if deflate:
+            return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
+        return reduced_root(basis, mu, guesses, cfg, roots)
 
     count = partial(reduced_morse_index, basis) if deflate else None
     for mu, roots in continuation(solve_at, tested, battery, count=count):

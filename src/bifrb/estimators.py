@@ -260,19 +260,22 @@ def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     """Multi-branch sweep: deflation discovers every reduced root per parameter.
 
     The guesses at each parameter are, in order (`nlsolve.continuation`), the
-    roots of the previous parameter, the warm starts `warm[mu]` (reduced roots
-    of an earlier sweep, zero-padded to the current basis size, which lifts
-    them to the same full-order states), and, where the reduced Morse indices
-    tell a branch can be born, the projected model battery.  The roots found
-    at mu replace `warm[mu]`, so the next sweep warm-starts.
+    roots of the previous parameter and the warm starts `warm[mu]` (reduced
+    roots of an earlier sweep, zero-padded to the current basis size, which
+    lifts them to the same full-order states), one solve each, and, where the
+    reduced Morse indices tell a branch can be born, the projected model
+    battery.  The roots found at mu replace `warm[mu]`, so the next sweep
+    warm-starts.
     """
     if warm is not None:
         for mu, roots in warm.items():
             warm[mu] = [np.concatenate([r, np.zeros(basis.n - len(r))]) for r in roots]
     battery = [basis.project(g) for g in model.default_guesses]
-    sweep = continuation(
-        lambda mu, guesses, roots: discover_reduced_solutions(basis, mu, guesses, cfg, roots),
-        mus, battery, warm, partial(reduced_morse_index, basis))
+
+    def solve_at(mu, guesses, roots, drive):
+        return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
+
+    sweep = continuation(solve_at, mus, battery, warm, partial(reduced_morse_index, basis))
     entries = [e for mu, roots in sweep for e in _entries(model, basis, mu, roots)]
     return EstimatorSet(entries, kind)
 
@@ -297,7 +300,7 @@ def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     default = [basis.project(model.default_guess)]
     out = []
     for mu, roots in continuation(
-            lambda mu, guesses, roots: reduced_root(basis, mu, guesses, cfg, roots),
+            lambda mu, guesses, roots, drive: reduced_root(basis, mu, guesses, cfg, roots),
             mus, default):
         beta = inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf
         out.append(BetaEntry(mu, beta, bool(roots)))

@@ -23,8 +23,9 @@ Newton step and state metric.  The known roots of a parameter live in one
 `RootSet`, built on that metric: its norm measures steps, it deflates, and it
 decides root identity.  `discover` is the one multi-root loop at a parameter,
 on top of either deflated solver, and `continuation` is the one sweep over
-parameters: each parameter starts from the previous parameter's roots and
-runs the guess battery only where a branch can be born.
+parameters: each parameter continues every tracked branch by one solve from
+the previous parameter's root and runs the guess battery only where a branch
+can be born.
 """
 from __future__ import annotations
 
@@ -306,19 +307,21 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     return _full_order_solve(model, mu, guess, cfg, _deflation_roots(roots, model.x_apply, cfg))
 
 
-def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
+def discover(deflated_solve, guesses, found: RootSet, drive: bool = True) -> RootSet:
     """Collect into `found` the distinct roots reachable from `guesses`.
 
     `deflated_solve(guess, roots)` is a deflated Newton run (full-order or
-    reduced) repelled from `roots`.  Every guess is driven through it until
-    it diverges or returns a known root, so each new root immediately
-    deflects the following attempts; while `found` is empty the run is
-    plain Newton.
+    reduced) repelled from `roots`; while `found` is empty the run is plain
+    Newton.  With `drive` every guess is driven through it until it fails or
+    returns a known root, so one guess can reach several roots and each new
+    root immediately deflects the following attempts.  Without `drive` each
+    guess gets exactly one attempt: a guess that continues a known branch
+    converges to that branch's root or to nothing.
     """
     for guess in guesses:
         while True:
             result = deflated_solve(guess, found)
-            if not result.converged or not found.add(result.u):
+            if not (result.converged and found.add(result.u) and drive):
                 break
     return found
 
@@ -326,12 +329,15 @@ def discover(deflated_solve, guesses, found: RootSet) -> RootSet:
 def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
     """Yield (mu, roots) over `mus` in order, the roots found at each mu.
 
-    `solve_at(mu, guesses, roots)` returns `roots`, already found at mu,
-    followed by the roots its guesses add; a single-root solver adds none to
-    a non-empty `roots`.  At each mu the carried guesses (the previous
-    parameter's roots, then `warm[float(mu)]`) are solved first.  The
-    `battery` then runs against the same roots only where a branch can be
-    born:
+    `solve_at(mu, guesses, roots, drive)` returns `roots`, already found at
+    mu, followed by the roots its guesses add (`discover` with `drive`); a
+    single-root solver adds none to a non-empty `roots`.  At each mu the
+    carried guesses (the previous parameter's roots, then `warm[float(mu)]`)
+    are solved first, each by exactly one attempt deflated against the roots
+    found so far at mu (the first one plain Newton): a tracked branch is
+    continued by one solve, as in deflated continuation.  The `battery`
+    then runs against the same roots, each guess driven until it fails,
+    only where a branch can be born:
 
     (a) at the first parameter;
     (b) where no root was found;
@@ -344,21 +350,21 @@ def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
         the next parameter does not change again.
 
     Where the battery runs, the guesses meet one growing root set in the
-    order of a battery run at every parameter: carried roots, warm starts,
-    battery.  Where it does not, a branch connected to no tracked branch (an
-    isola) goes unseen; bratu and chafee have none.  Without `count`, (c)
-    never fires.  With `warm` given, the roots found replace its entry.
+    order carried roots, warm starts, battery.  Where it does not, a branch
+    connected to no tracked branch (an isola) goes unseen; bratu and chafee
+    have none.  Without `count`, (c) never fires.  With `warm` given, the
+    roots found replace its entry.
     """
     roots: list = []
     counts, born = None, False
     for k, mu in enumerate(mus):
         starts = warm.get(float(mu), []) if warm is not None else []
         carried = [*roots, *starts]
-        roots = list(solve_at(mu, carried, [])) if carried else []
+        roots = list(solve_at(mu, carried, [], False)) if carried else []
         here = sorted(count(u, mu) for u in roots) if count else None
         if k == 0 or not roots or here != counts or born:
             n = len(roots)
-            roots = list(solve_at(mu, list(battery), roots))
+            roots = list(solve_at(mu, list(battery), roots, True))
             born = len(roots) > n
             if born and count:
                 here = sorted(here + [count(u, mu) for u in roots[n:]])
@@ -371,13 +377,14 @@ def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,
-                       cfg: NewtonConfig | None = None, roots=()) -> RootSet:
+                       cfg: NewtonConfig | None = None, roots=(),
+                       drive: bool = True) -> RootSet:
     """The full-order solutions `roots`, already known at mu, and the distinct
-    ones `guesses` reach from there."""
+    ones `guesses` reach from there (`discover`)."""
     cfg = cfg or NewtonConfig()
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if not guesses:
         raise ValueError("discover_solutions needs at least one initial guess")
     return discover(
         lambda g, found: deflated_newton(model, mu, g, found, cfg),
-        guesses, RootSet(model.x_apply, list(roots)))
+        guesses, RootSet(model.x_apply, list(roots)), drive)

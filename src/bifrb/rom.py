@@ -253,13 +253,14 @@ def reduced_root(basis: BasisMatrix, mu: float, guesses,
 
 
 def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
-                               cfg: NewtonConfig | None = None, roots=()) -> list[np.ndarray]:
+                               cfg: NewtonConfig | None = None, roots=(),
+                               drive: bool = True) -> list[np.ndarray]:
     """The reduced roots `roots`, already known at mu, and the distinct ones
     `guesses` reach from there (`nlsolve.discover`)."""
     cfg = cfg or NewtonConfig()
     return discover(
         lambda g, found: reduced_deflated_newton(basis, mu, g, found, cfg),
-        guesses, RootSet(None, list(roots))).roots
+        guesses, RootSet(None, list(roots)), drive).roots
 
 
 def reduced_morse_index(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> int:

@@ -257,7 +257,8 @@ def test_error_sweep_scores_a_basis_as_its_own_run_did(tmp_path, strategy):
     assert read_report(score)["deflated_test_sweep"] == (strategy == "deflated")
 
 
-def test_error_sweep_of_a_basis_without_a_strategy_keeps_the_configured_one(tmp_path):
+def test_error_sweep_falls_back_to_the_configured_strategy_and_rejects_an_unknown_one(
+        tmp_path, capsys):
     basis = BasisMatrix(make_model("chafee", 41))
     basis.enrich(np.sin(np.pi * basis.model.nodes), 12.0)
     basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
@@ -267,6 +268,11 @@ def test_error_sweep_of_a_basis_without_a_strategy_keeps_the_configured_one(tmp_
         assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5"]
                        + flags + ["--out", str(out)]) == 0
         assert read_report(out)["deflated_test_sweep"] is deflated
+    meta = json.loads((tmp_path / "basis.json").read_text())
+    (tmp_path / "basis.json").write_text(json.dumps({**meta, "strategy": "magic"}))
+    assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--out", str(tmp_path / "bad")]) == 1
+    assert "cannot load basis" in capsys.readouterr().err
 
 
 def test_error_sweep_echoes_the_model_of_the_loaded_basis(tmp_path):

@@ -1,16 +1,18 @@
 """Newton iteration, the root set's deflation, and multi-root discovery."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import stiffness_matrix
 from scipy.linalg import eigh
 
+from bifrb import analysis, nlsolve
 from bifrb.analysis import solution_ensemble
 from bifrb.model import Bratu1D, make_model
 from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationSingularity, NewtonConfig,
-                           RootSet, continuation, deflated_newton, discover_solutions,
-                           newton)
+                           RootSet, SolveResult, continuation, deflated_newton, discover,
+                           discover_solutions, newton)
 from bifrb.rom import BasisMatrix, reduced_deflated_newton
 
 DIVERGENCE_CAUSES = {
@@ -373,9 +375,44 @@ def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
     assert np.array_equal(chafee.residual(res.u, mu), np.zeros(chafee.mesh_size))
 
 
+def test_discover_drives_a_guess_until_it_fails_or_gives_one_attempt_per_guess():
+    # a fake deflated solve: guess g reaches the first of REACH[g] not yet
+    # known; "k" ignores deflation and keeps returning the known root 1
+    reach = {"p": [1.0, 2.0], "q": [1.0, 2.0, 3.0], "k": [1.0]}
+    attempts = []
+
+    def deflated_solve(guess, found):
+        attempts.append(guess)
+        known = [u[0] for u in found]
+        new = [r for r in reach[guess] if guess == "k" or r not in known]
+        return SolveResult(np.array([new[0] if new else np.nan]), bool(new), 1, 0.0)
+
+    def run(guesses, drive):
+        attempts.clear()
+        found = discover(deflated_solve, guesses, RootSet(), drive)
+        return [u[0] for u in found], list(attempts)
+
+    # driven: each guess until an attempt fails or returns a known root
+    assert run(["p", "q"], True) == ([1.0, 2.0, 3.0], ["p", "p", "p", "q", "q"])
+    assert run(["k", "p"], True) == ([1.0, 2.0], ["k", "k", "p", "p"])
+    # not driven: exactly one attempt per guess, whatever it returns
+    assert run(["p", "q"], False) == ([1.0, 2.0], ["p", "q"])
+    assert run(["k", "k", "p"], False) == ([1.0, 2.0], ["k", "k", "p"])
+
+
+class StringRoots(list):
+    """The known roots of the string sweep, with `RootSet.add`'s contract."""
+
+    def add(self, u):
+        if u in self:
+            return False
+        self.append(u)
+        return True
+
+
 # A sweep on strings: the roots existing at each mu with their Morse index.
 # A carried root or warm start reaches itself, battery guess gi the root
-# BATTERY_REACHES[gi], each only where it exists.
+# BATTERY_REACHES[gi], each only where it exists and is not yet known.
 BATTERY = ["g0", "g1", "g2"]
 BATTERY_REACHES = {"g0": "z", "g1": "p", "g2": "m"}
 EXISTS = {
@@ -392,39 +429,51 @@ EXISTS = {
 
 
 def string_sweep(counted=True, warm=None):
-    """(swept roots, solve_at calls as (mu, guesses, roots passed in))."""
-    calls = []
+    """(swept roots, solve_at calls as (mu, guesses, roots passed in, drive),
+    deflated attempts as (mu, guess))."""
+    calls, attempts = [], []
 
-    def solve_at(mu, guesses, roots):
-        calls.append((mu, list(guesses), list(roots)))
-        out = list(roots)
-        for g in guesses:
+    def solve_at(mu, guesses, roots, drive):
+        calls.append((mu, list(guesses), list(roots), drive))
+
+        def deflated_solve(g, known):
+            attempts.append((mu, g))
             root = BATTERY_REACHES.get(g, g)
-            if root in EXISTS[mu] and root not in out:
-                out.append(root)
-        return out
+            return SimpleNamespace(converged=root in EXISTS[mu] and root not in known, u=root)
+
+        return discover(deflated_solve, guesses, StringRoots(roots), drive)
 
     count = (lambda u, mu: EXISTS[mu][u]) if counted else None
     swept = dict(continuation(solve_at, list(EXISTS), BATTERY, warm, count))
-    return swept, calls
+    return swept, calls, attempts
 
 
 def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
     warm = {3.0: ["w"], 9.5: ["x"]}
-    swept, calls = string_sweep(warm=warm)
+    swept, calls, attempts = string_sweep(warm=warm)
     assert swept == {1.0: ["z"], 2.0: ["z"], 3.0: ["z"], 4.0: ["z", "p"],
                      5.0: ["z", "p", "m"], 6.0: ["z", "p", "m"], 7.0: ["z", "p", "m"],
                      8.0: [], 9.0: ["z"]}
-    # every call has a guess; the battery pass continues from the carried
-    # pass's roots, and with nothing carried the battery runs alone
-    assert all(guesses for _, guesses, _ in calls)
-    assert [c for c in calls if c[0] == 4.0] == [(4.0, ["z"], []), (4.0, BATTERY, ["z"])]
-    assert [c for c in calls if c[0] == 9.0] == [(9.0, BATTERY, [])]
+    # every call has a guess; the carried pass starts from no roots and gives
+    # each guess one attempt, the battery pass continues from its roots and
+    # drives each guess; with nothing carried the battery runs alone
+    assert all(guesses for _, guesses, _, _ in calls)
+    assert [c for c in calls if c[0] == 4.0] == [(4.0, ["z"], [], False),
+                                                (4.0, BATTERY, ["z"], True)]
+    assert [c for c in calls if c[0] == 9.0] == [(9.0, BATTERY, [], True)]
     assert BATTERY == ["g0", "g1", "g2"]
+    # one attempt per carried guess, found or not; a battery guess that adds
+    # a root is tried once more and then fails on it
+    for mu, guesses, known, drive in calls:
+        for g in guesses:
+            adds = drive and BATTERY_REACHES[g] in set(swept[mu]) - set(known)
+            assert attempts.count((mu, g)) == (2 if adds else 1), (mu, g)
+    assert attempts.count((3.0, "w")) == 1 and attempts.count((7.0, "z")) == 1
+    assert [g for mu, g in attempts if mu == 5.0] == ["z", "p", "g0", "g1", "g2", "g2"]
     # solve_at may consume its guesses: the caller's battery stays as it was
     battery = list(BATTERY)
 
-    def consume(mu, guesses, roots):
+    def consume(mu, guesses, roots, drive):
         guesses.clear()
         return []
 
@@ -433,7 +482,7 @@ def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
     # the guesses at mu are previous roots, then warm starts, then (if it
     # runs) the battery: the order of a battery run at every parameter
     tried = {}
-    for mu, guesses, _ in calls:
+    for mu, guesses, _, _ in calls:
         tried.setdefault(mu, []).extend(guesses)
     previous = [[]] + list(swept.values())[:-1]
     for mu, before in zip(swept, previous):
@@ -445,11 +494,11 @@ def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
 
 def test_continuation_runs_the_battery_only_where_a_branch_can_be_born():
     def fired(calls):
-        return sorted(mu for mu, guesses, _ in calls if guesses == BATTERY)
+        return sorted(mu for mu, guesses, _, _ in calls if guesses == BATTERY)
 
     assert fired(string_sweep()[1]) == [1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0]
     # without counts only (a), (b) and (d) fire, so p and m stay unseen
-    swept, calls = string_sweep(counted=False)
+    swept, calls, _ = string_sweep(counted=False)
     assert fired(calls) == [1.0, 2.0, 8.0, 9.0]
     assert swept[7.0] == ["z"]
 
@@ -461,25 +510,30 @@ def discrete_pitchfork(model):
     return float(eigh(x, x - model.jacobian(zero, 1.0), eigvals_only=True)[0])
 
 
-@pytest.mark.parametrize("case", ["chafee_crosses_pi2", "chafee_just_past_mu_h", "bratu_descends",
-                                  "chafee_mesh_1"])
-def test_gated_ensemble_is_the_ensemble_of_a_battery_at_every_parameter(case, chafee, bratu,
-                                                                      monkeypatch):
-    # grid, and the root count at each point (None: not pinned)
+GATED_CASES = ["chafee_crosses_pi2", "chafee_just_past_mu_h", "bratu_descends", "chafee_mesh_1"]
+
+
+def gated_case(case, chafee, bratu):
+    """(model, grid, the root count at each point, None where not pinned)."""
     if case == "chafee_crosses_pi2":
-        model, grid, expected = chafee, [8.0, 9.5, 10.0, 11.0, 12.5], [1, 1, 3, 3, 3]
-    elif case == "chafee_just_past_mu_h":
+        return chafee, [8.0, 9.5, 10.0, 11.0, 12.5], [1, 1, 3, 3, 3]
+    if case == "chafee_just_past_mu_h":
         # the ± pair has barely left zero at the first point past the discrete
         # pitchfork: the battery finds one of the two there, and clause (d)
         # runs it again at the next point, where the counts do not change,
         # for the other
         mu_h = discrete_pitchfork(chafee)
-        model, grid, expected = chafee, [9.0, mu_h + 1e-12, mu_h + 0.25, 11.0, 13.0], \
-            [1, None, 3, 3, 3]
-    elif case == "bratu_descends":
-        model, grid, expected = bratu, [3.6, 3.5, 3.0, 2.0, 1.0, 0.5], [0, 2, 2, 2, 2, 2]
-    else:  # one interior node, pitchfork at mu = 12: the counts' off-diagonal guard
-        model, grid, expected = make_model("chafee", 1), [9.0, 11.0, 13.0, 15.0], [1, 1, 3, 3]
+        return chafee, [9.0, mu_h + 1e-12, mu_h + 0.25, 11.0, 13.0], [1, None, 3, 3, 3]
+    if case == "bratu_descends":
+        return bratu, [3.6, 3.5, 3.0, 2.0, 1.0, 0.5], [0, 2, 2, 2, 2, 2]
+    # one interior node, pitchfork at mu = 12: the counts' off-diagonal guard
+    return make_model("chafee", 1), [9.0, 11.0, 13.0, 15.0], [1, 1, 3, 3]
+
+
+@pytest.mark.parametrize("case", GATED_CASES)
+def test_gated_ensemble_is_the_ensemble_of_a_battery_at_every_parameter(case, chafee, bratu,
+                                                                      monkeypatch):
+    model, grid, expected = gated_case(case, chafee, bratu)
     gated = solution_ensemble(model, grid)
     # a fresh count on every call makes every count list differ: the battery
     # runs at every parameter
@@ -491,3 +545,35 @@ def test_gated_ensemble_is_the_ensemble_of_a_battery_at_every_parameter(case, ch
     for p, q in zip(gated.points, always.points):
         assert (p.mu, p.branch, p.value) == (q.mu, q.branch, q.value)
         assert np.array_equal(p.u, q.u)
+
+
+@pytest.mark.parametrize("case", GATED_CASES)
+def test_one_solve_per_carried_guess_keeps_the_ensemble_of_driven_carried_guesses(
+        case, chafee, bratu, monkeypatch):
+    # the reference drives every carried guess until it fails, as the battery
+    # pass does; one solve per carried guess may reach a root from another
+    # start, so the states agree at solver tolerance, not bit for bit
+    model, grid, _ = gated_case(case, chafee, bratu)
+    attempts = {"n": 0}
+    solve = nlsolve.deflated_newton
+
+    def counted(*args):
+        attempts["n"] += 1
+        return solve(*args)
+
+    def driven(model, mu, guesses, cfg, roots, drive):
+        return discover_solutions(model, mu, guesses, cfg, roots, True)
+
+    monkeypatch.setattr(nlsolve, "deflated_newton", counted)
+    once = solution_ensemble(model, grid)
+    attempts_once, attempts["n"] = attempts["n"], 0
+    monkeypatch.setattr(analysis, "discover_solutions", driven)
+    reference = solution_ensemble(model, grid)
+    assert attempts_once < attempts["n"]
+    assert [(p.mu, p.branch) for p in once.points] == [(q.mu, q.branch) for q in reference.points]
+    for mu in grid:
+        here, there = once.at(mu), reference.at(mu)
+        assert np.array_equal(np.argsort([p.value for p in here]),
+                              np.argsort([q.value for q in there]))
+        for p, q in zip(here, there):
+            assert model.x_norm(p.u - q.u) <= 1e-9 * max(model.x_norm(p.u), model.x_norm(q.u))
