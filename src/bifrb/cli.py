@@ -109,6 +109,8 @@ class RunConfig:
         problems.extend(self.newton().problems())
         if (self.mu_min is None) != (self.mu_max is None):
             problems.append("mu_min and mu_max must be given together")
+        elif self.mu_min is not None and not all(map(math.isfinite, (self.mu_min, self.mu_max))):
+            problems.append(f"mu_min and mu_max must be finite (got [{self.mu_min}, {self.mu_max}])")
         elif self.mu_min is not None and not self.mu_min < self.mu_max:
             problems.append(f"mu_min must be less than mu_max (got [{self.mu_min}, {self.mu_max}])")
         return problems

@@ -255,27 +255,19 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
 
 def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                              cfg: NewtonConfig | None = None,
-                             kind: EstimatorKind = EstimatorKind.AUTO_SWITCH,
-                             warm: dict | None = None) -> EstimatorSet:
+                             kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Multi-branch sweep: deflation discovers every reduced root per parameter.
 
     The guesses at each parameter are, in order (`nlsolve.continuation`), the
-    roots of the previous parameter and the warm starts `warm[mu]` (reduced
-    roots of an earlier sweep, zero-padded to the current basis size, which
-    lifts them to the same full-order states), one solve each, and, where the
-    reduced Morse indices tell a branch can be born, the projected model
-    battery.  The roots found at mu replace `warm[mu]`, so the next sweep
-    warm-starts.
+    roots of the previous parameter, one solve each, and, where the reduced
+    Morse indices tell a branch can be born, the projected model battery.
     """
-    if warm is not None:
-        for mu, roots in warm.items():
-            warm[mu] = [np.concatenate([r, np.zeros(basis.n - len(r))]) for r in roots]
     battery = [basis.project(g) for g in model.default_guesses]
 
     def solve_at(mu, guesses, roots, drive):
         return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
 
-    sweep = continuation(solve_at, mus, battery, warm, partial(reduced_morse_index, basis))
+    sweep = continuation(solve_at, mus, battery, partial(reduced_morse_index, basis))
     entries = [e for mu, roots in sweep for e in _entries(model, basis, mu, roots)]
     return EstimatorSet(entries, kind)
 

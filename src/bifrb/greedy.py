@@ -73,8 +73,8 @@ class GreedyConfig:
         problems = []
         if not self.n_max >= 1:
             problems.append(f"n_max must be >= 1 (got {self.n_max})")
-        if not self.tol > 0.0:
-            problems.append(f"tol must be positive (got {self.tol})")
+        if not 0.0 < self.tol < math.inf:
+            problems.append(f"tol must be positive and finite (got {self.tol})")
         return problems
 
     def validate(self) -> None:
@@ -93,8 +93,8 @@ class AdaptiveConfig:
         problems = []
         if not self.n_ref >= 1:
             problems.append(f"n_ref must be >= 1 (got {self.n_ref})")
-        if not self.bif_tol > 0.0:
-            problems.append(f"bif_tol must be positive (got {self.bif_tol})")
+        if not 0.0 < self.bif_tol < math.inf:
+            problems.append(f"bif_tol must be positive and finite (got {self.bif_tol})")
         return problems
 
     def validate(self) -> None:
@@ -363,9 +363,8 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     cfg = cfg or GreedyConfig()
     cfg.validate()
     basis, mu0, note, first_root = _initialize(model, space, cfg)
-    # Full-order guesses of the root harvest, and reduced roots per parameter
-    # from the last sweep, which warm-start the next one.
-    guesses, warm = RootSet(model.x_apply), {}
+    # Full-order guesses of the root harvest.
+    guesses = RootSet(model.x_apply)
     for g in [*model.default_guesses, first_root]:
         guesses.add(g)
 
@@ -388,6 +387,6 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     report = _greedy(
         "deflated", basis, mu0, note, space, cfg,
         lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
-                                            cfg.estimator_kind, warm),
+                                            cfg.estimator_kind),
         snapshot)
     return basis, report

@@ -79,8 +79,8 @@ class NewtonConfig:
     def problems(self) -> list[str]:
         """What is wrong with the tolerance and deflation parameters (empty if valid)."""
         problems = []
-        if not self.tol > 0.0:
-            problems.append(f"newton_tol must be positive (got {self.tol})")
+        if not 0.0 < self.tol < math.inf:
+            problems.append(f"newton_tol must be positive and finite (got {self.tol})")
         return problems + deflation_parameter_problems(self.power_r, self.shift_sigma)
 
 
@@ -110,13 +110,14 @@ def deflation_parameter_problems(r: float, sigma: float) -> list[str]:
     """What is wrong with a deflation power r and shift sigma (empty if valid).
 
     The factor ||y - u||^-r + sigma needs r >= 1 to repel Newton from the
-    root and sigma > 0 to keep the far field from vanishing.
+    root and sigma > 0 to keep the far field from vanishing; both must be
+    finite, or the factor is no longer a deflation.
     """
     problems = []
-    if not r >= 1.0:
-        problems.append(f"deflation power r must be >= 1 (got {r})")
-    if not sigma > 0.0:
-        problems.append(f"deflation shift sigma must be positive (got {sigma})")
+    if not 1.0 <= r < math.inf:
+        problems.append(f"deflation power r must be >= 1 and finite (got {r})")
+    if not 0.0 < sigma < math.inf:
+        problems.append(f"deflation shift sigma must be positive and finite (got {sigma})")
     return problems
 
 
@@ -326,18 +327,18 @@ def discover(deflated_solve, guesses, found: RootSet, drive: bool = True) -> Roo
     return found
 
 
-def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
+def continuation(solve_at, mus, battery, count=None):
     """Yield (mu, roots) over `mus` in order, the roots found at each mu.
 
     `solve_at(mu, guesses, roots, drive)` returns `roots`, already found at
     mu, followed by the roots its guesses add (`discover` with `drive`); a
     single-root solver adds none to a non-empty `roots`.  At each mu the
-    carried guesses (the previous parameter's roots, then `warm[float(mu)]`)
-    are solved first, each by exactly one attempt deflated against the roots
-    found so far at mu (the first one plain Newton): a tracked branch is
-    continued by one solve, as in deflated continuation.  The `battery`
-    then runs against the same roots, each guess driven until it fails,
-    only where a branch can be born:
+    carried guesses (the previous parameter's roots) are solved first, each
+    by exactly one attempt deflated against the roots found so far at mu
+    (the first one plain Newton): a tracked branch is continued by one
+    solve, as in deflated continuation.  Nothing is carried between calls.
+    The `battery` then runs against the same roots, each guess driven until
+    it fails, only where a branch can be born:
 
     (a) at the first parameter;
     (b) where no root was found;
@@ -350,17 +351,14 @@ def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
         the next parameter does not change again.
 
     Where the battery runs, the guesses meet one growing root set in the
-    order carried roots, warm starts, battery.  Where it does not, a branch
-    connected to no tracked branch (an isola) goes unseen; bratu and chafee
-    have none.  Without `count`, (c) never fires.  With `warm` given, the
-    roots found replace its entry.
+    order carried roots, battery.  Where it does not, a branch connected to
+    no tracked branch (an isola) goes unseen; bratu and chafee have none.
+    Without `count`, (c) never fires.
     """
     roots: list = []
     counts, born = None, False
     for k, mu in enumerate(mus):
-        starts = warm.get(float(mu), []) if warm is not None else []
-        carried = [*roots, *starts]
-        roots = list(solve_at(mu, carried, [], False)) if carried else []
+        roots = list(solve_at(mu, list(roots), [], False)) if roots else []
         here = sorted(count(u, mu) for u in roots) if count else None
         if k == 0 or not roots or here != counts or born:
             n = len(roots)
@@ -371,8 +369,6 @@ def continuation(solve_at, mus, battery, warm: dict | None = None, count=None):
         else:
             born = False
         counts = here
-        if warm is not None:
-            warm[float(mu)] = roots
         yield mu, roots
 
 

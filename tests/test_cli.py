@@ -79,6 +79,28 @@ def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, pr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, problem", [
+    ("run", ["--sigma", "inf"], "deflation shift sigma must be positive and finite"),
+    ("run", ["--r", "inf"], "deflation power r must be >= 1 and finite"),
+    ("run", ["--tol", "inf"], "tol must be positive and finite"),
+    ("run", ["--newton-tol", "inf"], "newton_tol must be positive and finite"),
+    ("run", ["--bif-tol", "inf"], "bif_tol must be positive and finite"),
+    ("run", ["--mu-min", "0", "--mu-max", "inf"], "mu_min and mu_max must be finite"),
+    ("run", ["--mu-min=-inf", "--mu-max", "1"], "mu_min and mu_max must be finite"),
+    ("diagram", ["--mu-min", "0", "--mu-max", "inf"], "mu_min and mu_max must be finite"),
+])
+def test_non_finite_settings_exit_one(tmp_path, capsys, command, flags, problem):
+    # an infinite tolerance or deflation parameter would certify a wrong
+    # diagram, and an infinite interval has no grid
+    out = tmp_path / "o"
+    code = run_cli([command, "--model", "chafee", *flags] + FAST + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {problem}" in err
+    assert "aborted" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--mesh", "abc"],
     ["run", "--model", "foo"],

@@ -343,49 +343,21 @@ def test_discover_reduced_solutions_counts(chafee):
 
 
 def test_deflated_sweep_emits_one_entry_per_root(chafee):
+    # on a one- and a two-column basis alike, each parameter gives 3 roots
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    warm = {}
-    sw = deflated_estimator_sweep(chafee, basis, [11.0, 12.0], warm=warm)
-    by_mu = {}
-    for e in sw:
-        by_mu.setdefault(e.mu, []).append(e)
-    assert set(by_mu) == {11.0, 12.0}
-    for mu, entries in by_mu.items():
-        assert len(entries) == 3
-        assert [e.branch for e in entries] == [0, 1, 2]
-        assert all(e.converged for e in entries)
-        assert len(warm[mu]) == 3
-
-
-def test_deflated_sweep_pads_warm_starts_from_a_smaller_basis(chafee, monkeypatch):
-    basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    basis.enrich(newton(chafee, 14.0, chafee.default_guesses[0]).u, 14.0)
-    assert basis.n == 2
-    mus = [11.0, 12.0]
-    warm = {}
-    deflated_estimator_sweep(chafee, basis.truncated(1), mus, warm=warm)
-    small = {mu: [r.copy() for r in roots] for mu, roots in warm.items()}
-    assert sorted(small) == mus and all(len(r) == 1 for r in small[12.0])
-    cold = deflated_estimator_sweep(chafee, basis, mus)
-
-    tried = {}  # every guess of every discovery call at mu
-    discover = estimators.discover_reduced_solutions
-
-    def spy(basis, mu, guesses, *args):
-        tried.setdefault(mu, []).extend(guesses)
-        return discover(basis, mu, guesses, *args)
-
-    monkeypatch.setattr(estimators, "discover_reduced_solutions", spy)
-    hot = deflated_estimator_sweep(chafee, basis, mus, warm=warm)
-    for mu in mus:
-        padded = [np.concatenate([r, [0.0]]) for r in small[mu]]
-        assert all(any(np.array_equal(p, g) for g in tried[mu]) for p in padded)
-        cold_roots = sorted((e.u_n for e in cold if e.mu == mu), key=tuple)
-        hot_roots = sorted((e.u_n for e in hot if e.mu == mu), key=tuple)
-        assert len(hot_roots) == len(cold_roots) == len(warm[mu]) == 3
-        for a, b in zip(hot_roots, cold_roots):
-            assert np.allclose(a, b, rtol=0.0, atol=1e-9)
-        assert all(r.shape == (2,) for r in warm[mu])
+    wider = basis.truncated(1)
+    wider.enrich(newton(chafee, 14.0, chafee.default_guesses[0]).u, 14.0)
+    assert (basis.n, wider.n) == (1, 2)
+    for b in (basis, wider):
+        sw = deflated_estimator_sweep(chafee, b, [11.0, 12.0])
+        by_mu = {}
+        for e in sw:
+            by_mu.setdefault(e.mu, []).append(e)
+        assert set(by_mu) == {11.0, 12.0}
+        for mu, entries in by_mu.items():
+            assert len(entries) == 3
+            assert [e.branch for e in entries] == [0, 1, 2]
+            assert all(e.converged for e in entries)
 
 
 def test_deflated_sweep_runs_no_plain_solve_where_no_root_is_found(bratu, monkeypatch):

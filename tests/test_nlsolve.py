@@ -411,14 +411,14 @@ class StringRoots(list):
 
 
 # A sweep on strings: the roots existing at each mu with their Morse index.
-# A carried root or warm start reaches itself, battery guess gi the root
+# A carried root reaches itself, battery guess gi the root
 # BATTERY_REACHES[gi], each only where it exists and is not yet known.
 BATTERY = ["g0", "g1", "g2"]
 BATTERY_REACHES = {"g0": "z", "g1": "p", "g2": "m"}
 EXISTS = {
     1.0: {"z": 0},                  # (a) first parameter: the battery finds z
     2.0: {"z": 0},                  # (d) after a battery root: nothing new
-    3.0: {"z": 0},                  # quiet; the warm start w reaches nothing
+    3.0: {"z": 0},                  # quiet
     4.0: {"z": 1, "p": 0},          # (c) z changes stability: p is born
     5.0: {"z": 1, "p": 0, "m": 0},  # (d) m, p's partner, with the same counts
     6.0: {"z": 1, "p": 0, "m": 0},  # (d) after m: nothing new
@@ -428,7 +428,7 @@ EXISTS = {
 }
 
 
-def string_sweep(counted=True, warm=None):
+def string_sweep(counted=True):
     """(swept roots, solve_at calls as (mu, guesses, roots passed in, drive),
     deflated attempts as (mu, guess))."""
     calls, attempts = [], []
@@ -444,13 +444,12 @@ def string_sweep(counted=True, warm=None):
         return discover(deflated_solve, guesses, StringRoots(roots), drive)
 
     count = (lambda u, mu: EXISTS[mu][u]) if counted else None
-    swept = dict(continuation(solve_at, list(EXISTS), BATTERY, warm, count))
+    swept = dict(continuation(solve_at, list(EXISTS), BATTERY, count))
     return swept, calls, attempts
 
 
-def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
-    warm = {3.0: ["w"], 9.5: ["x"]}
-    swept, calls, attempts = string_sweep(warm=warm)
+def test_continuation_tries_previous_roots_then_the_battery():
+    swept, calls, attempts = string_sweep()
     assert swept == {1.0: ["z"], 2.0: ["z"], 3.0: ["z"], 4.0: ["z", "p"],
                      5.0: ["z", "p", "m"], 6.0: ["z", "p", "m"], 7.0: ["z", "p", "m"],
                      8.0: [], 9.0: ["z"]}
@@ -468,7 +467,7 @@ def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
         for g in guesses:
             adds = drive and BATTERY_REACHES[g] in set(swept[mu]) - set(known)
             assert attempts.count((mu, g)) == (2 if adds else 1), (mu, g)
-    assert attempts.count((3.0, "w")) == 1 and attempts.count((7.0, "z")) == 1
+    assert attempts.count((3.0, "z")) == 1 and attempts.count((7.0, "z")) == 1
     assert [g for mu, g in attempts if mu == 5.0] == ["z", "p", "g0", "g1", "g2", "g2"]
     # solve_at may consume its guesses: the caller's battery stays as it was
     battery = list(BATTERY)
@@ -479,17 +478,21 @@ def test_continuation_tries_previous_roots_then_warm_starts_then_the_battery():
 
     assert list(continuation(consume, [1.0, 2.0], battery)) == [(1.0, []), (2.0, [])]
     assert battery == BATTERY
-    # the guesses at mu are previous roots, then warm starts, then (if it
-    # runs) the battery: the order of a battery run at every parameter
+
+    def consume_and_find(mu, guesses, roots, drive):
+        guesses.clear()
+        return ["z"]
+
+    # nor do the roots already yielded change when the next mu consumes them
+    assert list(continuation(consume_and_find, [1.0, 2.0], battery)) == [(1.0, ["z"]), (2.0, ["z"])]
+    # the guesses at mu are previous roots, then (if it runs) the battery:
+    # the order of a battery run at every parameter
     tried = {}
     for mu, guesses, _, _ in calls:
         tried.setdefault(mu, []).extend(guesses)
     previous = [[]] + list(swept.values())[:-1]
     for mu, before in zip(swept, previous):
-        carried = before + (["w"] if mu == 3.0 else [])
-        assert tried[mu] in (carried, carried + BATTERY), mu
-    # the roots found replace the warm starts; other parameters keep theirs
-    assert warm == {**swept, 9.5: ["x"]}
+        assert tried[mu] in (before, before + BATTERY), mu
 
 
 def test_continuation_runs_the_battery_only_where_a_branch_can_be_born():

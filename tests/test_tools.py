@@ -92,3 +92,20 @@ def test_artifact_drift_excuses_a_drift_within_the_absolute_floor(tmp_path):
     beyond = drift(a, b, "1e-6", "1e-9")
     assert beyond.returncode == 1
     assert "report.json: relative drift 2.000e-04 exceeds 1e-06 beyond atol 1e-09" in beyond.stdout
+
+
+def test_artifact_drift_reports_the_drift_beyond_the_floor(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    # a roundoff pair moves by 100% relative, a real value by 1e-7
+    (a / "errors.csv").write_text("mu,tau\n5,4e-7\n6,500\n")
+    (b / "errors.csv").write_text("mu,tau\n5,0\n6,500.00005\n")
+    floored = drift(a, b, "1e-6", "1e-6")
+    assert floored.returncode == 0
+    assert ("errors.csv: worst relative drift 1.000e+00, absolute 5.000e-05, "
+            "beyond atol 1.000e-07") in floored.stdout
+    # without atol no pair is excused, and the line names no floor
+    plain = drift(a, b, "1.5")
+    assert plain.returncode == 0
+    assert "beyond atol" not in plain.stdout

@@ -10,7 +10,9 @@ A CSV whose first row is all numbers (np.savetxt writes no header) has that
 row compared as numbers.  It also exits 1 when a numeric CSV cell or a JSON
 float a, b drifts by |a - b| > max(rtol * max(|a|, |b|), atol); atol
 defaults to 0, so the drift is then purely relative.  Otherwise it prints
-the worst relative drift of every file whose bytes differ and exits 0.
+the worst relative and absolute drift of every file whose bytes differ and
+exits 0; with atol > 0 it also prints the worst relative drift beyond atol,
+the one the gate judged.
 Standard library only, so it runs on any two output trees of
 tools/cli_artifacts.sh.
 """
@@ -139,7 +141,8 @@ def main(argv=None) -> int:
             failed = True
         else:
             print(f"{rel}: worst relative drift {found.relative:.3e}, "
-                  f"absolute {found.absolute:.3e}")
+                  f"absolute {found.absolute:.3e}"
+                  + (f", beyond atol {found.beyond_atol:.3e}" if args.atol else ""))
     return 1 if failed else 0
 
 
