@@ -37,9 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_UNCERTIFIED = 2
 
-# Environment override for the artifact directory, nothing else.
-OUT_DIR_ENV = "BIFRB_OUT_DIR"
-
 _STRATEGIES = ("vanilla", "adaptive", "deflated", "pod")
 _MODELS = ("bratu", "chafee")
 _ESTIMATORS = tuple(k.value for k in EstimatorKind)
@@ -387,8 +384,6 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
         if value is not None:
             setattr(cfg, f.name, value)
             given.add(f.name)
-    if OUT_DIR_ENV in os.environ:
-        cfg.out_dir = os.environ[OUT_DIR_ENV]
     return cfg, given
 
 

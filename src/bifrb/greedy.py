@@ -16,7 +16,10 @@ snapshot there, and enrich the basis.  They differ only in its hooks.
 * The deflated variant sweeps all reduced branches deflation can reach,
   selects the worst (parameter, branch) pair, seeds the full-order solve
   with the lifted reduced solution of that branch, and afterwards harvests
-  every additional root at the selected parameter into the basis.
+  every additional root at the selected parameter into the basis: the
+  model's guess battery is driven against the snapshot root
+  (`discover_solutions`, the full-order discovery of the oracle).  Only
+  the basis carries over from one of its iterations to the next.
 
 Iterations that add no column (the snapshot already lies in the span) fall
 through to the next-ranked entry; exhausting all candidates above tolerance
@@ -33,8 +36,7 @@ import numpy as np
 from .estimators import (EstimatorKind, EstimatorSet, argmin_beta, beta_sweep,
                          deflated_estimator_sweep, estimator_sweep)
 from .model import ParameterSpace, ParametricModel
-from .nlsolve import (NewtonConfig, RootSet, deflated_newton, discover,
-                      newton)
+from .nlsolve import NewtonConfig, discover_solutions, newton
 from .rom import BasisMatrix
 
 __all__ = [
@@ -151,7 +153,7 @@ class GreedyReport:
 
 
 def _initialize(model: ParametricModel, space: ParameterSpace,
-                cfg: GreedyConfig) -> tuple[BasisMatrix, float, str | None, np.ndarray]:
+                cfg: GreedyConfig) -> tuple[BasisMatrix, float, str | None]:
     """First snapshot: solve at mu0 and enrich; scan outward on failure.
 
     mu0 is the training endpoint on the model's uniqueness side.  Parameters
@@ -174,7 +176,7 @@ def _initialize(model: ParametricModel, space: ParameterSpace,
             note = None if rejected == 0 else (
                 f"initialized at mu={mu:g} after {rejected} unusable "
                 f"candidates starting from mu0={start:g}")
-            return basis, mu, note, result.u
+            return basis, mu, note
         rejected += 1
     raise RuntimeError("no training parameter produced a usable initial snapshot")
 
@@ -266,7 +268,7 @@ def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
     cfg = cfg or GreedyConfig()
     cfg.validate()
-    basis, mu0, note, _ = _initialize(model, space, cfg)
+    basis, mu0, note = _initialize(model, space, cfg)
     report = _greedy(
         "vanilla", basis, mu0, note, space, cfg,
         lambda sp: estimator_sweep(model, basis, sp.train_points, cfg.newton, cfg.estimator_kind),
@@ -309,7 +311,7 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     acfg = acfg or AdaptiveConfig()
     cfg.validate()
     acfg.validate()
-    basis, mu0, note, _ = _initialize(model, space, cfg)
+    basis, mu0, note = _initialize(model, space, cfg)
 
     def critical_point(mus) -> float:
         return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu
@@ -329,24 +331,31 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     return basis, report
 
 
-def deflated_snapshots(model: ParametricModel, roots_hf: RootSet,
-                       guesses: RootSet, mu: float, cfg: NewtonConfig,
-                       basis: BasisMatrix) -> None:
-    """Harvest every additional full-order root at mu into the basis.
+def deflated_snapshots(model: ParametricModel, basis: BasisMatrix,
+                       cfg: NewtonConfig, entry):
+    """Snapshot hook of the deflated strategy: the entry's root, then a harvest.
 
-    Each full-order guess is driven through deflated solves against the
-    accumulated roots until it diverges (`nlsolve.discover`).  New roots
-    always join the root set and the guesses, even when Gram-Schmidt
-    rejects their snapshot (a root already in the span still has to repel
-    later solves); only genuinely new directions grow the basis.
+    The full-order solve starts from the lifted reduced solution of the
+    entry's branch (the default guess when it has none), so the snapshot
+    lands on the poorly approximated branch.  The model's guess battery is
+    then driven against that root (`discover_solutions`), and every further
+    root it reaches at the parameter enriches the basis; only genuinely new
+    directions grow it.  Returns "hf_<cause>", "no_growth", or the snapshot's
+    enrich status and the columns the harvest added.
     """
-    known = len(roots_hf)
-    discover(lambda g, roots: deflated_newton(model, mu, g, roots, cfg),
-             list(guesses), roots_hf)
-    for root in roots_hf.roots[known:]:
-        basis.enrich(root, mu)
-    for root in roots_hf:
-        guesses.add(root)
+    guess = basis.lift(entry.u_n) if entry.u_n is not None else model.default_guess
+    result = newton(model, entry.mu, guess, cfg)
+    if not result.converged:
+        return f"hf_{result.cause}"
+    n_before = basis.n
+    enr = basis.enrich(result.u, entry.mu)
+    for root in discover_solutions(model, entry.mu, model.default_guesses, cfg,
+                                   [result.u]).roots[1:]:
+        basis.enrich(root, entry.mu)
+    growth = basis.n - n_before
+    if growth == 0:
+        return "no_growth"
+    return enr.status, growth - (1 if enr.enriched else 0)
 
 
 def deflated_greedy(model: ParametricModel, space: ParameterSpace,
@@ -354,39 +363,16 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     """Multi-branch greedy: certify every branch deflation can reach.
 
     Each sweep enumerates all reduced roots per parameter and estimates each
-    one; the worst (parameter, branch) pair supplies the next snapshot, with
-    the lifted reduced solution seeding the full-order solve so the snapshot
-    lands on the poorly approximated branch.  A root harvest at the selected
-    parameter then pulls in the coexisting branches.  Entries whose
-    enrichment adds nothing anywhere fall through to the next-ranked entry.
+    one; the worst (parameter, branch) pair supplies the next snapshot and
+    root harvest (`deflated_snapshots`).  Entries whose enrichment adds
+    nothing anywhere fall through to the next-ranked entry.
     """
     cfg = cfg or GreedyConfig()
     cfg.validate()
-    basis, mu0, note, first_root = _initialize(model, space, cfg)
-    # Full-order guesses of the root harvest.
-    guesses = RootSet(model.x_apply)
-    for g in [*model.default_guesses, first_root]:
-        guesses.add(g)
-
-    def snapshot(entry):
-        guess = basis.lift(entry.u_n) if entry.u_n is not None else model.default_guess
-        result = newton(model, entry.mu, guess, cfg.newton)
-        if not result.converged:
-            return f"hf_{result.cause}"
-        n_before = basis.n
-        roots = RootSet(model.x_apply)
-        roots.add(result.u)
-        enr = basis.enrich(result.u, entry.mu)
-        guesses.add(result.u)
-        deflated_snapshots(model, roots, guesses, entry.mu, cfg.newton, basis)
-        growth = basis.n - n_before
-        if growth == 0:
-            return "no_growth"
-        return enr.status, growth - (1 if enr.enriched else 0)
-
+    basis, mu0, note = _initialize(model, space, cfg)
     report = _greedy(
         "deflated", basis, mu0, note, space, cfg,
         lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
                                             cfg.estimator_kind),
-        snapshot)
+        lambda entry: deflated_snapshots(model, basis, cfg.newton, entry))
     return basis, report

@@ -171,10 +171,6 @@ class RootSet:
     def __iter__(self):
         return iter(self.roots)
 
-    def distances(self, y: np.ndarray) -> list[float]:
-        y = np.asarray(y, dtype=float)
-        return [self.norm(y - u) for u in self.roots]
-
     def factor_and_gradient(self, y: np.ndarray, power_r: float,
                             shift_sigma: float) -> tuple[float, np.ndarray]:
         """The deflation factor m(y) and its gradient, from one pass over the roots.
@@ -218,7 +214,8 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
     non-finite du as "nonfinite_step".  `residual_norm` is the dual norm of
     the residual and decides convergence against cfg.tol.  `roots.norm`
     measures steps and iterates; a non-empty `roots` deflates each step with
-    cfg's r and sigma and rejects a converged iterate that is one of them.
+    cfg's r and sigma, and `roots.is_distinct` ends a run whose guess or
+    converged iterate is one of them.
     With no roots the deflation factor would be 1 and the step scaling
     exactly 1.0, so plain runs skip it.  A run whose (deflated) step norm
     has not fallen below half its best value for NO_PROGRESS_WINDOW
@@ -228,7 +225,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
     """
     norm = roots.norm
     y = np.array(guess, dtype=float).copy()
-    if roots and min(roots.distances(y)) <= 1e-12 * max(1.0, norm(y)):
+    if roots and not roots.is_distinct(y):
         return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
 
     r = residual_fn(y)

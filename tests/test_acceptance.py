@@ -501,8 +501,7 @@ def test_criterion_8_derivative_consistency(chafee, bratu):
            f"{worst_grad:.2e} over 50 deflation-gradient inputs, both <= 1e-5")
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("BIFRB_OUT_DIR", raising=False)
+def test_criterion_9_determinism(tmp_path):
     args = ["run", "--model", "chafee", "--strategy", "deflated",
             "--mesh", "41", "--train", "11", "--test", "11"]
     outs = []

@@ -172,17 +172,6 @@ def test_flags_override_config_file(tmp_path):
     assert config["model_kind"] == "bratu"
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("BIFRB_OUT_DIR", str(env_dir))
-    code = run_cli(["diagram", "--model", "bratu"] + FAST
-                   + ["--out", str(tmp_path / "from_flag")])
-    assert code == 0
-    assert env_dir.is_dir()
-    assert not (tmp_path / "from_flag").exists()
-    assert read_report(env_dir)["config"]["out_dir"] == str(env_dir)
-
-
 def test_diagram_command_labels_branches(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["diagram", "--model", "chafee"] + FAST + ["--out", str(out)])

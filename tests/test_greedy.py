@@ -8,11 +8,12 @@ import pytest
 
 from bifrb.analysis import error_sweep, solution_ensemble
 from bifrb.estimators import estimator_sweep
+from bifrb import greedy
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
-                          refinement, vanilla_greedy)
+                          deflated_snapshots, refinement, vanilla_greedy)
 from bifrb.model import ParameterSpace, make_model
-from bifrb.nlsolve import NewtonConfig, newton
+from bifrb.nlsolve import NewtonConfig, discover_solutions, newton
 from bifrb.rom import BasisMatrix
 
 
@@ -145,6 +146,46 @@ def test_deflated_reselection_walks_the_ranking_when_nothing_grows(chafee):
     assert all(reason == "no_growth" or reason.startswith(("hf_", "gs_"))
                for _, _, reason in last.skipped)
     assert len({mu for mu, _, _ in last.skipped}) >= 2
+
+
+def test_deflated_snapshot_harvests_the_coexisting_root(bratu):
+    # At mu = 1 bratu has a lower and an upper root.  From a basis holding the
+    # lower one, the snapshot lands on it again and adds nothing, and the
+    # harvest adds the upper root.
+    mu = 1.0
+    lower, upper = discover_solutions(bratu, mu, bratu.default_guesses)
+    assert bratu.x_norm(lower) < bratu.x_norm(upper)
+    basis = BasisMatrix(bratu)
+    basis.enrich(lower, mu)
+    entry = SimpleNamespace(mu=mu, branch=0, u_n=basis.project(lower))
+    assert deflated_snapshots(bratu, basis, NewtonConfig(), entry) == ("rejected", 1)
+    assert basis.n == 2 and basis.mu_values == [mu, mu]
+    assert basis.projection_error(upper) <= 1e-8 * bratu.x_norm(upper)
+
+
+@pytest.mark.parametrize("kind, grid", [("chafee", (5.0, 15.0, 11)),
+                                        ("bratu", (0.5, 3.6, 11))])
+def test_deflated_harvest_starts_from_the_battery_and_the_snapshot_only(
+        kind, grid, monkeypatch):
+    # No guess store crosses greedy iterations: every harvest drives the
+    # model's guess battery against the one root of its own snapshot.
+    model = make_model(kind, 41)
+    calls = []
+
+    def spy(model_, mu, guesses, cfg=None, roots=(), drive=True):
+        calls.append((mu, [np.array(g) for g in guesses], list(roots)))
+        return discover_solutions(model_, mu, guesses, cfg, roots, drive)
+
+    monkeypatch.setattr(greedy, "discover_solutions", spy)
+    _, report = deflated_greedy(model, ParameterSpace.equispaced(*grid),
+                                GreedyConfig(tol=1e-3))
+    selected = [r.mu_selected for r in report.records if r.mu_selected is not None]
+    assert len(calls) >= len(selected) >= 1
+    battery = model.default_guesses
+    for _, guesses, roots in calls:
+        assert len(guesses) == len(battery)
+        assert all(np.array_equal(g, b) for g, b in zip(guesses, battery))
+        assert len(roots) == 1
 
 
 def test_report_round_trips_through_json(bratu):

@@ -113,7 +113,8 @@ def test_broken_jacobian_at_mesh_1_is_reported_not_raised(value, cause):
 def test_euclidean_deflation_distances_are_numpys_norm(rng):
     roots = [rng.standard_normal(4) for _ in range(3)]
     y = rng.standard_normal(4)
-    assert RootSet(None, roots).distances(y) == [float(np.linalg.norm(y - u)) for u in roots]
+    op = RootSet(None, roots)
+    assert [op.norm(y - u) for u in roots] == [float(np.linalg.norm(y - u)) for u in roots]
 
 
 def test_deflation_scalar_matches_manual_product(rng):
@@ -203,7 +204,7 @@ def test_factor_and_gradient_in_one_pass(bratu, rng):
         op = RootSet(metric, roots)
         m, _ = op.factor_and_gradient(y, 3.0, 0.5)
         manual = 1.0
-        for d in op.distances(y):
+        for d in (op.norm(y - u) for u in roots):
             manual *= d**-3.0 + 0.5
         assert np.isclose(m, manual, rtol=1e-14)
 
@@ -267,6 +268,24 @@ def test_deflated_newton_rejects_guess_on_root(chafee):
     res = deflated_newton(chafee, mu, root.copy(), [root])
     assert not res.converged
     assert res.cause == "deflation_singular_guess"
+
+
+def test_deflated_guess_that_is_a_known_root_is_refused_at_once(chafee, rng):
+    # A guess the root set's distinctness rule calls a known root starts no
+    # iteration, full-order or reduced, even when it is not bit-equal to it.
+    mu = 12.0
+    root = newton(chafee, mu, chafee.default_guesses[0]).u
+    basis = BasisMatrix(chafee)
+    basis.enrich(root, mu)
+    for solve, known in ((lambda g, roots: deflated_newton(chafee, mu, g, roots), root),
+                         (lambda g, roots: reduced_deflated_newton(basis, mu, g, roots),
+                          basis.project(root))):
+        near = known * (1.0 + 1e-8 * rng.standard_normal(known.shape))
+        res = solve(near, [known])
+        assert not res.converged
+        assert res.cause == "deflation_singular_guess"
+        assert res.iterations == 0
+        assert np.array_equal(res.u, near)
 
 
 def test_root_set_distinctness_guard(bratu, rng):

@@ -18,7 +18,6 @@ src=$(cd "$1" && pwd)
 mkdir -p "$2"
 cd "$2"
 export OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src"
-unset BIFRB_OUT_DIR
 : > stdout.txt
 
 bifrb() {
