@@ -11,28 +11,24 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import nonlinear_estimate
+from .estimators import nonlinear_estimate, reduced_branches
 from .model import ParametricModel
 from .nlsolve import NewtonConfig, continuation, discover_solutions
-from .rom import BasisMatrix, discover_reduced_solutions, reduced_morse_index, reduced_root
+from .rom import NULL_TOL, BasisMatrix
 
 __all__ = [
-    "MATCH_AMBIGUITY_TOL", "ZERO_REF_TOL",
+    "MATCH_AMBIGUITY_TOL",
     "BranchPoint", "SolutionEnsemble", "solution_ensemble",
-    "BifurcationDiagram", "ensemble_diagram",
     "relative_error", "ErrorRow", "ErrorSweep", "error_sweep", "error_vs_n",
     "write_csv", "diagram_csv", "errors_csv",
 ]
 
 # Two candidate matches closer than this in midpoint value are ambiguous.
 MATCH_AMBIGUITY_TOL = 1e-6
-# References with X-norm at or below solver noise get absolute errors.
-ZERO_REF_TOL = 1e-8
 
 
 # -- branch-labeled solution sets ------------------------------------------
@@ -128,35 +124,16 @@ def solution_ensemble(model: ParametricModel, mus,
     return SolutionEnsemble(model, points)
 
 
-@dataclass
-class BifurcationDiagram:
-    """Scalar diagram rows (mu, branch, midpoint value) plus the ensemble
-    they were read from."""
-
-    rows: list[dict]
-    ensemble: SolutionEnsemble
-
-    def values(self, branch: int) -> list[tuple[float, float]]:
-        return [(r["mu"], r["value"]) for r in self.rows if r["branch"] == branch]
-
-
-def ensemble_diagram(ens: SolutionEnsemble) -> BifurcationDiagram:
-    rows = [{"mu": p.mu, "branch": p.branch, "value": p.value}
-            for p in ens.points]
-    rows.sort(key=lambda r: (r["mu"], r["branch"]))
-    return BifurcationDiagram(rows, ens)
-
-
 # -- errors ----------------------------------------------------------------
 
 
 def relative_error(model: ParametricModel, u_ref: np.ndarray,
                    u_approx: np.ndarray) -> float:
     """X-norm error relative to the reference; absolute when the reference
-    itself is numerically zero."""
+    itself is numerically zero (X-norm at most `rom.NULL_TOL`)."""
     ref_norm = model.x_norm(u_ref)
     err = model.x_norm(np.asarray(u_approx) - np.asarray(u_ref))
-    if ref_norm <= ZERO_REF_TOL:
+    if ref_norm <= NULL_TOL:
         return err
     return err / ref_norm
 
@@ -231,9 +208,9 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                 deflate: bool = True) -> ErrorSweep:
     """Reduced vs full-order errors over a test grid, matched per branch.
 
-    With deflate on, every reduced root reachable from the carried roots (one
-    solve each) and the projected battery (run where the reduced Morse
-    indices tell a branch can be born, `nlsolve.continuation`) is found and
+    The reduced roots at each parameter are those of
+    `estimators.reduced_branches`.  With deflate on, that is every reduced
+    root reachable from the carried roots and the projected battery, and
     each reference branch is matched to the reduced root with the nearest
     midpoint value.  A reduced root connected to no tracked reduced branch (a
     spurious isola of the basis) is found, and flagged by the matching, only
@@ -242,24 +219,15 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     branches, which is the honest way to score a basis built by a
     single-branch method.  Each row also carries the best-approximation
     projection error and the a-posteriori bound evaluated at the matched
-    reduced solution.  An empty basis scores the zero state; references left
-    without a reduced root are "diverged".
+    reduced solution.  An empty basis scores the zero state without a solve;
+    references left without a reduced root are "diverged".
     """
     cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
     tested = [mu for mu in mus if oracle.at(mu)]
-    battery = [basis.project(g)
-               for g in (model.default_guesses if deflate else [model.default_guess])]
-
-    def solve_at(mu, guesses, roots, drive):
-        if not basis.n:
-            return []
-        if deflate:
-            return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
-        return reduced_root(basis, mu, guesses, cfg, roots)
-
-    count = partial(reduced_morse_index, basis) if deflate else None
-    for mu, roots in continuation(solve_at, tested, battery, count=count):
+    branches = (reduced_branches(model, basis, tested, cfg, deflate) if basis.n
+                else ((mu, []) for mu in tested))
+    for mu, roots in branches:
         refs = oracle.at(mu)
         lifted = [basis.lift(r) for r in roots]
         values = [model.midpoint_value(u) for u in lifted]
@@ -268,7 +236,7 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
         matches = [int(np.argmin(d)) if roots else None for d in dists_per_ref]
         flags = _match_flags(dists_per_ref, matches, len(roots))
         for p, i, flag in zip(refs, matches, flags):
-            kind = "absolute" if model.x_norm(p.u) <= ZERO_REF_TOL else "relative"
+            kind = "absolute" if model.x_norm(p.u) <= NULL_TOL else "relative"
             proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))
             if i is None:
                 red, flag = (proj, "") if basis.n == 0 else (math.inf, "diverged")
@@ -324,8 +292,12 @@ def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[k]) for k in fieldnames])
 
 
-def diagram_csv(path, diagram: BifurcationDiagram) -> None:
-    write_csv(path, ["mu", "branch", "value"], diagram.rows)
+def diagram_csv(path, ens: SolutionEnsemble) -> None:
+    """The scalar diagram of `ens`: (mu, branch, midpoint value) rows sorted by
+    (mu, branch)."""
+    rows = sorted(({"mu": p.mu, "branch": p.branch, "value": p.value} for p in ens.points),
+                  key=lambda r: (r["mu"], r["branch"]))
+    write_csv(path, ["mu", "branch", "value"], rows)
 
 
 def errors_csv(path, sweep: ErrorSweep) -> None:

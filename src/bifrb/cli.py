@@ -20,13 +20,12 @@ import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
-from .analysis import (SolutionEnsemble, diagram_csv, ensemble_diagram,
-                       error_sweep, error_vs_n, errors_csv, solution_ensemble,
-                       write_csv)
+from .analysis import (SolutionEnsemble, diagram_csv, error_sweep, error_vs_n,
+                       errors_csv, solution_ensemble, write_csv)
 from .estimators import EstimatorKind
 from .greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                      adaptive_greedy, deflated_greedy, vanilla_greedy)
-from .model import ParameterSpace, make_model
+from .model import ModelKind, ParameterSpace, make_model
 from .nlsolve import NewtonConfig
 from .pod import pod_basis
 from .rom import BasisMatrix
@@ -38,7 +37,7 @@ EXIT_CONFIG_ERROR = 1
 EXIT_UNCERTIFIED = 2
 
 _STRATEGIES = ("vanilla", "adaptive", "deflated", "pod")
-_MODELS = ("bratu", "chafee")
+_MODELS = tuple(k.value for k in ModelKind)
 _ESTIMATORS = tuple(k.value for k in EstimatorKind)
 
 ESTIMATOR_FIELDS = ["mu", "branch", "delta", "beta", "tau", "valid"]
@@ -215,7 +214,7 @@ def cmd_run(cfg: RunConfig) -> int:
                   ESTIMATOR_FIELDS, rows)
 
     oracle = _test_oracle(cfg, model)
-    diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), ensemble_diagram(oracle))
+    diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), oracle)
     sweep, scores = _score(cfg, basis, oracle)
 
     status = report.get("status", "tolerance_met")
@@ -229,7 +228,7 @@ def cmd_diagram(cfg: RunConfig) -> int:
     model = make_model(cfg.model_kind, cfg.mesh_size)
     oracle = _test_oracle(cfg, model)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), ensemble_diagram(oracle))
+    diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), oracle)
     _write_report(cfg.out_dir, {
         "config": cfg.to_dict(),
         "branches": oracle.branches(),

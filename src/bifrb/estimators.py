@@ -44,6 +44,7 @@ __all__ = [
     "linear_estimate",
     "nonlinear_estimate",
     "estimator_sweep",
+    "reduced_branches",
     "deflated_estimator_sweep",
     "beta_sweep",
     "argmin_beta",
@@ -253,23 +254,36 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     return EstimatorSet(entries, kind)
 
 
-def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                             cfg: NewtonConfig | None = None,
-                             kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
-    """Multi-branch sweep: deflation discovers every reduced root per parameter.
+def reduced_branches(model: ParametricModel, basis: BasisMatrix, mus,
+                     cfg: NewtonConfig | None = None, deflate: bool = True):
+    """Yield (mu, reduced roots) over `mus` by `nlsolve.continuation`.
 
-    The guesses at each parameter are, in order (`nlsolve.continuation`), the
-    roots of the previous parameter, one solve each, and, where the reduced
-    Morse indices tell a branch can be born, the projected model battery.
+    With `deflate`, the roots at each parameter are the previous parameter's,
+    one solve each, and, where the reduced Morse indices tell a branch can be
+    born (`rom.reduced_morse_index`), every further root the projected model
+    battery reaches (`rom.discover_reduced_solutions`).  Without it, one root
+    per parameter (`rom.reduced_root`) from the previous root, else from the
+    projected default guess, which keeps to one solution family.
     """
-    battery = [basis.project(g) for g in model.default_guesses]
+    if not deflate:
+        return continuation(
+            lambda mu, guesses, roots, drive: reduced_root(basis, mu, guesses, cfg, roots),
+            mus, [basis.project(model.default_guess)])
 
     def solve_at(mu, guesses, roots, drive):
         return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
 
-    sweep = continuation(solve_at, mus, battery, partial(reduced_morse_index, basis))
-    entries = [e for mu, roots in sweep for e in _entries(model, basis, mu, roots)]
-    return EstimatorSet(entries, kind)
+    return continuation(solve_at, mus, [basis.project(g) for g in model.default_guesses],
+                        partial(reduced_morse_index, basis))
+
+
+def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
+                             cfg: NewtonConfig | None = None,
+                             kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
+    """Multi-branch sweep: every reduced root deflation reaches per parameter
+    (`reduced_branches`), each estimated."""
+    return EstimatorSet([e for mu, roots in reduced_branches(model, basis, mus, cfg)
+                         for e in _entries(model, basis, mu, roots)], kind)
 
 
 @dataclass
@@ -283,20 +297,14 @@ def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
                cfg: NewtonConfig | None = None) -> list[BetaEntry]:
     """Inf-sup profile over the training set at lifted reduced solutions.
 
-    The solves use continuation (`rom.reduced_root` from the previous root,
-    then the default guess), which keeps the profile on one solution family,
-    whose inf-sup dips at the critical parameter.  Parameters where the
-    reduced solve diverges get an infinite value so they never win the argmin
-    used for bifurcation localization.
+    The solves follow one solution family (`reduced_branches` without
+    deflation), whose inf-sup dips at the critical parameter.  Parameters
+    where the reduced solve diverges get an infinite value so they never win
+    the argmin used for bifurcation localization.
     """
-    default = [basis.project(model.default_guess)]
-    out = []
-    for mu, roots in continuation(
-            lambda mu, guesses, roots, drive: reduced_root(basis, mu, guesses, cfg, roots),
-            mus, default):
-        beta = inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf
-        out.append(BetaEntry(mu, beta, bool(roots)))
-    return out
+    return [BetaEntry(mu, inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf,
+                      bool(roots))
+            for mu, roots in reduced_branches(model, basis, mus, cfg, deflate=False)]
 
 
 def argmin_beta(entries: list[BetaEntry]) -> BetaEntry:

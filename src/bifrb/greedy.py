@@ -1,8 +1,10 @@
 """Greedy sampling strategies for building certified reduced bases.
 
-All three variants run one loop (`_greedy`): sweep the training set with an
-error estimator, pick the worst-certified entry, compute a full-order
-snapshot there, and enrich the basis.  They differ only in its hooks.
+All three variants run one loop (`_greedy`): it validates the config, takes
+the first snapshot and owns the basis, then sweeps the training set with an
+error estimator, picks the worst-certified entry, computes a full-order
+snapshot there, and enriches the basis.  They differ only in its hooks,
+which receive the basis.
 
 * The plain variant runs one reduced solve per parameter, tracks a single
   solution family and solves at full order from the model's default guess.
@@ -154,7 +156,7 @@ class GreedyReport:
 
 def _initialize(model: ParametricModel, space: ParameterSpace,
                 cfg: GreedyConfig) -> tuple[BasisMatrix, float, str | None]:
-    """First snapshot: solve at mu0 and enrich; scan outward on failure.
+    """First snapshot: `_default_guess_snapshot` at mu0; scan outward on failure.
 
     mu0 is the training endpoint on the model's uniqueness side.  Parameters
     whose solve diverges or whose snapshot is null (a model whose
@@ -164,20 +166,13 @@ def _initialize(model: ParametricModel, space: ParameterSpace,
     """
     pts = list(space.train_points)
     start = pts[0] if model.uniqueness_side == "lower" else pts[-1]
-    order = sorted(pts, key=lambda p: (abs(p - start), p))
     basis = BasisMatrix(model)
-    rejected = 0
-    for mu in order:
-        result = newton(model, mu, model.default_guess, cfg.newton)
-        if not result.converged:
-            rejected += 1
-            continue
-        if basis.enrich(result.u, mu).enriched:
+    for rejected, mu in enumerate(sorted(pts, key=lambda p: (abs(p - start), p))):
+        if not isinstance(_default_guess_snapshot(model, basis, cfg.newton, mu), str):
             note = None if rejected == 0 else (
                 f"initialized at mu={mu:g} after {rejected} unusable "
                 f"candidates starting from mu0={start:g}")
             return basis, mu, note
-        rejected += 1
     raise RuntimeError("no training parameter produced a usable initial snapshot")
 
 
@@ -206,23 +201,26 @@ def _record(records: list, basis: BasisMatrix, space: ParameterSpace,
                                    sweep.max_delta, sweep.kind_used.value, **fields))
 
 
-def _greedy(strategy: str, basis: BasisMatrix, mu0: float, note: str | None,
-            space: ParameterSpace, cfg: GreedyConfig, sweep, snapshot,
-            refine=None) -> GreedyReport:
+def _greedy(strategy: str, model: ParametricModel, space: ParameterSpace,
+            cfg: GreedyConfig, sweep, snapshot, refine=None) -> tuple[BasisMatrix, GreedyReport]:
     """The sampling loop shared by the three strategies.
 
-    `sweep(space)` estimates the current basis over the training set.
-    `snapshot(entry)` tries to enrich the basis from one ranked entry and
-    returns (enrich_status, columns harvested besides the snapshot) or, when
-    the basis did not grow, the reason as a string.  `refine(space, mu_bif)`
-    runs after every enrichment and returns the next training space and
-    critical-point estimate, which the iteration's record carries.
+    It validates `cfg`, takes the first snapshot (`_initialize`) and owns
+    the basis, which every hook receives.  `sweep(basis, space)` estimates
+    the basis over the training set.  `snapshot(basis, entry)` tries to
+    enrich the basis from one ranked entry and returns (enrich_status,
+    columns harvested besides the snapshot) or, when the basis did not grow,
+    the reason as a string.  `refine(basis, space, mu_bif)` runs after every
+    enrichment and returns the next training space and critical-point
+    estimate, which the iteration's record carries.
     """
+    cfg.validate()
+    basis, mu0, note = _initialize(model, space, cfg)
     records: list[IterationRecord] = []
     sweeps: list[list[dict]] = []
     mu_bif: float | None = None
     while True:
-        estimates = sweep(space)
+        estimates = sweep(basis, space)
         sweeps.append(estimates.rows())
         if estimates.max_delta <= cfg.tol or basis.n >= cfg.n_max:
             status = (GreedyStatus.TOLERANCE_MET if estimates.max_delta <= cfg.tol
@@ -231,7 +229,7 @@ def _greedy(strategy: str, basis: BasisMatrix, mu0: float, note: str | None,
             break
         skipped: list = []
         for entry in _ranked_candidates(estimates, cfg.tol, basis.mu_values):
-            outcome = snapshot(entry)
+            outcome = snapshot(basis, entry)
             if not isinstance(outcome, str):
                 break
             skipped.append((entry.mu, entry.branch, outcome))
@@ -241,39 +239,41 @@ def _greedy(strategy: str, basis: BasisMatrix, mu0: float, note: str | None,
                     enrich_status=status.value, skipped=skipped)
             break
         if refine is not None:
-            space, mu_bif = refine(space, mu_bif)
+            space, mu_bif = refine(basis, space, mu_bif)
         enrich_status, harvested = outcome
         _record(records, basis, space, estimates, mu_selected=entry.mu,
                 branch_selected=entry.branch, enrich_status=enrich_status,
                 snapshot_growth=harvested, reselections=len(skipped),
                 mu_bif=mu_bif, skipped=skipped)
-    return GreedyReport(strategy, status, mu0, note, records, sweeps, None,
-                        space.train_points)
+    return basis, GreedyReport(strategy, status, mu0, note, records, sweeps, None,
+                               space.train_points)
 
 
 def _default_guess_snapshot(model: ParametricModel, basis: BasisMatrix,
-                            cfg: NewtonConfig, entry):
-    """Snapshot hook of the single-branch strategies: solve from the default guess."""
-    result = newton(model, entry.mu, model.default_guess, cfg)
+                            cfg: NewtonConfig, mu: float):
+    """Solve at mu from the default guess and enrich: the single-branch snapshot."""
+    result = newton(model, mu, model.default_guess, cfg)
     if not result.converged:
         return f"hf_{result.cause}"
-    enr = basis.enrich(result.u, entry.mu)
+    enr = basis.enrich(result.u, mu)
     if not enr.enriched:
         return f"gs_{enr.cause}"
     return "enriched", 0
+
+
+def _single_branch_hooks(model: ParametricModel, cfg: GreedyConfig):
+    """(sweep, snapshot) of the plain and adaptive strategies: one reduced
+    solve per parameter, full-order snapshots from the default guess."""
+    return (lambda basis, sp: estimator_sweep(model, basis, sp.train_points, cfg.newton,
+                                              cfg.estimator_kind),
+            lambda basis, entry: _default_guess_snapshot(model, basis, cfg.newton, entry.mu))
 
 
 def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
                    cfg: GreedyConfig | None = None) -> tuple[BasisMatrix, GreedyReport]:
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
     cfg = cfg or GreedyConfig()
-    cfg.validate()
-    basis, mu0, note = _initialize(model, space, cfg)
-    report = _greedy(
-        "vanilla", basis, mu0, note, space, cfg,
-        lambda sp: estimator_sweep(model, basis, sp.train_points, cfg.newton, cfg.estimator_kind),
-        lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry))
-    return basis, report
+    return _greedy("vanilla", model, space, cfg, *_single_branch_hooks(model, cfg))
 
 
 def refinement(space: ParameterSpace, mu_bif: float, mu_prev: float | None,
@@ -309,25 +309,20 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     """
     cfg = cfg or GreedyConfig()
     acfg = acfg or AdaptiveConfig()
-    cfg.validate()
     acfg.validate()
-    basis, mu0, note = _initialize(model, space, cfg)
 
-    def critical_point(mus) -> float:
+    def critical_point(basis: BasisMatrix, mus) -> float:
         return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu
 
-    def refine(sp: ParameterSpace, mu_prev: float | None):
-        mu_bif = critical_point(sp.train_points)
+    def refine(basis: BasisMatrix, sp: ParameterSpace, mu_prev: float | None):
+        mu_bif = critical_point(basis, sp.train_points)
         return refinement(sp, mu_bif, mu_prev, acfg.n_ref, acfg.bif_tol), mu_bif
 
-    report = _greedy(
-        "adaptive", basis, mu0, note, space, cfg,
-        lambda sp: estimator_sweep(model, basis, sp.train_points, cfg.newton, cfg.estimator_kind),
-        lambda entry: _default_guess_snapshot(model, basis, cfg.newton, entry),
-        refine)
+    basis, report = _greedy("adaptive", model, space, cfg,
+                            *_single_branch_hooks(model, cfg), refine)
     # The last refinement postdates the last minimizer, so detect the critical
     # point once more on the final grid before reporting it.
-    report.mu_bif = critical_point(report.train_final)
+    report.mu_bif = critical_point(basis, report.train_final)
     return basis, report
 
 
@@ -368,11 +363,8 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     nothing anywhere fall through to the next-ranked entry.
     """
     cfg = cfg or GreedyConfig()
-    cfg.validate()
-    basis, mu0, note = _initialize(model, space, cfg)
-    report = _greedy(
-        "deflated", basis, mu0, note, space, cfg,
-        lambda sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
-                                            cfg.estimator_kind),
-        lambda entry: deflated_snapshots(model, basis, cfg.newton, entry))
-    return basis, report
+    return _greedy(
+        "deflated", model, space, cfg,
+        lambda basis, sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
+                                                   cfg.estimator_kind),
+        lambda basis, entry: deflated_snapshots(model, basis, cfg.newton, entry))

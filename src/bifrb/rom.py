@@ -186,7 +186,9 @@ class BasisMatrix:
             model = make_model(meta["model_kind"], meta["mesh_size"])
         elif model.kind.value != meta["model_kind"] or model.mesh_size != meta["mesh_size"]:
             raise ValueError("basis metadata does not match the supplied model")
-        cols = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+        # An empty basis is saved as blank lines, which loadtxt cannot shape.
+        cols = (np.loadtxt(csv_path, delimiter=",", ndmin=2) if meta["n_basis"]
+                else np.zeros((meta["mesh_size"], 0)))
         if cols.shape != (meta["mesh_size"], meta["n_basis"]):
             raise ValueError("basis matrix shape does not match its metadata")
         mus = meta["mu_train"]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from bifrb.analysis import (BranchPoint, ErrorRow, ErrorSweep, _assign_labels,
-                            _match_flags, diagram_csv, ensemble_diagram,
-                            error_sweep, error_vs_n, errors_csv,
+                            _match_flags, diagram_csv, error_sweep, error_vs_n, errors_csv,
                             relative_error, solution_ensemble, write_csv)
+from bifrb import estimators
 from bifrb.nlsolve import newton
 from bifrb.rom import BasisMatrix
 
@@ -65,10 +65,11 @@ def test_ensemble_of_fold_problem(bratu):
         assert pts[0].value < pts[1].value  # lower branch keeps label 0
 
 
-def test_empty_grid_gives_empty_ensemble(bratu):
+def test_empty_grid_gives_empty_ensemble(bratu, tmp_path):
     ens = solution_ensemble(bratu, [])
     assert len(ens) == 0
-    assert ensemble_diagram(ens).rows == []
+    diagram_csv(tmp_path / "diagram.csv", ens)
+    assert (tmp_path / "diagram.csv").read_text() == "mu,branch,value\n"
 
 
 def test_assign_labels_never_reuses_dead_branches():
@@ -79,14 +80,18 @@ def test_assign_labels_never_reuses_dead_branches():
     assert nxt == 5
 
 
-def test_diagram_rows_are_sorted_and_typed(chafee, pitchfork_ensemble):
-    diagram = ensemble_diagram(pitchfork_ensemble)
-    keys = [(r["mu"], r["branch"]) for r in diagram.rows]
+def test_diagram_rows_are_sorted_and_typed(chafee, pitchfork_ensemble, tmp_path):
+    diagram_csv(tmp_path / "diagram.csv", pitchfork_ensemble)
+    head, *lines = (tmp_path / "diagram.csv").read_text().splitlines()
+    assert head == "mu,branch,value"
+    rows = [(float(mu), int(branch), float(value))
+            for mu, branch, value in (line.split(",") for line in lines)]
+    assert len(rows) == len(pitchfork_ensemble)
+    keys = [(mu, branch) for mu, branch, _ in rows]
     assert keys == sorted(keys)
-    assert set(diagram.rows[0]) == {"mu", "branch", "value"}
-    trivial = diagram.values(0)
+    trivial = [value for _, branch, value in rows if branch == 0]
     assert len(trivial) == 9
-    assert all(abs(v) < 1e-8 for _, v in trivial)
+    assert all(abs(v) < 1e-8 for v in trivial)
 
 
 def test_relative_error_modes(chafee, rng):
@@ -160,6 +165,31 @@ def test_single_seed_sweep_never_flags(chafee, pitchfork_ensemble, pitchfork_bas
     assert len(sweep) == len(pitchfork_ensemble)
 
 
+def test_deflated_error_sweep_and_estimator_sweep_solve_alike(
+        chafee, pitchfork_ensemble, pitchfork_basis, monkeypatch):
+    # Both run `estimators.reduced_branches`: the same reduced solves in the
+    # same order, with the same guesses and known roots.
+    calls = []
+    real = estimators.discover_reduced_solutions
+
+    def spy(basis, mu, guesses, cfg=None, roots=(), drive=True):
+        calls.append((mu, drive, [np.array(g) for g in guesses], [np.array(r) for r in roots]))
+        return real(basis, mu, guesses, cfg, roots, drive)
+
+    monkeypatch.setattr(estimators, "discover_reduced_solutions", spy)
+    mus = pitchfork_ensemble.mus()
+    error_sweep(chafee, pitchfork_basis, mus, pitchfork_ensemble, deflate=True)
+    by_errors = calls[:]
+    calls.clear()
+    estimators.deflated_estimator_sweep(chafee, pitchfork_basis, mus)
+    assert len(by_errors) == len(calls) > len(mus)
+    for (mu_a, drive_a, guesses_a, roots_a), (mu_b, drive_b, guesses_b, roots_b) in zip(
+            by_errors, calls):
+        assert (mu_a, drive_a) == (mu_b, drive_b)
+        assert len(guesses_a) == len(guesses_b) and len(roots_a) == len(roots_b)
+        assert all(np.array_equal(a, b) for a, b in zip(guesses_a + roots_a, guesses_b + roots_b))
+
+
 def test_empty_basis_rows(chafee, pitchfork_ensemble):
     sweep = error_sweep(chafee, BasisMatrix(chafee), pitchfork_ensemble.mus(),
                         pitchfork_ensemble)
@@ -194,8 +224,7 @@ def test_write_csv_is_deterministic_and_lossless(tmp_path):
 
 def test_csv_writers_emit_expected_headers(tmp_path, chafee, pitchfork_ensemble,
                                            pitchfork_basis):
-    diagram = ensemble_diagram(pitchfork_ensemble)
-    diagram_csv(tmp_path / "diagram.csv", diagram)
+    diagram_csv(tmp_path / "diagram.csv", pitchfork_ensemble)
     assert (tmp_path / "diagram.csv").read_text().splitlines()[0] == "mu,branch,value"
 
     sweep = error_sweep(chafee, pitchfork_basis, [12.0], pitchfork_ensemble)

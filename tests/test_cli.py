@@ -254,6 +254,18 @@ def test_error_sweep_scores_saved_basis(tmp_path):
     assert (score / "errors.csv").is_file()
 
 
+def test_error_sweep_scores_a_saved_empty_basis(tmp_path):
+    # below the pitchfork every snapshot is zero, so the pod basis is empty
+    build, score = tmp_path / "build", tmp_path / "score"
+    grid = ["--mu-min", "5", "--mu-max", "9", "--test", "5"]
+    assert run_cli(["run", "--model", "chafee", "--strategy", "pod", "--train", "5",
+                    "--mesh", "21"] + grid + ["--out", str(build)]) == 0
+    assert read_report(build)["n_basis"] == 0
+    assert run_cli(["error-sweep", "--basis-dir", str(build)] + grid
+                   + ["--out", str(score)]) == 0
+    assert (score / "errors.csv").read_bytes() == (build / "errors.csv").read_bytes()
+
+
 @pytest.mark.parametrize("strategy", ["vanilla", "adaptive", "deflated"])
 def test_error_sweep_scores_a_basis_as_its_own_run_did(tmp_path, strategy):
     # basis.json records the strategy, so error-sweep needs no --strategy to

@@ -383,6 +383,13 @@ def test_deflated_sweep_runs_no_plain_solve_where_no_root_is_found(bratu, monkey
     assert plain_solves == []
 
 
+def test_continued_sweeps_refuse_an_empty_basis(chafee):
+    with pytest.raises(ValueError, match="nonempty basis"):
+        deflated_estimator_sweep(chafee, BasisMatrix(chafee), [10.0, 12.0])
+    with pytest.raises(ValueError, match="nonempty basis"):
+        beta_sweep(chafee, BasisMatrix(chafee), [10.0, 12.0])
+
+
 def test_beta_sweep_dips_at_the_pitchfork(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
     grid = np.linspace(8.0, 12.0, 21)

@@ -33,6 +33,21 @@ def test_adaptive_config_validation():
     AdaptiveConfig().validate()
 
 
+@pytest.mark.parametrize("run, problem", [
+    (lambda m, s: vanilla_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: deflated_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(), AdaptiveConfig(n_ref=0)), "n_ref"),
+], ids=["vanilla", "adaptive", "deflated", "adaptive-n_ref"])
+def test_strategies_validate_before_any_solve(run, problem, chafee, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a Newton solve ran before validation")
+
+    monkeypatch.setattr(greedy, "newton", fail)
+    with pytest.raises(ValueError, match=problem):
+        run(chafee, ParameterSpace.equispaced(5.0, 15.0, 5))
+
+
 def test_refinement_inserts_between_neighbors():
     space = ParameterSpace.equispaced(0.0, 10.0, 11)
     refined = refinement(space, 5.0, None, 4, 0.01)

@@ -255,6 +255,15 @@ def test_save_load_roundtrip(tmp_path, chafee, rng):
     assert loaded.orthonormality_defect() <= 1e-10
 
 
+def test_empty_basis_round_trips(tmp_path, chafee):
+    # an empty basis is saved as mesh_size blank lines
+    path = tmp_path / "basis.csv"
+    BasisMatrix(chafee).save(path)
+    loaded = BasisMatrix.load(path)
+    assert loaded.n == 0 and loaded.matrix.shape == (chafee.mesh_size, 0)
+    assert loaded.mu_values == []
+
+
 def test_load_rejects_model_mismatch(tmp_path, chafee, bratu):
     basis = BasisMatrix(chafee)
     basis.enrich(chafee.default_guesses[0], 9.0)
