@@ -98,11 +98,14 @@ class RunConfig:
             problems.append(f"test_size must be >= 2 (got {self.test_size})")
         if self.strategy not in _STRATEGIES:
             problems.append(f"strategy must be one of {_STRATEGIES} (got {self.strategy!r})")
-        problems.extend(GreedyConfig(n_max=self.n_max, tol=self.tol).problems())
         if self.estimator_kind not in _ESTIMATORS:
             problems.append(f"estimator_kind must be one of {_ESTIMATORS} (got {self.estimator_kind!r})")
-        problems.extend(AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol).problems())
-        problems.extend(self.newton().problems())
+        for build in (lambda: GreedyConfig(n_max=self.n_max, tol=self.tol),
+                      lambda: AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol), self.newton):
+            try:
+                build()
+            except ValueError as exc:
+                problems.append(str(exc))
         if (self.mu_min is None) != (self.mu_max is None):
             problems.append("mu_min and mu_max must be given together")
         elif self.mu_min is not None and not all(map(math.isfinite, (self.mu_min, self.mu_max))):

@@ -1,10 +1,10 @@
 """Greedy sampling strategies for building certified reduced bases.
 
-All three variants run one loop (`_greedy`): it validates the config, takes
-the first snapshot and owns the basis, then sweeps the training set with an
-error estimator, picks the worst-certified entry, computes a full-order
-snapshot there, and enriches the basis.  They differ only in its hooks,
-which receive the basis.
+All three variants run one loop (`_greedy`): it takes the first snapshot and
+owns the basis, then sweeps the training set with an error estimator, picks
+the worst-certified entry, computes a full-order snapshot there, and
+enriches the basis.  They differ only in its hooks, which receive the basis.
+`GreedyConfig` and `AdaptiveConfig` refuse invalid values when they are built.
 
 * The plain variant runs one reduced solve per parameter, tracks a single
   solution family and solves at full order from the model's default guess.
@@ -38,7 +38,7 @@ import numpy as np
 from .estimators import (EstimatorKind, EstimatorSet, argmin_beta, beta_sweep,
                          deflated_estimator_sweep, estimator_sweep)
 from .model import ParameterSpace, ParametricModel
-from .nlsolve import NewtonConfig, discover_solutions, newton
+from .nlsolve import NewtonConfig, _refuse, discover_solutions, newton
 from .rom import BasisMatrix
 
 __all__ = [
@@ -65,46 +65,34 @@ class GreedyStatus(str, Enum):
     STAGNATION = "stagnation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GreedyConfig:
     n_max: int = 35
     tol: float = 1e-3
     estimator_kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
-    def problems(self) -> list[str]:
-        """What is wrong with the stopping criteria (empty if valid)."""
+    def __post_init__(self):
         problems = []
         if not self.n_max >= 1:
             problems.append(f"n_max must be >= 1 (got {self.n_max})")
         if not 0.0 < self.tol < math.inf:
             problems.append(f"tol must be positive and finite (got {self.tol})")
-        return problems
-
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ValueError("; ".join(problems))
+        _refuse(problems)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveConfig:
     n_ref: int = 4  # points inserted per refinement
     bif_tol: float = 1e-2  # similarity tolerance on consecutive minimizers
 
-    def problems(self) -> list[str]:
-        """What is wrong with the refinement settings (empty if valid)."""
+    def __post_init__(self):
         problems = []
         if not self.n_ref >= 1:
             problems.append(f"n_ref must be >= 1 (got {self.n_ref})")
         if not 0.0 < self.bif_tol < math.inf:
             problems.append(f"bif_tol must be positive and finite (got {self.bif_tol})")
-        return problems
-
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ValueError("; ".join(problems))
+        _refuse(problems)
 
 
 @dataclass
@@ -205,16 +193,15 @@ def _greedy(strategy: str, model: ParametricModel, space: ParameterSpace,
             cfg: GreedyConfig, sweep, snapshot, refine=None) -> tuple[BasisMatrix, GreedyReport]:
     """The sampling loop shared by the three strategies.
 
-    It validates `cfg`, takes the first snapshot (`_initialize`) and owns
-    the basis, which every hook receives.  `sweep(basis, space)` estimates
-    the basis over the training set.  `snapshot(basis, entry)` tries to
-    enrich the basis from one ranked entry and returns (enrich_status,
-    columns harvested besides the snapshot) or, when the basis did not grow,
-    the reason as a string.  `refine(basis, space, mu_bif)` runs after every
-    enrichment and returns the next training space and critical-point
-    estimate, which the iteration's record carries.
+    It takes the first snapshot (`_initialize`) and owns the basis, which
+    every hook receives.  `sweep(basis, space)` estimates the basis over the
+    training set.  `snapshot(basis, entry)` tries to enrich the basis from
+    one ranked entry and returns (enrich_status, columns harvested besides
+    the snapshot) or, when the basis did not grow, the reason as a string.
+    `refine(basis, space, mu_bif)` runs after every enrichment and returns
+    the next training space and critical-point estimate, which the
+    iteration's record carries.
     """
-    cfg.validate()
     basis, mu0, note = _initialize(model, space, cfg)
     records: list[IterationRecord] = []
     sweeps: list[list[dict]] = []
@@ -309,7 +296,6 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     """
     cfg = cfg or GreedyConfig()
     acfg = acfg or AdaptiveConfig()
-    acfg.validate()
 
     def critical_point(basis: BasisMatrix, mus) -> float:
         return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu

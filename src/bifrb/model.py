@@ -69,14 +69,15 @@ class ParameterSpace:
     train_points: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError("parameter interval must satisfy lower < upper")
+        if not -math.inf < self.lower < self.upper < math.inf:
+            raise ValueError("parameter interval must be finite and satisfy lower < upper")
         pts = np.asarray(self.train_points, dtype=float)
         if pts.size < 1:
             raise ValueError("training grid must contain at least one point")
-        if np.any(np.diff(pts) <= 0.0):
+        # Written so that a NaN point fails every comparison and is refused.
+        if not np.all(np.diff(pts) > 0.0):
             raise ValueError("training grid must be strictly increasing")
-        if pts[0] < self.lower or pts[-1] > self.upper:
+        if not self.lower <= pts[0] <= pts[-1] <= self.upper:
             raise ValueError("training grid must lie inside [lower, upper]")
         object.__setattr__(self, "train_points", tuple(float(p) for p in pts))
 
@@ -115,8 +116,8 @@ class ParametricModel:
     uniqueness_side = "upper"
 
     def __init__(self, mesh_size: int = 201):
-        if mesh_size < 1:
-            raise ValueError("mesh_size must be a positive number of interior nodes")
+        if not (isinstance(mesh_size, (int, np.integer)) and mesh_size >= 1):
+            raise ValueError(f"mesh_size must be a positive integer (got {mesh_size!r})")
         self.mesh_size = int(mesh_size)
         self.h = 1.0 / (self.mesh_size + 1)
         self.nodes = self.h * np.arange(1, self.mesh_size + 1)

@@ -41,7 +41,6 @@ __all__ = [
     "NewtonConfig",
     "SolveResult",
     "DeflationSingularity",
-    "deflation_parameter_problems",
     "RootSet",
     "newton",
     "deflated_newton",
@@ -61,14 +60,26 @@ NO_PROGRESS_WINDOW = 20
 DIVERGENCE_NORM = 1e6
 
 
-@dataclass
+# Largest deflation power r: from r = 3.75 on (mesh 201; r = 4 at mesh 41)
+# deflated Newton loses chafee roots, and a huge r overflows ||y - u||^-r.
+MAX_DEFLATION_POWER = 3.0
+
+
+def _refuse(problems: list[str]) -> None:
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+@dataclass(frozen=True)
 class NewtonConfig:
     """Settings of every Newton solve, plain or deflated, full-order or reduced.
 
     `tol` bounds the dual norm of the residual at convergence (X^{-1}-norm at
     full order, Euclidean on reduced coefficients).  `power_r` and
     `shift_sigma` are the deflation power r and shift sigma of the factor
-    ||y - u||^-r + sigma; plain Newton ignores them.
+    ||y - u||^-r + sigma; plain Newton ignores them.  The factor needs r >= 1
+    to repel Newton from the root and a finite sigma > 0 to keep the far field
+    from vanishing.  Invalid settings raise ValueError when the config is built.
     """
 
     tol: float = 1e-10
@@ -76,12 +87,18 @@ class NewtonConfig:
     power_r: float = 2.0
     shift_sigma: float = 1.0
 
-    def problems(self) -> list[str]:
-        """What is wrong with the tolerance and deflation parameters (empty if valid)."""
+    def __post_init__(self):
         problems = []
         if not 0.0 < self.tol < math.inf:
             problems.append(f"newton_tol must be positive and finite (got {self.tol})")
-        return problems + deflation_parameter_problems(self.power_r, self.shift_sigma)
+        if not self.max_iter >= 1:
+            problems.append(f"max_iter must be >= 1 (got {self.max_iter})")
+        if not 1.0 <= self.power_r <= MAX_DEFLATION_POWER:
+            problems.append(f"deflation power r must be >= 1 and <= {MAX_DEFLATION_POWER:g} "
+                            f"(got {self.power_r})")
+        if not 0.0 < self.shift_sigma < math.inf:
+            problems.append(f"deflation shift sigma must be positive and finite (got {self.shift_sigma})")
+        _refuse(problems)
 
 
 @dataclass
@@ -104,21 +121,6 @@ class SolveResult:
 
 class DeflationSingularity(RuntimeError):
     """Raised when the deflation operator is evaluated on one of its own roots."""
-
-
-def deflation_parameter_problems(r: float, sigma: float) -> list[str]:
-    """What is wrong with a deflation power r and shift sigma (empty if valid).
-
-    The factor ||y - u||^-r + sigma needs r >= 1 to repel Newton from the
-    root and sigma > 0 to keep the far field from vanishing; both must be
-    finite, or the factor is no longer a deflation.
-    """
-    problems = []
-    if not 1.0 <= r < math.inf:
-        problems.append(f"deflation power r must be >= 1 and finite (got {r})")
-    if not 0.0 < sigma < math.inf:
-        problems.append(f"deflation shift sigma must be positive and finite (got {sigma})")
-    return problems
 
 
 def _euclidean_norm(v: np.ndarray) -> float:
@@ -191,14 +193,8 @@ class RootSet:
         return m, g
 
 
-def _deflation_roots(roots, metric, cfg: NewtonConfig) -> RootSet:
-    """`roots` (a RootSet or list of states) as a RootSet in `metric`, not copied.
-
-    Raises ValueError for an invalid cfg r or sigma, also with no roots.
-    """
-    problems = deflation_parameter_problems(cfg.power_r, cfg.shift_sigma)
-    if problems:
-        raise ValueError("; ".join(problems))
+def _deflation_roots(roots, metric) -> RootSet:
+    """`roots` (a RootSet or list of states) as a RootSet in `metric`, not copied."""
     if isinstance(roots, RootSet) and roots.metric == metric:
         return roots
     return RootSet(metric, [np.asarray(u, dtype=float) for u in roots])
@@ -301,8 +297,8 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     The deflation power and shift are `cfg.power_r` and `cfg.shift_sigma`.
     With an empty root list this reproduces `newton` bit for bit.
     """
-    cfg = cfg or NewtonConfig()
-    return _full_order_solve(model, mu, guess, cfg, _deflation_roots(roots, model.x_apply, cfg))
+    return _full_order_solve(model, mu, guess, cfg or NewtonConfig(),
+                             _deflation_roots(roots, model.x_apply))
 
 
 def discover(deflated_solve, guesses, found: RootSet, drive: bool = True) -> RootSet:

@@ -237,8 +237,7 @@ def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
 def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
                             roots, cfg: NewtonConfig | None = None) -> SolveResult:
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
-    cfg = cfg or NewtonConfig()
-    return _reduced_solve(basis, mu, guess, cfg, _deflation_roots(roots, None, cfg))
+    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig(), _deflation_roots(roots, None))
 
 
 def reduced_root(basis: BasisMatrix, mu: float, guesses,

@@ -68,6 +68,8 @@ def test_inverted_interval_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, problem", [
     ("--sigma", "0", "deflation shift sigma must be positive"),
     ("--r", "0.5", "deflation power r must be >= 1"),
+    ("--r", "10", "deflation power r must be >= 1 and <= 3"),
+    ("--r", "1e300", "deflation power r must be >= 1 and <= 3"),
 ])
 def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, problem):
     out = tmp_path / "o"
@@ -81,7 +83,7 @@ def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, pr
 
 @pytest.mark.parametrize("command, flags, problem", [
     ("run", ["--sigma", "inf"], "deflation shift sigma must be positive and finite"),
-    ("run", ["--r", "inf"], "deflation power r must be >= 1 and finite"),
+    ("run", ["--r", "inf"], "deflation power r must be >= 1 and <= 3"),
     ("run", ["--tol", "inf"], "tol must be positive and finite"),
     ("run", ["--newton-tol", "inf"], "newton_tol must be positive and finite"),
     ("run", ["--bif-tol", "inf"], "bif_tol must be positive and finite"),
@@ -332,22 +334,27 @@ def test_error_sweep_rejects_a_model_or_mesh_the_basis_does_not_have(
                     "--model", "chafee", "--mesh", "41", "--out", str(score)]) == 0
 
 
-@pytest.mark.parametrize("mu_train", [[12.0], None])
+@pytest.mark.parametrize("key, value, problem", [
+    ("mu_train", [12.0], "one parameter per column"),
+    ("mu_train", None, "one parameter per column"),
+    ("mesh_size", "21", "mesh_size must be a positive integer"),
+    ("mesh_size", None, "mesh_size must be a positive integer"),
+], ids=["mu_train0", "None", "mesh_size-str", "mesh_size-None"])
 def test_error_sweep_rejects_a_basis_whose_parameters_do_not_match_its_columns(
-        tmp_path, capsys, mu_train):
+        tmp_path, capsys, key, value, problem):
     chafee = make_model("chafee", 41)
     basis = BasisMatrix(chafee)
     for guess in (chafee.default_guess, chafee.interpolate(lambda x: np.sin(2 * np.pi * x))):
         basis.enrich(guess, 12.0)
     basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
     meta = json.loads((tmp_path / "basis.json").read_text())
-    meta["mu_train"] = mu_train
+    meta[key] = value
     (tmp_path / "basis.json").write_text(json.dumps(meta))
     code = run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
                     "--out", str(tmp_path / "score")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "cannot load basis" in err and "one parameter per column" in err
+    assert "cannot load basis" in err and problem in err and "Traceback" not in err
     assert not (tmp_path / "score").exists()
 
 

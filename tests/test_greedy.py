@@ -1,4 +1,5 @@
 """Greedy sampling variants: plain, grid-adaptive, and deflated."""
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -17,35 +18,50 @@ from bifrb.nlsolve import NewtonConfig, discover_solutions, newton
 from bifrb.rom import BasisMatrix
 
 
-def test_greedy_config_validation():
-    with pytest.raises(ValueError):
-        GreedyConfig(n_max=0).validate()
-    with pytest.raises(ValueError):
-        GreedyConfig(tol=0.0).validate()
-    GreedyConfig().validate()
+INVALID_SETTINGS = [
+    (NewtonConfig, {"tol": -1.0}, ["newton_tol"]),
+    (NewtonConfig, {"tol": math.inf}, ["newton_tol"]),
+    (NewtonConfig, {"max_iter": 0}, ["max_iter"]),
+    (NewtonConfig, {"power_r": 0.5}, ["deflation power r"]),
+    (NewtonConfig, {"power_r": 4.0}, ["deflation power r"]),
+    (NewtonConfig, {"power_r": 1e300}, ["deflation power r"]),
+    (NewtonConfig, {"power_r": math.nan}, ["deflation power r"]),
+    (NewtonConfig, {"shift_sigma": 0.0}, ["deflation shift sigma"]),
+    (NewtonConfig, {"shift_sigma": math.inf}, ["deflation shift sigma"]),
+    (NewtonConfig, {"tol": 0.0, "max_iter": -1, "power_r": 10.0, "shift_sigma": -1.0},
+     ["newton_tol", "max_iter", "deflation power r", "deflation shift sigma"]),
+    (GreedyConfig, {"n_max": 0}, ["n_max"]),
+    (GreedyConfig, {"tol": 0.0}, ["tol"]),
+    (GreedyConfig, {"n_max": 0, "tol": math.nan}, ["n_max", "tol"]),
+    (AdaptiveConfig, {"n_ref": 0}, ["n_ref"]),
+    (AdaptiveConfig, {"bif_tol": math.inf}, ["bif_tol"]),
+    (AdaptiveConfig, {"n_ref": 0, "bif_tol": 0.0}, ["n_ref", "bif_tol"]),
+]
 
 
-def test_adaptive_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(n_ref=0).validate()
-    with pytest.raises(ValueError):
-        AdaptiveConfig(bif_tol=0.0).validate()
-    AdaptiveConfig().validate()
+@pytest.mark.parametrize("config, values, named", INVALID_SETTINGS, ids=[
+    f"{config.__name__}-" + "-".join(f"{k}={v}" for k, v in values.items())
+    for config, values, _ in INVALID_SETTINGS])
+def test_configs_refuse_invalid_values_when_built(config, values, named):
+    """Every rule of the three library configs fires at construction, with one
+    message naming every problem, and a built config cannot change: no
+    solver or strategy can be handed an invalid one."""
+    with pytest.raises(ValueError) as refused:
+        config(**values)
+    message = str(refused.value)
+    assert all(problem in message for problem in named)
+    assert message.count("; ") == len(named) - 1
+    name = next(iter(values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config(), name, values[name])
 
 
-@pytest.mark.parametrize("run, problem", [
-    (lambda m, s: vanilla_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
-    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
-    (lambda m, s: deflated_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
-    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(), AdaptiveConfig(n_ref=0)), "n_ref"),
-], ids=["vanilla", "adaptive", "deflated", "adaptive-n_ref"])
-def test_strategies_validate_before_any_solve(run, problem, chafee, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("a Newton solve ran before validation")
-
-    monkeypatch.setattr(greedy, "newton", fail)
-    with pytest.raises(ValueError, match=problem):
-        run(chafee, ParameterSpace.equispaced(5.0, 15.0, 5))
+def test_configs_accept_the_ends_of_their_ranges():
+    for power_r in (1.0, 3.0):
+        assert NewtonConfig(power_r=power_r).power_r == power_r
+    assert NewtonConfig(max_iter=1, shift_sigma=1e-300, tol=1e300).max_iter == 1
+    assert GreedyConfig(n_max=1, newton=NewtonConfig(power_r=3.0)).newton.power_r == 3.0
+    assert AdaptiveConfig(n_ref=1, bif_tol=1e-300).n_ref == 1
 
 
 def test_refinement_inserts_between_neighbors():

@@ -165,27 +165,12 @@ def test_deflation_gradient_with_metric_matches_finite_differences(bratu, rng):
         assert abs(fd - grad[i]) < 1e-5 * max(1.0, abs(grad[i]))
 
 
-def test_deflation_singularity_and_validation(chafee, rng):
+def test_deflation_singularity(rng):
     u1 = rng.standard_normal(4)
     op = RootSet(None, [u1])
     with pytest.raises(DeflationSingularity):
         op.factor_and_gradient(u1.copy(), 2.0, 1.0)
     assert op.factor_and_gradient(np.zeros(4) + 10.0, 2.0, 1.0)[1].shape == (4,)
-    # every deflated entry point rejects a bad r or sigma, with or without roots
-    mu = 12.0
-    root = newton(chafee, mu, chafee.default_guesses[0])
-    basis = BasisMatrix(chafee)
-    basis.enrich(root.u, mu)
-    for cfg in (NewtonConfig(power_r=0.5), NewtonConfig(shift_sigma=0.0)):
-        for roots in ([], [root.u]):
-            with pytest.raises(ValueError, match="deflation"):
-                deflated_newton(chafee, mu, chafee.default_guesses[1], roots, cfg)
-            with pytest.raises(ValueError, match="deflation"):
-                reduced_deflated_newton(basis, mu, basis.project(root.u),
-                                        [basis.project(u) for u in roots], cfg)
-        # plain Newton never deflates, so it ignores r and sigma
-        plain = newton(chafee, mu, chafee.default_guesses[0], cfg)
-        assert plain.converged and np.array_equal(plain.u, root.u)
 
 
 def test_root_set_norm_is_the_models_x_norm(chafee, rng):

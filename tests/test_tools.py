@@ -1,10 +1,12 @@
 """Repository tools, run as the command lines they are."""
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-DRIFT = Path(__file__).resolve().parents[1] / "tools" / "artifact_drift.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+DRIFT = TOOLS / "artifact_drift.py"
 
 
 def drift(a, b, rtol="1e-4", *atol):
@@ -109,3 +111,45 @@ def test_artifact_drift_reports_the_drift_beyond_the_floor(tmp_path):
     plain = drift(a, b, "1.5")
     assert plain.returncode == 0
     assert "beyond atol" not in plain.stdout
+
+
+def stub_checkout(root, metrics):
+    """A checkout whose bench/run.py logs its arguments and prints `metrics`
+    as the result line of every workload."""
+    (root / "bench").mkdir(parents=True)
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+    (root / "bench" / "run.py").write_text(
+        "import sys\n"
+        f"with open({str(root / 'calls.txt')!r}, 'a') as f:\n"
+        "    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        "print('# environment {}')\n"
+        f"print({result!r})\n")
+    return root
+
+
+def test_trace_counts_compares_every_metric_but_the_timings(tmp_path):
+    metrics = {"nlsolve.newton.calls": {"value": 12, "unit": "count"},
+               "max_delta": {"value": 4.8e-7, "unit": "norm"},
+               "trace.run_s": {"value": 0.2, "unit": "s"},
+               "kernel.residual_ms.m201": {"value": 0.01, "unit": "ms"},
+               "trace.coverage": {"value": 0.97, "unit": "ratio"}}
+    parent = stub_checkout(tmp_path / "parent", metrics)
+    timings = {**metrics, "trace.run_s": {"value": 0.3, "unit": "s"},
+               "kernel.residual_ms.m201": {"value": 0.02, "unit": "ms"},
+               "trace.coverage": {"value": 0.5, "unit": "ratio"}}
+    change = stub_checkout(tmp_path / "change", timings)
+    same = subprocess.run([sys.executable, str(TOOLS / "trace_counts.py"), str(parent),
+                           str(change)], capture_output=True, text=True)
+    assert (same.returncode, same.stdout) == (0, "")
+    assert (parent / "calls.txt").read_text().splitlines() == [
+        f"--workload {w} --seed 0 --seconds 0 --trace 1" for w in ("oracle", "offline", "critical")]
+
+    moved = stub_checkout(tmp_path / "moved", {**timings,
+                                               "nlsolve.newton.calls": {"value": 13, "unit": "count"},
+                                               "max_delta": {"value": 4.9e-7, "unit": "norm"}})
+    differ = subprocess.run([sys.executable, str(TOOLS / "trace_counts.py"), str(parent),
+                             str(moved)], capture_output=True, text=True)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        line for w in ("oracle", "offline", "critical")
+        for line in (f"{w} max_delta: 4.8e-07 -> 4.9e-07", f"{w} nlsolve.newton.calls: 12 -> 13")]
