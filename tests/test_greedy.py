@@ -64,6 +64,38 @@ def test_configs_accept_the_ends_of_their_ranges():
     assert AdaptiveConfig(n_ref=1, bif_tol=1e-300).n_ref == 1
 
 
+def test_greedy_config_validation():
+    with pytest.raises(ValueError):
+        GreedyConfig(n_max=0)
+    with pytest.raises(ValueError):
+        GreedyConfig(tol=0.0)
+    GreedyConfig()
+
+
+def test_adaptive_config_validation():
+    with pytest.raises(ValueError):
+        AdaptiveConfig(n_ref=0)
+    with pytest.raises(ValueError):
+        AdaptiveConfig(bif_tol=0.0)
+    AdaptiveConfig()
+
+
+@pytest.mark.parametrize("run, problem", [
+    (lambda m, s: vanilla_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: deflated_greedy(m, s, GreedyConfig(n_max=0)), "n_max"),
+    (lambda m, s: adaptive_greedy(m, s, GreedyConfig(), AdaptiveConfig(n_ref=0)), "n_ref"),
+], ids=["vanilla", "adaptive", "deflated", "adaptive-n_ref"])
+def test_strategies_validate_before_any_solve(run, problem, chafee, monkeypatch):
+    """An invalid setting stops every strategy before its first Newton solve."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a Newton solve ran before validation")
+
+    monkeypatch.setattr(greedy, "newton", fail)
+    with pytest.raises(ValueError, match=problem):
+        run(chafee, ParameterSpace.equispaced(5.0, 15.0, 5))
+
+
 def test_refinement_inserts_between_neighbors():
     space = ParameterSpace.equispaced(0.0, 10.0, 11)
     refined = refinement(space, 5.0, None, 4, 0.01)
