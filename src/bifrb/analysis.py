@@ -251,21 +251,16 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     return ErrorSweep(rows)
 
 
-def error_vs_n(model: ParametricModel, build_basis, n_values, mus,
+def error_vs_n(model: ParametricModel, basis: BasisMatrix, mus,
                oracle: SolutionEnsemble, cfg: NewtonConfig | None = None,
                deflate: bool = True) -> list[dict]:
-    """Worst and mean unflagged test error as the basis dimension grows.
-
-    build_basis maps a requested dimension to a BasisMatrix; for nested bases
-    this is truncation, for the decomposition baseline a rebuild with fewer
-    modes.  The reported n is the dimension actually achieved.
-    """
+    """Worst and mean unflagged test error of the first n columns of the
+    nested `basis`, for n = 1 .. basis.n."""
     table = []
-    for n in n_values:
-        basis = build_basis(n)
-        sweep = error_sweep(model, basis, mus, oracle, cfg, deflate)
+    for n in range(1, basis.n + 1):
+        sweep = error_sweep(model, basis.truncated(n), mus, oracle, cfg, deflate)
         table.append({
-            "n": basis.n,
+            "n": n,
             "max_error": sweep.max_reduced(),
             "avg_error": sweep.avg_reduced(),
             "n_flagged": len(sweep.flagged()),

@@ -18,14 +18,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 from .analysis import (SolutionEnsemble, diagram_csv, error_sweep, error_vs_n,
                        errors_csv, solution_ensemble, write_csv)
 from .estimators import EstimatorKind
 from .greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                      adaptive_greedy, deflated_greedy, vanilla_greedy)
-from .model import ModelKind, ParameterSpace, make_model
+from .model import ModelKind, ParameterSpace, ParametricModel, make_model
 from .nlsolve import NewtonConfig
 from .pod import pod_basis
 from .rom import BasisMatrix
@@ -87,70 +87,61 @@ class RunConfig:
         return cls(**data)
 
     def validate(self) -> list[str]:
+        """The CLI's own rules, then each distinct ValueError of the run objects
+        as the library words it, labeled with the grid that raised it."""
         problems = []
-        if self.model_kind not in _MODELS:
-            problems.append(f"model_kind must be one of {_MODELS} (got {self.model_kind!r})")
-        if self.mesh_size < 3:
-            problems.append(f"mesh_size must be >= 3 (got {self.mesh_size})")
-        if self.train_size < 2:
-            problems.append(f"train_size must be >= 2 (got {self.train_size})")
-        if self.test_size < 2:
-            problems.append(f"test_size must be >= 2 (got {self.test_size})")
         if self.strategy not in _STRATEGIES:
             problems.append(f"strategy must be one of {_STRATEGIES} (got {self.strategy!r})")
-        if self.estimator_kind not in _ESTIMATORS:
-            problems.append(f"estimator_kind must be one of {_ESTIMATORS} (got {self.estimator_kind!r})")
-        for build in (lambda: GreedyConfig(n_max=self.n_max, tol=self.tol),
-                      lambda: AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol), self.newton):
+        builds = [("", self.model), ("", self.greedy), ("", self.adaptive)]
+        if (self.mu_min is None) != (self.mu_max is None):  # no grid from (mu_min, None)
+            problems.append("mu_min and mu_max must be given together")
+        else:
+            builds[1:1] = [("train grid: ", lambda: self.grid(self.train_size, self.model())),
+                           ("test grid: ", lambda: self.grid(self.test_size, self.model()))]
+        found = {}
+        for label, build in builds:
             try:
                 build()
             except ValueError as exc:
-                problems.append(str(exc))
-        if (self.mu_min is None) != (self.mu_max is None):
-            problems.append("mu_min and mu_max must be given together")
-        elif self.mu_min is not None and not all(map(math.isfinite, (self.mu_min, self.mu_max))):
-            problems.append(f"mu_min and mu_max must be finite (got [{self.mu_min}, {self.mu_max}])")
-        elif self.mu_min is not None and not self.mu_min < self.mu_max:
-            problems.append(f"mu_min must be less than mu_max (got [{self.mu_min}, {self.mu_max}])")
-        return problems
+                found.setdefault(str(exc), f"{label}{exc}")
+        return problems + list(found.values())
 
-    def interval(self, model) -> tuple[float, float]:
-        if self.mu_min is None:
-            return model.default_interval()
-        return (self.mu_min, self.mu_max)
+    def model(self) -> ParametricModel:
+        return make_model(self.model_kind, self.mesh_size)
+
+    def grid(self, size: int, model: ParametricModel) -> ParameterSpace:
+        """`size` equispaced points on [mu_min, mu_max], else on the model's interval."""
+        ends = model.default_interval() if self.mu_min is None else (self.mu_min, self.mu_max)
+        return ParameterSpace.equispaced(*ends, size)
 
     def newton(self) -> NewtonConfig:
         """The settings of every Newton solve of the run, deflated ones included."""
         return NewtonConfig(tol=self.newton_tol, power_r=self.r, shift_sigma=self.sigma)
+
+    def greedy(self) -> GreedyConfig:
+        return GreedyConfig(n_max=self.n_max, tol=self.tol,
+                            estimator_kind=self.estimator_kind, newton=self.newton())
+
+    def adaptive(self) -> AdaptiveConfig:
+        return AdaptiveConfig(n_ref=self.n_ref, bif_tol=self.bif_tol)
 
     def multi_branch(self) -> bool:
         """Deflated and pod bases get the deflated test sweep, others the single-seed one."""
         return self.strategy in ("deflated", "pod")
 
 
-def _greedy_config(cfg: RunConfig) -> GreedyConfig:
-    return GreedyConfig(
-        n_max=cfg.n_max, tol=cfg.tol,
-        estimator_kind=EstimatorKind(cfg.estimator_kind),
-        newton=cfg.newton(),
-    )
-
-
-def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
-                 pod_modes: int | None = None):
+def _build_basis(cfg: RunConfig, model, space: ParameterSpace):
     """(basis, report dict, per-iteration estimator tables) for one strategy."""
-    gcfg = _greedy_config(cfg)
     if cfg.strategy == "vanilla":
-        basis, report = vanilla_greedy(model, space, gcfg)
+        basis, report = vanilla_greedy(model, space, cfg.greedy())
     elif cfg.strategy == "adaptive":
-        acfg = AdaptiveConfig(n_ref=cfg.n_ref, bif_tol=cfg.bif_tol)
-        basis, report = adaptive_greedy(model, space, gcfg, acfg)
+        basis, report = adaptive_greedy(model, space, cfg.greedy(), cfg.adaptive())
     elif cfg.strategy == "deflated":
-        basis, report = deflated_greedy(model, space, gcfg)
+        basis, report = deflated_greedy(model, space, cfg.greedy())
     else:
         train_oracle = solution_ensemble(model, space.train_points, cfg.newton())
         snapshots = [p.u for p in train_oracle.points]
-        result = pod_basis(model, snapshots, cfg.n_max if pod_modes is None else pod_modes)
+        result = pod_basis(model, snapshots, cfg.n_max)
         payload = {
             "strategy": "pod",
             "status": "tolerance_met",  # no greedy stopping notion
@@ -164,8 +155,7 @@ def _build_basis(cfg: RunConfig, model, space: ParameterSpace,
 
 def _test_oracle(cfg: RunConfig, model) -> SolutionEnsemble:
     """Branch-labeled full-order solutions on the run's test grid."""
-    test = ParameterSpace.equispaced(*cfg.interval(model), cfg.test_size).train_points
-    return solution_ensemble(model, test, cfg.newton())
+    return solution_ensemble(model, cfg.grid(cfg.test_size, model).train_points, cfg.newton())
 
 
 def _score(cfg: RunConfig, basis: BasisMatrix, oracle: SolutionEnsemble):
@@ -200,8 +190,8 @@ def _exit_from_status(status: str) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    model = make_model(cfg.model_kind, cfg.mesh_size)
-    space = ParameterSpace.equispaced(*cfg.interval(model), cfg.train_size)
+    model = cfg.model()
+    space = cfg.grid(cfg.train_size, model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         basis, report, sweeps = _build_basis(cfg, model, space)
@@ -228,8 +218,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_diagram(cfg: RunConfig) -> int:
-    model = make_model(cfg.model_kind, cfg.mesh_size)
-    oracle = _test_oracle(cfg, model)
+    oracle = _test_oracle(cfg, cfg.model())
     os.makedirs(cfg.out_dir, exist_ok=True)
     diagram_csv(os.path.join(cfg.out_dir, "diagram.csv"), oracle)
     _write_report(cfg.out_dir, {
@@ -294,8 +283,8 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    model = make_model(cfg.model_kind, cfg.mesh_size)
-    space = ParameterSpace.equispaced(*cfg.interval(model), cfg.train_size)
+    model = cfg.model()
+    space = cfg.grid(cfg.train_size, model)
     oracle = _test_oracle(cfg, model)
 
     # The deflated run goes first so its final size can cap the pod modes.
@@ -305,13 +294,13 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
     matched = None
     try:
         for strategy in ordered:
-            sub = RunConfig(**{**cfg.to_dict(), "strategy": strategy})
-            modes = n_modes if n_modes is not None else matched
-            basis, report, _ = _build_basis(sub, model, space, pod_modes=modes)
+            pod_modes = n_modes if n_modes is not None else matched
+            sub = replace(cfg, strategy=strategy,
+                          n_max=pod_modes if strategy == "pod" else cfg.n_max)
+            basis, report, _ = _build_basis(sub, model, space)
             if strategy == "deflated":
                 matched = basis.n
-            rows = error_vs_n(model, basis.truncated, list(range(1, basis.n + 1)),
-                              oracle.mus(), oracle, cfg.newton(),
+            rows = error_vs_n(model, basis, oracle.mus(), oracle, cfg.newton(),
                               deflate=sub.multi_branch())
             for row in rows:
                 table.append({"strategy": strategy, **row})

@@ -78,6 +78,10 @@ class GreedyConfig:
             problems.append(f"n_max must be >= 1 (got {self.n_max})")
         if not 0.0 < self.tol < math.inf:
             problems.append(f"tol must be positive and finite (got {self.tol})")
+        try:
+            object.__setattr__(self, "estimator_kind", EstimatorKind(self.estimator_kind))
+        except ValueError as exc:
+            problems.append(str(exc))
         _refuse(problems)
 
 

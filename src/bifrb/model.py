@@ -60,6 +60,12 @@ class ModelKind(str, Enum):
     CHAFEE_INFANTE1D = "chafee"
 
 
+def _check_interval(lower: float, upper: float) -> None:
+    if not (lower < upper and math.isfinite(float(upper) - float(lower))):
+        raise ValueError("parameter interval must be finite, with lower < upper and a "
+                         f"finite width upper - lower (got [{lower}, {upper}])")
+
+
 @dataclass(frozen=True)
 class ParameterSpace:
     """Closed parameter interval with an ordered training grid inside it."""
@@ -69,8 +75,7 @@ class ParameterSpace:
     train_points: tuple[float, ...]
 
     def __post_init__(self):
-        if not -math.inf < self.lower < self.upper < math.inf:
-            raise ValueError("parameter interval must be finite and satisfy lower < upper")
+        _check_interval(self.lower, self.upper)
         pts = np.asarray(self.train_points, dtype=float)
         if pts.size < 1:
             raise ValueError("training grid must contain at least one point")
@@ -83,8 +88,9 @@ class ParameterSpace:
 
     @classmethod
     def equispaced(cls, lower: float, upper: float, n_train: int) -> "ParameterSpace":
+        _check_interval(lower, upper)  # before linspace, which warns on non-finite ends
         if n_train < 2:
-            raise ValueError("equispaced training grid needs n_train >= 2")
+            raise ValueError(f"equispaced grid needs n_train >= 2 (got {n_train})")
         return cls(lower, upper, tuple(np.linspace(lower, upper, n_train)))
 
     def with_points(self, extra: np.ndarray) -> "ParameterSpace":

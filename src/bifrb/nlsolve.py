@@ -63,6 +63,8 @@ DIVERGENCE_NORM = 1e6
 # Largest deflation power r: from r = 3.75 on (mesh 201; r = 4 at mesh 41)
 # deflated Newton loses chafee roots, and a huge r overflows ||y - u||^-r.
 MAX_DEFLATION_POWER = 3.0
+# Smallest deflation shift sigma: 0.45 loses chafee roots at meshes 41 to 3201.
+MIN_DEFLATION_SHIFT = 0.5
 
 
 def _refuse(problems: list[str]) -> None:
@@ -78,8 +80,8 @@ class NewtonConfig:
     full order, Euclidean on reduced coefficients).  `power_r` and
     `shift_sigma` are the deflation power r and shift sigma of the factor
     ||y - u||^-r + sigma; plain Newton ignores them.  The factor needs r >= 1
-    to repel Newton from the root and a finite sigma > 0 to keep the far field
-    from vanishing.  Invalid settings raise ValueError when the config is built.
+    to repel Newton from the root and a finite sigma >= 0.5 to keep the far
+    field from vanishing.  Invalid settings raise ValueError when the config is built.
     """
 
     tol: float = 1e-10
@@ -96,8 +98,9 @@ class NewtonConfig:
         if not 1.0 <= self.power_r <= MAX_DEFLATION_POWER:
             problems.append(f"deflation power r must be >= 1 and <= {MAX_DEFLATION_POWER:g} "
                             f"(got {self.power_r})")
-        if not 0.0 < self.shift_sigma < math.inf:
-            problems.append(f"deflation shift sigma must be positive and finite (got {self.shift_sigma})")
+        if not MIN_DEFLATION_SHIFT <= self.shift_sigma < math.inf:
+            problems.append(f"deflation shift sigma must be positive and finite, and >= "
+                            f"{MIN_DEFLATION_SHIFT:g} (got {self.shift_sigma})")
         _refuse(problems)
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bifrb.cli import RunConfig, _greedy_config, main
+from bifrb.cli import RunConfig, main
 from bifrb.estimators import EstimatorKind
 from bifrb.greedy import AdaptiveConfig, GreedyConfig
 from bifrb.model import make_model
@@ -15,6 +15,7 @@ from bifrb.rom import BasisMatrix
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 FAST = ["--mesh", "41", "--train", "11", "--test", "11"]
+NON_FINITE_INTERVAL = "train grid: parameter interval must be finite"
 
 
 def run_cli(argv):
@@ -41,7 +42,7 @@ def test_validate_collects_all_problems():
     cfg = RunConfig(train_size=1, tol=-1.0, strategy="magic")
     problems = cfg.validate()
     assert len(problems) == 3
-    assert any("train_size" in p for p in problems)
+    assert any("train grid" in p for p in problems)
     assert any("tol" in p for p in problems)
     assert any("strategy" in p for p in problems)
 
@@ -49,7 +50,7 @@ def test_validate_collects_all_problems():
 def test_bad_flag_value_exits_one(tmp_path, capsys):
     code = run_cli(["diagram", "--train", "1", "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "train_size must be >= 2" in capsys.readouterr().err
+    assert "train grid: equispaced grid needs n_train >= 2 (got 1)" in capsys.readouterr().err
 
 
 def test_half_open_interval_exits_one(tmp_path, capsys):
@@ -62,7 +63,7 @@ def test_inverted_interval_exits_one(tmp_path, capsys):
     code = run_cli(["diagram", "--mu-min", "3.0", "--mu-max", "2.0",
                     "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "mu_min must be less than mu_max" in capsys.readouterr().err
+    assert "lower < upper" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, problem", [
@@ -87,9 +88,14 @@ def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, pr
     ("run", ["--tol", "inf"], "tol must be positive and finite"),
     ("run", ["--newton-tol", "inf"], "newton_tol must be positive and finite"),
     ("run", ["--bif-tol", "inf"], "bif_tol must be positive and finite"),
-    ("run", ["--mu-min", "0", "--mu-max", "inf"], "mu_min and mu_max must be finite"),
-    ("run", ["--mu-min=-inf", "--mu-max", "1"], "mu_min and mu_max must be finite"),
-    ("diagram", ["--mu-min", "0", "--mu-max", "inf"], "mu_min and mu_max must be finite"),
+    ("run", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL),
+    ("run", ["--mu-min=-inf", "--mu-max", "1"], NON_FINITE_INTERVAL),
+    ("diagram", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL),
+    # finite ends whose width upper - lower overflows
+    ("run", ["--mu-min=-1.7e308", "--mu-max", "1.7e308"], NON_FINITE_INTERVAL),
+    ("diagram", ["--mu-min=-1.7e308", "--mu-max", "1.7e308"], NON_FINITE_INTERVAL),
+    ("compare", ["--strategies", "vanilla,deflated", "--mu-min=-1.7e308", "--mu-max", "1.7e308"],
+     NON_FINITE_INTERVAL),
 ])
 def test_non_finite_settings_exit_one(tmp_path, capsys, command, flags, problem):
     # an infinite tolerance or deflation parameter would certify a wrong
@@ -99,7 +105,7 @@ def test_non_finite_settings_exit_one(tmp_path, capsys, command, flags, problem)
     assert code == 1
     err = capsys.readouterr().err
     assert f"config error: {problem}" in err
-    assert "aborted" not in err
+    assert "aborted" not in err and "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -175,14 +181,15 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_diagram_command_labels_branches(tmp_path):
-    out = tmp_path / "out"
-    code = run_cli(["diagram", "--model", "chafee"] + FAST + ["--out", str(out)])
-    assert code == 0
-    report = read_report(out)
-    assert report["branches"] == [0, 1, 2]
-    lines = (out / "diagram.csv").read_text().splitlines()
-    assert lines[0] == "mu,branch,value"
-    assert len(lines) == report["n_points"] + 1
+    for mesh in ("41", "2"):  # any positive mesh size runs
+        out = tmp_path / mesh
+        code = run_cli(["diagram", "--model", "chafee"] + FAST + ["--mesh", mesh, "--out", str(out)])
+        assert code == 0
+        report = read_report(out)
+        assert report["branches"] == [0, 1, 2]
+        lines = (out / "diagram.csv").read_text().splitlines()
+        assert lines[0] == "mu,branch,value"
+        assert len(lines) == report["n_points"] + 1
 
 
 def test_deflated_run_writes_complete_manifest(tmp_path):
@@ -399,9 +406,9 @@ def test_compare_needs_two_distinct_strategies(tmp_path, capsys):
 def test_run_config_defaults_are_the_library_defaults():
     cfg = RunConfig()
     assert cfg.newton() == NewtonConfig()
-    assert _greedy_config(cfg) == GreedyConfig()
+    assert cfg.greedy() == GreedyConfig()
     assert EstimatorKind(cfg.estimator_kind) is GreedyConfig().estimator_kind
-    assert AdaptiveConfig(n_ref=cfg.n_ref, bif_tol=cfg.bif_tol) == AdaptiveConfig()
+    assert cfg.adaptive() == AdaptiveConfig()
 
 
 def test_compare_matched_n_table(tmp_path, capsys):

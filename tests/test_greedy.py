@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bifrb.analysis import error_sweep, solution_ensemble
-from bifrb.estimators import estimator_sweep
+from bifrb.estimators import EstimatorKind, estimator_sweep
 from bifrb import greedy
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
@@ -27,12 +27,14 @@ INVALID_SETTINGS = [
     (NewtonConfig, {"power_r": 1e300}, ["deflation power r"]),
     (NewtonConfig, {"power_r": math.nan}, ["deflation power r"]),
     (NewtonConfig, {"shift_sigma": 0.0}, ["deflation shift sigma"]),
+    (NewtonConfig, {"shift_sigma": 0.25}, ["sigma must be positive and finite, and >= 0.5"]),
     (NewtonConfig, {"shift_sigma": math.inf}, ["deflation shift sigma"]),
     (NewtonConfig, {"tol": 0.0, "max_iter": -1, "power_r": 10.0, "shift_sigma": -1.0},
      ["newton_tol", "max_iter", "deflation power r", "deflation shift sigma"]),
     (GreedyConfig, {"n_max": 0}, ["n_max"]),
     (GreedyConfig, {"tol": 0.0}, ["tol"]),
     (GreedyConfig, {"n_max": 0, "tol": math.nan}, ["n_max", "tol"]),
+    (GreedyConfig, {"estimator_kind": "foo"}, ["'foo' is not a valid EstimatorKind"]),
     (AdaptiveConfig, {"n_ref": 0}, ["n_ref"]),
     (AdaptiveConfig, {"bif_tol": math.inf}, ["bif_tol"]),
     (AdaptiveConfig, {"n_ref": 0, "bif_tol": 0.0}, ["n_ref", "bif_tol"]),
@@ -59,9 +61,10 @@ def test_configs_refuse_invalid_values_when_built(config, values, named):
 def test_configs_accept_the_ends_of_their_ranges():
     for power_r in (1.0, 3.0):
         assert NewtonConfig(power_r=power_r).power_r == power_r
-    assert NewtonConfig(max_iter=1, shift_sigma=1e-300, tol=1e300).max_iter == 1
+    assert NewtonConfig(max_iter=1, shift_sigma=0.5, tol=1e300).max_iter == 1
     assert GreedyConfig(n_max=1, newton=NewtonConfig(power_r=3.0)).newton.power_r == 3.0
     assert AdaptiveConfig(n_ref=1, bif_tol=1e-300).n_ref == 1
+    assert GreedyConfig(estimator_kind="linear").estimator_kind is EstimatorKind.LINEAR
 
 
 def test_greedy_config_validation():

@@ -539,11 +539,11 @@ def test_parameter_space_validation():
         ParameterSpace(0.0, 1.0, (0.5, 1.5))
     with pytest.raises(ValueError):
         ParameterSpace.equispaced(0.0, 1.0, 1)
-    # non-finite ends or points, which no strict comparison of NaN catches
-    with np.errstate(invalid="ignore"):
-        for lower, upper in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
-            with pytest.raises(ValueError, match="finite"):
-                ParameterSpace.equispaced(lower, upper, 5)
+    # non-finite ends or width, or points, which no strict comparison of NaN
+    # catches; equispaced refuses the ends before linspace can warn about them
+    for lower, upper in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match="finite"):
+            ParameterSpace.equispaced(lower, upper, 5)
     for points in ((1.0, np.nan), (np.nan,), (np.nan, 1.0), (0.5, np.inf)):
         with pytest.raises(ValueError):
             ParameterSpace(0.0, 2.0, points)
