@@ -88,9 +88,13 @@ def test_invalid_deflation_parameters_exit_one(tmp_path, capsys, flag, value, pr
     ("run", ["--tol", "inf"], "tol must be positive and finite"),
     ("run", ["--newton-tol", "inf"], "newton_tol must be positive and finite"),
     ("run", ["--bif-tol", "inf"], "bif_tol must be positive and finite"),
-    ("run", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL),
-    ("run", ["--mu-min=-inf", "--mu-max", "1"], NON_FINITE_INTERVAL),
-    ("diagram", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL),
+    # these three ids name the rule as the CLI used to word it
+    pytest.param("run", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL,
+                 id="run-flags5-mu_min and mu_max must be finite"),
+    pytest.param("run", ["--mu-min=-inf", "--mu-max", "1"], NON_FINITE_INTERVAL,
+                 id="run-flags6-mu_min and mu_max must be finite"),
+    pytest.param("diagram", ["--mu-min", "0", "--mu-max", "inf"], NON_FINITE_INTERVAL,
+                 id="diagram-flags7-mu_min and mu_max must be finite"),
     # finite ends whose width upper - lower overflows
     ("run", ["--mu-min=-1.7e308", "--mu-max", "1.7e308"], NON_FINITE_INTERVAL),
     ("diagram", ["--mu-min=-1.7e308", "--mu-max", "1.7e308"], NON_FINITE_INTERVAL),
