@@ -97,7 +97,7 @@ def _assign_labels(values: list[float], prev: list[BranchPoint],
 
 
 def solution_ensemble(model: ParametricModel, mus,
-                      cfg: NewtonConfig | None = None) -> SolutionEnsemble:
+                      cfg: NewtonConfig = NewtonConfig()) -> SolutionEnsemble:
     """Deflated discovery swept over the grid with continuation.
 
     At each parameter every previous root is continued by one solve, and the
@@ -105,7 +105,6 @@ def solution_ensemble(model: ParametricModel, mus,
     the roots tell (`nlsolve.continuation`), so established branches are
     tracked and new ones are opened as deflation exposes them.
     """
-    cfg = cfg or NewtonConfig()
     points: list[BranchPoint] = []
     prev: list[BranchPoint] = []
     next_label = 0
@@ -204,7 +203,7 @@ def _match_flags(dists_per_ref: list[list[float]],
 
 
 def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                oracle: SolutionEnsemble, cfg: NewtonConfig | None = None,
+                oracle: SolutionEnsemble, cfg: NewtonConfig = NewtonConfig(),
                 deflate: bool = True) -> ErrorSweep:
     """Reduced vs full-order errors over a test grid, matched per branch.
 
@@ -222,7 +221,6 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     reduced solution.  An empty basis scores the zero state without a solve;
     references left without a reduced root are "diverged".
     """
-    cfg = cfg or NewtonConfig()
     rows: list[ErrorRow] = []
     tested = [mu for mu in mus if oracle.at(mu)]
     branches = (reduced_branches(model, basis, tested, cfg, deflate) if basis.n
@@ -252,7 +250,7 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
 
 
 def error_vs_n(model: ParametricModel, basis: BasisMatrix, mus,
-               oracle: SolutionEnsemble, cfg: NewtonConfig | None = None,
+               oracle: SolutionEnsemble, cfg: NewtonConfig = NewtonConfig(),
                deflate: bool = True) -> list[dict]:
     """Worst and mean unflagged test error of the first n columns of the
     nested `basis`, for n = 1 .. basis.n."""

@@ -64,8 +64,6 @@ class RunConfig:
     estimator_kind: str = GreedyConfig.estimator_kind.value
     n_ref: int = AdaptiveConfig.n_ref
     bif_tol: float = AdaptiveConfig.bif_tol
-    r: float = NewtonConfig.power_r
-    sigma: float = NewtonConfig.shift_sigma
     newton_tol: float = NewtonConfig.tol
     out_dir: str = "out"
 
@@ -116,7 +114,7 @@ class RunConfig:
 
     def newton(self) -> NewtonConfig:
         """The settings of every Newton solve of the run, deflated ones included."""
-        return NewtonConfig(tol=self.newton_tol, power_r=self.r, shift_sigma=self.sigma)
+        return NewtonConfig(tol=self.newton_tol)
 
     def greedy(self) -> GreedyConfig:
         return GreedyConfig(n_max=self.n_max, tol=self.tol,
@@ -348,8 +346,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", dest="estimator_kind", choices=_ESTIMATORS)
     p.add_argument("--n-ref", dest="n_ref", type=int)
     p.add_argument("--bif-tol", dest="bif_tol", type=float)
-    p.add_argument("--r", type=float, help="deflation power")
-    p.add_argument("--sigma", type=float, help="deflation shift")
     p.add_argument("--newton-tol", dest="newton_tol", type=float,
                    help="Newton tolerance on the dual norm of the residual")
     p.add_argument("--out", dest="out_dir")

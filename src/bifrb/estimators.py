@@ -240,7 +240,7 @@ def _entries(model, basis, mu, roots) -> list[EstimatorEntry]:
 
 
 def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                    cfg: NewtonConfig | None = None,
+                    cfg: NewtonConfig = NewtonConfig(),
                     kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Single-branch sweep: one reduced solve and one estimate per parameter.
 
@@ -255,7 +255,7 @@ def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
 
 
 def reduced_branches(model: ParametricModel, basis: BasisMatrix, mus,
-                     cfg: NewtonConfig | None = None, deflate: bool = True):
+                     cfg: NewtonConfig = NewtonConfig(), deflate: bool = True):
     """Yield (mu, reduced roots) over `mus` by `nlsolve.continuation`.
 
     With `deflate`, the roots at each parameter are the previous parameter's,
@@ -278,7 +278,7 @@ def reduced_branches(model: ParametricModel, basis: BasisMatrix, mus,
 
 
 def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                             cfg: NewtonConfig | None = None,
+                             cfg: NewtonConfig = NewtonConfig(),
                              kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Multi-branch sweep: every reduced root deflation reaches per parameter
     (`reduced_branches`), each estimated."""
@@ -294,7 +294,7 @@ class BetaEntry:
 
 
 def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-               cfg: NewtonConfig | None = None) -> list[BetaEntry]:
+               cfg: NewtonConfig = NewtonConfig()) -> list[BetaEntry]:
     """Inf-sup profile over the training set at lifted reduced solutions.
 
     The solves follow one solution family (`reduced_branches` without

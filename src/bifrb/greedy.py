@@ -70,7 +70,7 @@ class GreedyConfig:
     n_max: int = 35
     tol: float = 1e-3
     estimator_kind: EstimatorKind = EstimatorKind.AUTO_SWITCH
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
+    newton: NewtonConfig = NewtonConfig()
 
     def __post_init__(self):
         problems = []
@@ -261,9 +261,8 @@ def _single_branch_hooks(model: ParametricModel, cfg: GreedyConfig):
 
 
 def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
-                   cfg: GreedyConfig | None = None) -> tuple[BasisMatrix, GreedyReport]:
+                   cfg: GreedyConfig = GreedyConfig()) -> tuple[BasisMatrix, GreedyReport]:
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
-    cfg = cfg or GreedyConfig()
     return _greedy("vanilla", model, space, cfg, *_single_branch_hooks(model, cfg))
 
 
@@ -289,8 +288,8 @@ def refinement(space: ParameterSpace, mu_bif: float, mu_prev: float | None,
 
 
 def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
-                    cfg: GreedyConfig | None = None,
-                    acfg: AdaptiveConfig | None = None) -> tuple[BasisMatrix, GreedyReport]:
+                    cfg: GreedyConfig = GreedyConfig(),
+                    acfg: AdaptiveConfig = AdaptiveConfig()) -> tuple[BasisMatrix, GreedyReport]:
     """Greedy with training-set refinement around the inf-sup minimizer.
 
     After every enrichment the inf-sup constant is swept over the current
@@ -298,8 +297,6 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     approximates the critical parameter and steers grid refinement.  The
     final report carries the last minimizer as the detected critical point.
     """
-    cfg = cfg or GreedyConfig()
-    acfg = acfg or AdaptiveConfig()
 
     def critical_point(basis: BasisMatrix, mus) -> float:
         return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu
@@ -344,7 +341,7 @@ def deflated_snapshots(model: ParametricModel, basis: BasisMatrix,
 
 
 def deflated_greedy(model: ParametricModel, space: ParameterSpace,
-                    cfg: GreedyConfig | None = None) -> tuple[BasisMatrix, GreedyReport]:
+                    cfg: GreedyConfig = GreedyConfig()) -> tuple[BasisMatrix, GreedyReport]:
     """Multi-branch greedy: certify every branch deflation can reach.
 
     Each sweep enumerates all reduced roots per parameter and estimates each
@@ -352,7 +349,6 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     root harvest (`deflated_snapshots`).  Entries whose enrichment adds
     nothing anywhere fall through to the next-ranked entry.
     """
-    cfg = cfg or GreedyConfig()
     return _greedy(
         "deflated", model, space, cfg,
         lambda basis, sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,

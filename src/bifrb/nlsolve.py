@@ -15,8 +15,8 @@ residual or step, singular Jacobian, stalled deflation factor, iteration
 budget, and "no_progress", which ends a deflated attempt with nothing left
 to find long before the budget) is reported as a `cause` on the result
 object, never as an exception.
-The power r and shift sigma are fields of `NewtonConfig`, so one config
-carries them to every deflated solve of an experiment, full-order or reduced.
+Every deflated solve, full-order or reduced, uses r = DEFLATION_POWER = 2 and
+sigma = DEFLATION_SHIFT = 1 (Farrell, Birkisson & Funke 2015).
 
 Full-order and reduced solvers share this engine and differ only in residual,
 Newton step and state metric.  The known roots of a parameter live in one
@@ -58,13 +58,11 @@ STALL_THRESHOLD = 1e-14
 NO_PROGRESS_WINDOW = 20
 # An iterate whose state norm exceeds this ends its run as "divergence_norm".
 DIVERGENCE_NORM = 1e6
-
-
-# Largest deflation power r: from r = 3.75 on (mesh 201; r = 4 at mesh 41)
-# deflated Newton loses chafee roots, and a huge r overflows ||y - u||^-r.
-MAX_DEFLATION_POWER = 3.0
-# Smallest deflation shift sigma: 0.45 loses chafee roots at meshes 41 to 3201.
-MIN_DEFLATION_SHIFT = 0.5
+# The deflation power r and shift sigma of the factor ||y - u||^-r + sigma.
+# Scans of the chafee and bratu oracles at meshes 41 to 3201 lost no root at
+# r <= 2, but r = 3 or sigma < 0.5 loses chafee branches, and not monotonically.
+DEFLATION_POWER = 2.0
+DEFLATION_SHIFT = 1.0
 
 
 def _refuse(problems: list[str]) -> None:
@@ -77,17 +75,12 @@ class NewtonConfig:
     """Settings of every Newton solve, plain or deflated, full-order or reduced.
 
     `tol` bounds the dual norm of the residual at convergence (X^{-1}-norm at
-    full order, Euclidean on reduced coefficients).  `power_r` and
-    `shift_sigma` are the deflation power r and shift sigma of the factor
-    ||y - u||^-r + sigma; plain Newton ignores them.  The factor needs r >= 1
-    to repel Newton from the root and a finite sigma >= 0.5 to keep the far
-    field from vanishing.  Invalid settings raise ValueError when the config is built.
+    full order, Euclidean on reduced coefficients).  Invalid settings raise
+    ValueError when the config is built.
     """
 
     tol: float = 1e-10
     max_iter: int = 100
-    power_r: float = 2.0
-    shift_sigma: float = 1.0
 
     def __post_init__(self):
         problems = []
@@ -95,12 +88,6 @@ class NewtonConfig:
             problems.append(f"newton_tol must be positive and finite (got {self.tol})")
         if not self.max_iter >= 1:
             problems.append(f"max_iter must be >= 1 (got {self.max_iter})")
-        if not 1.0 <= self.power_r <= MAX_DEFLATION_POWER:
-            problems.append(f"deflation power r must be >= 1 and <= {MAX_DEFLATION_POWER:g} "
-                            f"(got {self.power_r})")
-        if not MIN_DEFLATION_SHIFT <= self.shift_sigma < math.inf:
-            problems.append(f"deflation shift sigma must be positive and finite, and >= "
-                            f"{MIN_DEFLATION_SHIFT:g} (got {self.shift_sigma})")
         _refuse(problems)
 
 
@@ -176,9 +163,10 @@ class RootSet:
     def __iter__(self):
         return iter(self.roots)
 
-    def factor_and_gradient(self, y: np.ndarray, power_r: float,
-                            shift_sigma: float) -> tuple[float, np.ndarray]:
-        """The deflation factor m(y) and its gradient, from one pass over the roots.
+    def factor_and_gradient(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """The deflation factor m(y) = prod_i (||y - u_i||^-r + sigma) and its
+        gradient, from one pass over the roots, with r = DEFLATION_POWER and
+        sigma = DEFLATION_SHIFT.
 
         The gradient pairs with plain dot products against steps.
         """
@@ -186,13 +174,13 @@ class RootSet:
         terms = [self._measured(y - u) for u in self.roots]
         if any(dist < 1e-100 for _, dist in terms):
             raise DeflationSingularity("deflation singularity: state coincides with a stored root")
-        factors = [dist ** (-power_r) + shift_sigma for _, dist in terms]
+        factors = [dist ** (-DEFLATION_POWER) + DEFLATION_SHIFT for _, dist in terms]
         m = 1.0
         for f in factors:
             m *= f
         g = np.zeros_like(y)
         for (md, dist), f in zip(terms, factors):
-            g += (m / f) * (-power_r) * dist ** (-power_r - 2.0) * md
+            g += (m / f) * (-DEFLATION_POWER) * dist ** (-DEFLATION_POWER - 2.0) * md
         return m, g
 
 
@@ -212,9 +200,9 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
     ones.  A LinAlgError from it is reported as "singular_jacobian" and a
     non-finite du as "nonfinite_step".  `residual_norm` is the dual norm of
     the residual and decides convergence against cfg.tol.  `roots.norm`
-    measures steps and iterates; a non-empty `roots` deflates each step with
-    cfg's r and sigma, and `roots.is_distinct` ends a run whose guess or
-    converged iterate is one of them.
+    measures steps and iterates; a non-empty `roots` deflates each step,
+    and `roots.is_distinct` ends a run whose guess or converged iterate is
+    one of them.
     With no roots the deflation factor would be 1 and the step scaling
     exactly 1.0, so plain runs skip it.  A run whose (deflated) step norm
     has not fallen below half its best value for NO_PROGRESS_WINDOW
@@ -247,7 +235,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
             return SolveResult(y, False, k, rnorm, "nonfinite_step")
         if roots:
             try:
-                m, grad = roots.factor_and_gradient(y, cfg.power_r, cfg.shift_sigma)
+                m, grad = roots.factor_and_gradient(y)
             except DeflationSingularity:
                 return SolveResult(y, False, k, rnorm, "deflation_singular_guess")
             denom = 1.0 - float(grad @ du) / m
@@ -288,20 +276,19 @@ def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfi
 
 
 def newton(model: ParametricModel, mu: float, guess: np.ndarray,
-           cfg: NewtonConfig | None = None) -> SolveResult:
+           cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Full-order Newton; converges when the dual norm of the residual drops below cfg.tol."""
-    return _full_order_solve(model, mu, guess, cfg or NewtonConfig(), RootSet(model.x_apply))
+    return _full_order_solve(model, mu, guess, cfg, RootSet(model.x_apply))
 
 
 def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
-                    roots, cfg: NewtonConfig | None = None) -> SolveResult:
+                    roots, cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Full-order Newton repelled from `roots` (a RootSet or list of states).
 
-    The deflation power and shift are `cfg.power_r` and `cfg.shift_sigma`.
+    The deflation power and shift are DEFLATION_POWER and DEFLATION_SHIFT.
     With an empty root list this reproduces `newton` bit for bit.
     """
-    return _full_order_solve(model, mu, guess, cfg or NewtonConfig(),
-                             _deflation_roots(roots, model.x_apply))
+    return _full_order_solve(model, mu, guess, cfg, _deflation_roots(roots, model.x_apply))
 
 
 def discover(deflated_solve, guesses, found: RootSet, drive: bool = True) -> RootSet:
@@ -369,11 +356,10 @@ def continuation(solve_at, mus, battery, count=None):
 
 
 def discover_solutions(model: ParametricModel, mu: float, guesses,
-                       cfg: NewtonConfig | None = None, roots=(),
+                       cfg: NewtonConfig = NewtonConfig(), roots=(),
                        drive: bool = True) -> RootSet:
     """The full-order solutions `roots`, already known at mu, and the distinct
     ones `guesses` reach from there (`discover`)."""
-    cfg = cfg or NewtonConfig()
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if not guesses:
         raise ValueError("discover_solutions needs at least one initial guess")

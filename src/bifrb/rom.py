@@ -229,19 +229,19 @@ def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,
 
 
 def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
-                   cfg: NewtonConfig | None = None) -> SolveResult:
+                   cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Newton on the reduced system; converges on the Euclidean (dual) norm of G_N."""
-    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig(), RootSet())
+    return _reduced_solve(basis, mu, guess, cfg, RootSet())
 
 
 def reduced_deflated_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,
-                            roots, cfg: NewtonConfig | None = None) -> SolveResult:
+                            roots, cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Reduced Newton repelled from the given reduced roots (Euclidean metric)."""
-    return _reduced_solve(basis, mu, guess, cfg or NewtonConfig(), _deflation_roots(roots, None))
+    return _reduced_solve(basis, mu, guess, cfg, _deflation_roots(roots, None))
 
 
 def reduced_root(basis: BasisMatrix, mu: float, guesses,
-                 cfg: NewtonConfig | None = None, roots=()) -> list[np.ndarray]:
+                 cfg: NewtonConfig = NewtonConfig(), roots=()) -> list[np.ndarray]:
     """`roots` if a root is already known at mu, else [u_N] from the first guess
     whose reduced Newton solve converges, [] if none does."""
     if roots:
@@ -254,11 +254,10 @@ def reduced_root(basis: BasisMatrix, mu: float, guesses,
 
 
 def discover_reduced_solutions(basis: BasisMatrix, mu: float, guesses,
-                               cfg: NewtonConfig | None = None, roots=(),
+                               cfg: NewtonConfig = NewtonConfig(), roots=(),
                                drive: bool = True) -> list[np.ndarray]:
     """The reduced roots `roots`, already known at mu, and the distinct ones
     `guesses` reach from there (`nlsolve.discover`)."""
-    cfg = cfg or NewtonConfig()
     return discover(
         lambda g, found: reduced_deflated_newton(basis, mu, g, found, cfg),
         guesses, RootSet(None, list(roots)), drive).roots

@@ -17,16 +17,13 @@ from bifrb.estimators import EstimatorKind, discover_reduced_solutions
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           adaptive_greedy, deflated_greedy, vanilla_greedy)
 from bifrb.model import ParameterSpace
-from bifrb.nlsolve import NewtonConfig, RootSet, discover_solutions, newton
+from bifrb.nlsolve import RootSet, discover_solutions, newton
 from bifrb.pod import branchwise_pod, pod_basis
 from bifrb.rom import BasisMatrix, reduced_jacobian, reduced_residual
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 PI_SQ = float(np.pi ** 2)
-
-# The deflation power r and shift sigma of every solve at default settings.
-DEFLATION = (NewtonConfig.power_r, NewtonConfig.shift_sigma)
 
 VERDICTS: list[str] = []
 TIMES: dict[str, float] = {}
@@ -271,7 +268,7 @@ def _hf_deflated_steps(model, mu, guess, roots, cap=15):
             break
         jac = model.jacobian(y, mu)
         du = np.linalg.solve(jac, -res)
-        m, g = op.factor_and_gradient(y, *DEFLATION)
+        m, g = op.factor_and_gradient(y)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -297,7 +294,7 @@ def _rb_deflated_steps(basis, mu, guess, roots, cap=15):
             break
         jac = reduced_jacobian(basis, y, mu)
         du = np.linalg.solve(jac, -res)
-        m, g = op.factor_and_gradient(y, *DEFLATION)
+        m, g = op.factor_and_gradient(y)
         denom = 1.0 - float(g @ du) / m
         if abs(denom) < 1e-13:
             break
@@ -484,14 +481,14 @@ def test_criterion_8_derivative_consistency(chafee, bratu):
         metric = chafee.x_apply if k % 2 else None
         op = RootSet(metric, roots)
         u = base + rng.normal(0.0, 0.2, dim)
-        grad = op.factor_and_gradient(u, *DEFLATION)[1]
+        grad = op.factor_and_gradient(u)[1]
         h = 1e-5
         fd = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = h
-            fd[j] = (op.factor_and_gradient(u + e, *DEFLATION)[0]
-                     - op.factor_and_gradient(u - e, *DEFLATION)[0]) / (2 * h)
+            fd[j] = (op.factor_and_gradient(u + e)[0]
+                     - op.factor_and_gradient(u - e)[0]) / (2 * h)
         worst_grad = max(worst_grad, np.linalg.norm(fd - grad)
                          / max(np.linalg.norm(grad), 1e-30))
 

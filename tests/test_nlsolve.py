@@ -124,8 +124,8 @@ def test_deflation_scalar_matches_manual_product(rng):
     op = RootSet(None, [u1, u2])
     d1 = np.linalg.norm(y - u1)
     d2 = np.linalg.norm(y - u2)
-    manual = (d1**-2.0 + 0.7) * (d2**-2.0 + 0.7)
-    assert np.isclose(op.factor_and_gradient(y, 2.0, 0.7)[0], manual, rtol=1e-13)
+    manual = (d1**-2.0 + 1.0) * (d2**-2.0 + 1.0)
+    assert np.isclose(op.factor_and_gradient(y)[0], manual, rtol=1e-13)
 
 
 def test_deflation_scalar_with_energy_metric(bratu, rng):
@@ -134,20 +134,20 @@ def test_deflation_scalar_with_energy_metric(bratu, rng):
     op = RootSet(bratu.x_apply, [u1])
     X = stiffness_matrix(bratu.mesh_size)
     d = np.sqrt((y - u1) @ X @ (y - u1))
-    assert np.isclose(op.factor_and_gradient(y, 2.0, 1.0)[0], d**-2.0 + 1.0, rtol=1e-12)
+    assert np.isclose(op.factor_and_gradient(y)[0], d**-2.0 + 1.0, rtol=1e-12)
 
 
 def test_deflation_gradient_matches_finite_differences(rng):
     roots = [rng.standard_normal(8) for _ in range(3)]
     op = RootSet(None, roots)
     y = rng.standard_normal(8) + 4.0  # keep away from the roots
-    grad = op.factor_and_gradient(y, 3.0, 0.5)[1]
+    grad = op.factor_and_gradient(y)[1]
     eps = 1e-6
     for i in range(8):
         e = np.zeros(8)
         e[i] = eps
-        fd = (op.factor_and_gradient(y + e, 3.0, 0.5)[0]
-              - op.factor_and_gradient(y - e, 3.0, 0.5)[0]) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e)[0]
+              - op.factor_and_gradient(y - e)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
@@ -155,13 +155,13 @@ def test_deflation_gradient_with_metric_matches_finite_differences(bratu, rng):
     roots = [rng.standard_normal(bratu.mesh_size)]
     op = RootSet(bratu.x_apply, roots)
     y = rng.standard_normal(bratu.mesh_size)
-    grad = op.factor_and_gradient(y, 2.0, 1.0)[1]
+    grad = op.factor_and_gradient(y)[1]
     eps = 1e-7
     for i in rng.choice(bratu.mesh_size, size=10, replace=False):
         e = np.zeros(bratu.mesh_size)
         e[i] = eps
-        fd = (op.factor_and_gradient(y + e, 2.0, 1.0)[0]
-              - op.factor_and_gradient(y - e, 2.0, 1.0)[0]) / (2 * eps)
+        fd = (op.factor_and_gradient(y + e)[0]
+              - op.factor_and_gradient(y - e)[0]) / (2 * eps)
         assert abs(fd - grad[i]) < 1e-5 * max(1.0, abs(grad[i]))
 
 
@@ -169,8 +169,8 @@ def test_deflation_singularity(rng):
     u1 = rng.standard_normal(4)
     op = RootSet(None, [u1])
     with pytest.raises(DeflationSingularity):
-        op.factor_and_gradient(u1.copy(), 2.0, 1.0)
-    assert op.factor_and_gradient(np.zeros(4) + 10.0, 2.0, 1.0)[1].shape == (4,)
+        op.factor_and_gradient(u1.copy())
+    assert op.factor_and_gradient(np.zeros(4) + 10.0)[1].shape == (4,)
 
 
 def test_root_set_norm_is_the_models_x_norm(chafee, rng):
@@ -187,10 +187,10 @@ def test_factor_and_gradient_in_one_pass(bratu, rng):
     y = rng.standard_normal(bratu.mesh_size)
     for metric in (None, bratu.x_apply):
         op = RootSet(metric, roots)
-        m, _ = op.factor_and_gradient(y, 3.0, 0.5)
+        m, _ = op.factor_and_gradient(y)
         manual = 1.0
         for d in (op.norm(y - u) for u in roots):
-            manual *= d**-3.0 + 0.5
+            manual *= d**-2.0 + 1.0
         assert np.isclose(m, manual, rtol=1e-14)
 
 
@@ -201,9 +201,9 @@ def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
     calls = {"pair": 0}
     pair = RootSet.factor_and_gradient
 
-    def counted(self, y, power_r, shift_sigma):
+    def counted(self, y):
         calls["pair"] += 1
-        return pair(self, y, power_r, shift_sigma)
+        return pair(self, y)
 
     monkeypatch.setattr(RootSet, "factor_and_gradient", counted)
     res = deflated_newton(chafee, mu, chafee.default_guesses[1], [root])
@@ -231,7 +231,7 @@ def test_sherman_morrison_step_equals_dense_rank_one_solve(chafee, rng):
         y = rng.standard_normal(chafee.mesh_size) * 0.3
         G = chafee.residual(y, mu)
         J = chafee.jacobian(y, mu)
-        m, g = op.factor_and_gradient(y, 2.0, 1.0)
+        m, g = op.factor_and_gradient(y)
         dense = np.linalg.solve(m * J + np.outer(G, g), -m * G)
         du = np.linalg.solve(J, -G)
         sm = du / (1.0 - float(g @ du) / m)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the nine mesh-201 CLI runs whose artifacts a refactor must keep byte for
+# Run the ten mesh-201 CLI runs whose artifacts a refactor must keep byte for
 # byte, importing the package from <src-dir> and writing into <out-dir>.
 #
 #   tools/cli_artifacts.sh <parent-checkout>/src /tmp/parent_out
@@ -37,3 +37,6 @@ bifrb run_adaptive_bratu run --model bratu --strategy adaptive
 bifrb compare compare --model chafee --strategies vanilla,deflated,pod --matched-n
 bifrb error_sweep error-sweep --basis-dir run_deflated_chafee
 bifrb diagram_bratu diagram --model bratu
+# the config-file layer: RunConfig.from_dict, then the flags on top
+echo '{"model_kind": "bratu", "train_size": 21, "test_size": 41}' > run_config.json
+bifrb run_config run --config run_config.json
