@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import nonlinear_estimate, reduced_branches
+from .estimators import certificate_memo, nonlinear_estimate, reduced_branches
 from .model import ParametricModel
 from .nlsolve import NewtonConfig, continuation, discover_solutions
 from .rom import NULL_TOL, BasisMatrix
@@ -225,26 +225,27 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     tested = [mu for mu in mus if oracle.at(mu)]
     branches = (reduced_branches(model, basis, tested, cfg, deflate) if basis.n
                 else ((mu, []) for mu in tested))
-    for mu, roots in branches:
-        refs = oracle.at(mu)
-        lifted = [basis.lift(r) for r in roots]
-        values = [model.midpoint_value(u) for u in lifted]
-        bounds: dict[int, float] = {}
-        dists_per_ref = [[abs(v - p.value) for v in values] for p in refs]
-        matches = [int(np.argmin(d)) if roots else None for d in dists_per_ref]
-        flags = _match_flags(dists_per_ref, matches, len(roots))
-        for p, i, flag in zip(refs, matches, flags):
-            kind = "absolute" if model.x_norm(p.u) <= NULL_TOL else "relative"
-            proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))
-            if i is None:
-                red, flag = (proj, "") if basis.n == 0 else (math.inf, "diverged")
-                rows.append(ErrorRow(mu, p.branch, red, proj, math.inf, kind, flag))
-                continue
-            if i not in bounds:
-                est = nonlinear_estimate(model, lifted[i], mu)
-                bounds[i] = est.delta_brr if math.isfinite(est.delta_brr) else est.delta_lin
-            red = relative_error(model, p.u, lifted[i])
-            rows.append(ErrorRow(mu, p.branch, red, proj, bounds[i], kind, flag))
+    with certificate_memo():
+        for mu, roots in branches:
+            refs = oracle.at(mu)
+            lifted = [basis.lift(r) for r in roots]
+            values = [model.midpoint_value(u) for u in lifted]
+            bounds: dict[int, float] = {}
+            dists_per_ref = [[abs(v - p.value) for v in values] for p in refs]
+            matches = [int(np.argmin(d)) if roots else None for d in dists_per_ref]
+            flags = _match_flags(dists_per_ref, matches, len(roots))
+            for p, i, flag in zip(refs, matches, flags):
+                kind = "absolute" if model.x_norm(p.u) <= NULL_TOL else "relative"
+                proj = relative_error(model, p.u, basis.lift(basis.project(p.u)))
+                if i is None:
+                    red, flag = (proj, "") if basis.n == 0 else (math.inf, "diverged")
+                    rows.append(ErrorRow(mu, p.branch, red, proj, math.inf, kind, flag))
+                    continue
+                if i not in bounds:
+                    est = nonlinear_estimate(model, lifted[i], mu)
+                    bounds[i] = est.delta_brr if math.isfinite(est.delta_brr) else est.delta_lin
+                red = relative_error(model, p.u, lifted[i])
+                rows.append(ErrorRow(mu, p.branch, red, proj, bounds[i], kind, flag))
     rows.sort(key=lambda r: (r.mu, r.branch))
     return ErrorSweep(rows)
 
@@ -255,14 +256,15 @@ def error_vs_n(model: ParametricModel, basis: BasisMatrix, mus,
     """Worst and mean unflagged test error of the first n columns of the
     nested `basis`, for n = 1 .. basis.n."""
     table = []
-    for n in range(1, basis.n + 1):
-        sweep = error_sweep(model, basis.truncated(n), mus, oracle, cfg, deflate)
-        table.append({
-            "n": n,
-            "max_error": sweep.max_reduced(),
-            "avg_error": sweep.avg_reduced(),
-            "n_flagged": len(sweep.flagged()),
-        })
+    with certificate_memo():
+        for n in range(1, basis.n + 1):
+            sweep = error_sweep(model, basis.truncated(n), mus, oracle, cfg, deflate)
+            table.append({
+                "n": n,
+                "max_error": sweep.max_reduced(),
+                "avg_error": sweep.avg_reduced(),
+                "n_flagged": len(sweep.flagged()),
+            })
     return table
 
 

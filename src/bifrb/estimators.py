@@ -19,7 +19,10 @@ bound for every entry, so a single sweep never mixes the two.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -39,6 +42,7 @@ __all__ = [
     "EstimatorEntry",
     "EstimatorSet",
     "BetaEntry",
+    "certificate_memo",
     "inf_sup",
     "residual_dual_norm",
     "linear_estimate",
@@ -52,6 +56,21 @@ __all__ = [
 
 # Inf-sup values below this are treated as numerically singular in divisions.
 BETA_FLOOR = 1e-12
+
+# Inf-sup values by pencil digest inside `certificate_memo`, else None.
+_CERTIFICATES: ContextVar[dict | None] = ContextVar("certificates", default=None)
+
+
+@contextmanager
+def certificate_memo():
+    """Certify each distinct pencil once in the block (`inf_sup`); nested
+    entries share the outermost entry's memo, which its exit drops."""
+    memo = _CERTIFICATES.get()
+    token = _CERTIFICATES.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _CERTIFICATES.reset(token)
 
 
 class EstimatorKind(str, Enum):
@@ -113,11 +132,21 @@ def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     t + d and none < t - d, d widened to their rounding, 4 eps y^T (|Jac| +
     t |X|) y for the Ritz vector y.  After 32 steps without, bisection on the
     counts finds beta.  Non-finite Jacobians raise ValueError first.
+
+    Inside `certificate_memo` a pencil already solved, by the 16-byte BLAKE2b
+    digest of the Jac and X bands, returns its stored value: the same float, as
+    the solve reads nothing else (chafee's trivial branch repeats J(0, mu)).
     """
     jac = model.jacobian_bands(u, mu)
     if not np.all(np.isfinite(jac)):
         raise ValueError("array must not contain infs or NaNs")
-    return _pencil_inf_sup(jac, model.x_bands)
+    memo = _CERTIFICATES.get()
+    if memo is None:
+        return _pencil_inf_sup(jac, model.x_bands)
+    key = hashlib.blake2b(jac.tobytes() + model.x_bands.tobytes(), digest_size=16).digest()
+    if key not in memo:
+        memo[key] = _pencil_inf_sup(jac, model.x_bands)
+    return memo[key]
 
 
 def residual_dual_norm(model: ParametricModel, u: np.ndarray, mu: float) -> float:

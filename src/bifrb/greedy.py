@@ -21,7 +21,8 @@ enriches the basis.  They differ only in its hooks, which receive the basis.
   every additional root at the selected parameter into the basis: the
   model's guess battery is driven against the snapshot root
   (`discover_solutions`, the full-order discovery of the oracle).  Only
-  the basis carries over from one of its iterations to the next.
+  the basis carries over from one of its iterations to the next, besides
+  the run's inf-sup memo (`estimators.certificate_memo`), which moves no result.
 
 Iterations that add no column (the snapshot already lies in the span) fall
 through to the next-ranked entry; exhausting all candidates above tolerance
@@ -36,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .estimators import (EstimatorKind, EstimatorSet, argmin_beta, beta_sweep,
-                         deflated_estimator_sweep, estimator_sweep)
+                         certificate_memo, deflated_estimator_sweep, estimator_sweep)
 from .model import ParameterSpace, ParametricModel
 from .nlsolve import NewtonConfig, _refuse, discover_solutions, newton
 from .rom import BasisMatrix
@@ -210,32 +211,33 @@ def _greedy(strategy: str, model: ParametricModel, space: ParameterSpace,
     records: list[IterationRecord] = []
     sweeps: list[list[dict]] = []
     mu_bif: float | None = None
-    while True:
-        estimates = sweep(basis, space)
-        sweeps.append(estimates.rows())
-        if estimates.max_delta <= cfg.tol or basis.n >= cfg.n_max:
-            status = (GreedyStatus.TOLERANCE_MET if estimates.max_delta <= cfg.tol
-                      else GreedyStatus.N_MAX_REACHED)
-            _record(records, basis, space, estimates, enrich_status=status.value)
-            break
-        skipped: list = []
-        for entry in _ranked_candidates(estimates, cfg.tol, basis.mu_values):
-            outcome = snapshot(basis, entry)
-            if not isinstance(outcome, str):
+    with certificate_memo():
+        while True:
+            estimates = sweep(basis, space)
+            sweeps.append(estimates.rows())
+            if estimates.max_delta <= cfg.tol or basis.n >= cfg.n_max:
+                status = (GreedyStatus.TOLERANCE_MET if estimates.max_delta <= cfg.tol
+                          else GreedyStatus.N_MAX_REACHED)
+                _record(records, basis, space, estimates, enrich_status=status.value)
                 break
-            skipped.append((entry.mu, entry.branch, outcome))
-        else:
-            status = GreedyStatus.STAGNATION
-            _record(records, basis, space, estimates,
-                    enrich_status=status.value, skipped=skipped)
-            break
-        if refine is not None:
-            space, mu_bif = refine(basis, space, mu_bif)
-        enrich_status, harvested = outcome
-        _record(records, basis, space, estimates, mu_selected=entry.mu,
-                branch_selected=entry.branch, enrich_status=enrich_status,
-                snapshot_growth=harvested, reselections=len(skipped),
-                mu_bif=mu_bif, skipped=skipped)
+            skipped: list = []
+            for entry in _ranked_candidates(estimates, cfg.tol, basis.mu_values):
+                outcome = snapshot(basis, entry)
+                if not isinstance(outcome, str):
+                    break
+                skipped.append((entry.mu, entry.branch, outcome))
+            else:
+                status = GreedyStatus.STAGNATION
+                _record(records, basis, space, estimates,
+                        enrich_status=status.value, skipped=skipped)
+                break
+            if refine is not None:
+                space, mu_bif = refine(basis, space, mu_bif)
+            enrich_status, harvested = outcome
+            _record(records, basis, space, estimates, mu_selected=entry.mu,
+                    branch_selected=entry.branch, enrich_status=enrich_status,
+                    snapshot_growth=harvested, reselections=len(skipped),
+                    mu_bif=mu_bif, skipped=skipped)
     return basis, GreedyReport(strategy, status, mu0, note, records, sweeps, None,
                                space.train_points)
 
@@ -305,11 +307,12 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
         mu_bif = critical_point(basis, sp.train_points)
         return refinement(sp, mu_bif, mu_prev, acfg.n_ref, acfg.bif_tol), mu_bif
 
-    basis, report = _greedy("adaptive", model, space, cfg,
-                            *_single_branch_hooks(model, cfg), refine)
-    # The last refinement postdates the last minimizer, so detect the critical
-    # point once more on the final grid before reporting it.
-    report.mu_bif = critical_point(basis, report.train_final)
+    with certificate_memo():
+        basis, report = _greedy("adaptive", model, space, cfg,
+                                *_single_branch_hooks(model, cfg), refine)
+        # The last refinement postdates the last minimizer, so detect the
+        # critical point once more on the final grid before reporting it.
+        report.mu_bif = critical_point(basis, report.train_final)
     return basis, report
 
 

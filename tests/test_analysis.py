@@ -1,4 +1,5 @@
 """Branch labeling, error sweeps, and deterministic CSV export."""
+import contextlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from bifrb.analysis import (BranchPoint, ErrorRow, ErrorSweep, _assign_labels,
                             _match_flags, diagram_csv, error_sweep, error_vs_n, errors_csv,
                             relative_error, solution_ensemble, write_csv)
-from bifrb import estimators
+from bifrb import analysis, estimators
 from bifrb.nlsolve import newton
 from bifrb.rom import BasisMatrix
 
@@ -201,12 +202,16 @@ def test_empty_basis_rows(chafee, pitchfork_ensemble):
             assert row.reduced_error < 1e-8
 
 
-def test_error_vs_n_table(chafee, pitchfork_ensemble, pitchfork_basis):
+def test_error_vs_n_table(chafee, pitchfork_ensemble, pitchfork_basis, monkeypatch):
     table = error_vs_n(chafee, pitchfork_basis, pitchfork_ensemble.mus(), pitchfork_ensemble)
     assert [row["n"] for row in table] == list(range(1, pitchfork_basis.n + 1))
     assert set(table[0]) == {"n", "max_error", "avg_error", "n_flagged"}
     # the full basis resolves the test set better than its first column alone
     assert table[-1]["max_error"] < table[0]["max_error"]
+    # the inf-sup memo of the table and its sweeps moves no bit of it
+    monkeypatch.setattr(analysis, "certificate_memo", contextlib.nullcontext)
+    assert repr(error_vs_n(chafee, pitchfork_basis, pitchfork_ensemble.mus(),
+                           pitchfork_ensemble)) == repr(table)
 
 
 def test_write_csv_is_deterministic_and_lossless(tmp_path):

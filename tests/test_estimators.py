@@ -1,4 +1,5 @@
 """Inf-sup constants, residual bounds, and the auto-switching sweep logic."""
+import contextlib
 import math
 from collections import Counter
 
@@ -9,7 +10,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.linalg.lapack import dpttrs, dstebz
 
 from bifrb import estimators, rom
-from bifrb.estimators import (EstimatorKind, argmin_beta, beta_sweep,
+from bifrb.estimators import (EstimatorKind, argmin_beta, beta_sweep, certificate_memo,
                               deflated_estimator_sweep,
                               discover_reduced_solutions, estimator_sweep,
                               inf_sup, linear_estimate, nonlinear_estimate,
@@ -76,11 +77,40 @@ def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
     for name in ("dpttrf", "dpttrs", "dsbmv", "dstev"):
         monkeypatch.setattr(estimators, name, forbidden)
     monkeypatch.setattr("bifrb.model.dstebz", forbidden)  # the counts of `model.sturm_count`
-    for bad in (np.nan, np.inf):
-        u = np.zeros(chafee.mesh_size)
-        u[7] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            inf_sup(chafee, u, 9.0)
+    for scope in (contextlib.nullcontext, certificate_memo):
+        for bad in (np.nan, np.inf):
+            u = np.zeros(chafee.mesh_size)
+            u[7] = bad
+            with scope(), pytest.raises(ValueError, match="infs or NaNs"):
+                inf_sup(chafee, u, 9.0)
+
+
+def test_certificate_memo_solves_an_equal_pencil_once(chafee, monkeypatch):
+    """On chafee's trivial branch 1 - 3 u^2 rounds to 1.0, so a state of size
+    1e-10 has the bands of J(0, mu): inside one scope the second call is the
+    first one's float, without a solve.  Outside, every call solves."""
+    solves = []
+    solve = estimators._pencil_inf_sup
+
+    def spied(a, b):
+        solves.append(a[1, 0])
+        return solve(a, b)
+
+    monkeypatch.setattr(estimators, "_pencil_inf_sup", spied)
+    zero, tiny = np.zeros(chafee.mesh_size), np.full(chafee.mesh_size, 1e-10)
+    mu = 12.0
+    assert np.array_equal(chafee.jacobian_bands(tiny, mu), chafee.jacobian_bands(zero, mu))
+    with certificate_memo():
+        beta = inf_sup(chafee, zero, mu)
+        with certificate_memo():  # a nested scope shares the outer memo
+            assert inf_sup(chafee, tiny, mu) == beta
+        assert len(solves) == 1
+        inf_sup(chafee, zero, 13.0)
+        assert len(solves) == 2
+    assert inf_sup(chafee, tiny, mu) == beta and len(solves) == 3
+    with certificate_memo():  # a new scope starts empty
+        inf_sup(chafee, tiny, mu)
+    assert len(solves) == 4
 
 
 def test_pencil_failure_is_a_linalg_error(chafee):

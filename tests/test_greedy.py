@@ -1,4 +1,5 @@
 """Greedy sampling variants: plain, grid-adaptive, and deflated."""
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 from bifrb.analysis import error_sweep, solution_ensemble
 from bifrb.estimators import EstimatorKind, estimator_sweep
-from bifrb import greedy
+from bifrb import estimators, greedy
 from bifrb.greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                           _ranked_candidates, adaptive_greedy, deflated_greedy,
                           deflated_snapshots, refinement, vanilla_greedy)
@@ -391,3 +392,43 @@ def test_greedy_pipeline_is_mesh_independent(kind, deflated_grid, adaptive_inter
     train = coarse["train"]
     i = int(np.argmin(np.abs(train - coarse["mu_bif"])))
     assert train[max(i - 1, 0)] <= fine["mu_bif"] <= train[min(i + 1, len(train) - 1)]
+
+
+def spy_on_pencils(monkeypatch):
+    """The (Jacobian, X) bands of every `_pencil_inf_sup` solve, as bytes."""
+    seen = []
+    solve = estimators._pencil_inf_sup
+
+    def spied(a, b):
+        seen.append(a.tobytes() + b.tobytes())
+        return solve(a, b)
+
+    monkeypatch.setattr(estimators, "_pencil_inf_sup", spied)
+    return seen
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, space: adaptive_greedy(model, space, GreedyConfig(n_max=6),
+                                         AdaptiveConfig(n_ref=2)),
+    lambda model, space: deflated_greedy(model, space, GreedyConfig()),
+], ids=["adaptive", "deflated"])
+def test_certificate_memo_changes_no_result(run, monkeypatch):
+    """Each greedy run solves every distinct pencil once, and gives the same
+    bits as a run whose scope is a no-op, which solves each pencil it meets."""
+    model, space = make_model("chafee", 41), ParameterSpace.equispaced(5.0, 15.0, 11)
+    pencils = spy_on_pencils(monkeypatch)
+
+    def outcome():
+        pencils.clear()
+        basis, report = run(model, space)
+        # repr keeps every float bit, a nan included
+        return basis.matrix.tobytes(), repr(report.to_dict()), repr(report.sweeps)
+
+    memo = outcome()
+    solves = len(pencils)
+    assert solves == len(set(pencils))
+    # a second call pays for its own certificates: nothing carried over
+    assert outcome() == memo and len(pencils) == solves
+    monkeypatch.setattr(greedy, "certificate_memo", contextlib.nullcontext)
+    assert outcome() == memo
+    assert len(pencils) > solves == len(set(pencils))

@@ -113,15 +113,18 @@ def test_artifact_drift_reports_the_drift_beyond_the_floor(tmp_path):
     assert "beyond atol" not in plain.stdout
 
 
-def stub_checkout(root, metrics):
+def stub_checkout(root, metrics, log=None, correct=True):
     """A checkout whose bench/run.py logs its arguments and prints `metrics`
-    as the result line of every workload."""
+    as the result line of every workload.  A shared `log` gets each line
+    prefixed with the checkout's name, so it shows the order of the runs."""
     (root / "bench").mkdir(parents=True)
-    result = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+    result = json.dumps({"correct": correct, "attempted": 1, "failed": 0 if correct else 1,
+                         "metrics": metrics})
+    prefix = f"{root.name} " if log else ""
     (root / "bench" / "run.py").write_text(
         "import sys\n"
-        f"with open({str(root / 'calls.txt')!r}, 'a') as f:\n"
-        "    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        f"with open({str(log or root / 'calls.txt')!r}, 'a') as f:\n"
+        f"    f.write({prefix!r} + ' '.join(sys.argv[1:]) + '\\n')\n"
         "print('# environment {}')\n"
         f"print({result!r})\n")
     return root
@@ -153,3 +156,61 @@ def test_trace_counts_compares_every_metric_but_the_timings(tmp_path):
     assert differ.stdout.splitlines() == [
         line for w in ("oracle", "offline", "critical")
         for line in (f"{w} max_delta: 4.8e-07 -> 4.9e-07", f"{w} nlsolve.newton.calls: 12 -> 13")]
+
+
+def e2e(run_s, peak_rss_mb):
+    return {"run_s": {"value": run_s, "unit": "s"},
+            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+
+
+def bench_pairs(*args):
+    return subprocess.run([sys.executable, str(TOOLS / "bench_pairs.py"), *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_bench_pairs_alternates_the_sides_and_summarizes_every_metric(tmp_path):
+    log = tmp_path / "runs.txt"
+    parent = stub_checkout(tmp_path / "parent", e2e(0.3, 60.0), log)
+    change = stub_checkout(tmp_path / "change", e2e(0.2, 61.0), log)
+    out = tmp_path / "pairs.json"
+    done = bench_pairs(parent, change, "--workloads", "critical,offline", "--pairs", 3,
+                       "--seconds", 2, "--seed", 1, "--json", out)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        line for w in ("critical", "offline") for line in (
+            f"{w} run_s: parent 0.3 [0.3, 0.3], change 0.2 [0.2, 0.2], "
+            "change_lower_in_pairs 3/3",
+            f"{w} peak_rss_mb: parent 60 [60, 60], change 61 [61, 61], "
+            "change_lower_in_pairs 0/3")]
+    # odd pairs run the parent first, even pairs the change; the workloads in turn
+    order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert log.read_text().splitlines() == [
+        f"{side} --workload {w} --seed 1 --seconds 2.0 --trace 0"
+        for sides in order for w in ("critical", "offline") for side in sides]
+    record = json.loads(out.read_text())
+    assert record["command"] == ("python3 bench/run.py --workload <workload> --seed 1 "
+                                 "--seconds 2 --trace 0")
+    critical = record["workloads"]["critical"]
+    assert critical["seed"] == 1 and critical["all_correct_zero_failed"] is True
+    assert critical["summary"]["run_s"] == {
+        "parent": {"median": 0.3, "q1": 0.3, "q3": 0.3, "n": 3},
+        "change": {"median": 0.2, "q1": 0.2, "q3": 0.2, "n": 3},
+        "change_lower_in_pairs": "3/3"}
+    assert critical["runs_s"] == [[i, side, {"parent": 0.3, "change": 0.2}[side]]
+                                  for i, sides in enumerate(order, 1) for side in sides]
+
+
+def test_bench_pairs_exits_one_on_a_failed_or_incorrect_run(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", e2e(0.3, 60.0))
+    wrong = stub_checkout(tmp_path / "wrong", e2e(0.2, 60.0), correct=False)
+    out = tmp_path / "pairs.json"
+    refused = bench_pairs(parent, wrong, "--workloads", "oracle", "--pairs", 2, "--json", out)
+    assert refused.returncode == 1
+    assert refused.stdout.startswith("oracle pair 1 change: run failed:")
+    assert "correct is False" in refused.stdout and not out.exists()
+
+    broken = stub_checkout(tmp_path / "broken", e2e(0.2, 60.0))
+    (broken / "bench" / "run.py").write_text("import sys\nsys.exit(1)\n")
+    failed = bench_pairs(broken, parent, "--workloads", "oracle", "--pairs", 1)
+    assert failed.returncode == 1
+    assert failed.stdout.startswith("oracle pair 1 parent: run failed:")
