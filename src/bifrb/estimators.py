@@ -57,7 +57,7 @@ __all__ = [
 # Inf-sup values below this are treated as numerically singular in divisions.
 BETA_FLOOR = 1e-12
 
-# Inf-sup values by pencil digest inside `certificate_memo`, else None.
+# Inf-sup values by (model, Jacobian digest) inside `certificate_memo`, else None.
 _CERTIFICATES: ContextVar[dict | None] = ContextVar("certificates", default=None)
 
 
@@ -133,9 +133,10 @@ def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     t |X|) y for the Ritz vector y.  After 32 steps without, bisection on the
     counts finds beta.  Non-finite Jacobians raise ValueError first.
 
-    Inside `certificate_memo` a pencil already solved, by the 16-byte BLAKE2b
-    digest of the Jac and X bands, returns its stored value: the same float, as
-    the solve reads nothing else (chafee's trivial branch repeats J(0, mu)).
+    Inside `certificate_memo` a pencil already solved, by the model (whose X
+    bands are fixed at construction) and the 16-byte BLAKE2b digest of the Jac
+    bands, returns its stored value: the same float, as the solve reads nothing
+    else (chafee's trivial branch repeats J(0, mu), and u and -u one Jac).
     """
     jac = model.jacobian_bands(u, mu)
     if not np.all(np.isfinite(jac)):
@@ -143,8 +144,7 @@ def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     memo = _CERTIFICATES.get()
     if memo is None:
         return _pencil_inf_sup(jac, model.x_bands)
-    key = hashlib.blake2b(jac.tobytes() + model.x_bands.tobytes(), digest_size=16).digest()
-    if key not in memo:
+    if (key := (model, hashlib.blake2b(jac, digest_size=16).digest())) not in memo:
         memo[key] = _pencil_inf_sup(jac, model.x_bands)
     return memo[key]
 

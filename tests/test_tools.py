@@ -157,6 +157,12 @@ def test_trace_counts_compares_every_metric_but_the_timings(tmp_path):
         line for w in ("oracle", "offline", "critical")
         for line in (f"{w} max_delta: 4.8e-07 -> 4.9e-07", f"{w} nlsolve.newton.calls: 12 -> 13")]
 
+    wrong = stub_checkout(tmp_path / "wrong", metrics, correct=False)
+    refused = subprocess.run([sys.executable, str(TOOLS / "trace_counts.py"), str(parent),
+                              str(wrong)], capture_output=True, text=True)
+    assert refused.returncode == 1
+    assert refused.stdout.startswith("oracle: run failed:") and "correct is False" in refused.stdout
+
 
 def e2e(run_s, peak_rss_mb):
     return {"run_s": {"value": run_s, "unit": "s"},
@@ -173,29 +179,29 @@ def test_bench_pairs_alternates_the_sides_and_summarizes_every_metric(tmp_path):
     parent = stub_checkout(tmp_path / "parent", e2e(0.3, 60.0), log)
     change = stub_checkout(tmp_path / "change", e2e(0.2, 61.0), log)
     out = tmp_path / "pairs.json"
-    done = bench_pairs(parent, change, "--workloads", "critical,offline", "--pairs", 3,
-                       "--seconds", 2, "--seed", 1, "--json", out)
+    done = bench_pairs(parent, change, "--workloads", "critical,offline", "--seed", 1,
+                       "--json", out)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines() == [
         line for w in ("critical", "offline") for line in (
             f"{w} run_s: parent 0.3 [0.3, 0.3], change 0.2 [0.2, 0.2], "
-            "change_lower_in_pairs 3/3",
+            "change_lower_in_pairs 10/10",
             f"{w} peak_rss_mb: parent 60 [60, 60], change 61 [61, 61], "
-            "change_lower_in_pairs 0/3")]
-    # odd pairs run the parent first, even pairs the change; the workloads in turn
-    order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+            "change_lower_in_pairs 0/10")]
+    # odd pairs run the parent first, even pairs the change; the workloads in turn;
+    # the run length and tracing are each bench's own defaults
+    order = [("parent", "change"), ("change", "parent")] * 5
     assert log.read_text().splitlines() == [
-        f"{side} --workload {w} --seed 1 --seconds 2.0 --trace 0"
+        f"{side} --workload {w} --seed 1"
         for sides in order for w in ("critical", "offline") for side in sides]
     record = json.loads(out.read_text())
-    assert record["command"] == ("python3 bench/run.py --workload <workload> --seed 1 "
-                                 "--seconds 2 --trace 0")
+    assert record["command"] == "python3 bench/run.py --workload <workload> --seed 1"
     critical = record["workloads"]["critical"]
     assert critical["seed"] == 1 and critical["all_correct_zero_failed"] is True
     assert critical["summary"]["run_s"] == {
-        "parent": {"median": 0.3, "q1": 0.3, "q3": 0.3, "n": 3},
-        "change": {"median": 0.2, "q1": 0.2, "q3": 0.2, "n": 3},
-        "change_lower_in_pairs": "3/3"}
+        "parent": {"median": 0.3, "q1": 0.3, "q3": 0.3, "n": 10},
+        "change": {"median": 0.2, "q1": 0.2, "q3": 0.2, "n": 10},
+        "change_lower_in_pairs": "10/10"}
     assert critical["runs_s"] == [[i, side, {"parent": 0.3, "change": 0.2}[side]]
                                   for i, sides in enumerate(order, 1) for side in sides]
 
@@ -204,13 +210,13 @@ def test_bench_pairs_exits_one_on_a_failed_or_incorrect_run(tmp_path):
     parent = stub_checkout(tmp_path / "parent", e2e(0.3, 60.0))
     wrong = stub_checkout(tmp_path / "wrong", e2e(0.2, 60.0), correct=False)
     out = tmp_path / "pairs.json"
-    refused = bench_pairs(parent, wrong, "--workloads", "oracle", "--pairs", 2, "--json", out)
+    refused = bench_pairs(parent, wrong, "--workloads", "oracle", "--json", out)
     assert refused.returncode == 1
     assert refused.stdout.startswith("oracle pair 1 change: run failed:")
     assert "correct is False" in refused.stdout and not out.exists()
 
     broken = stub_checkout(tmp_path / "broken", e2e(0.2, 60.0))
     (broken / "bench" / "run.py").write_text("import sys\nsys.exit(1)\n")
-    failed = bench_pairs(broken, parent, "--workloads", "oracle", "--pairs", 1)
+    failed = bench_pairs(broken, parent, "--workloads", "oracle")
     assert failed.returncode == 1
     assert failed.stdout.startswith("oracle pair 1 parent: run failed:")

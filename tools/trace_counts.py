@@ -9,8 +9,8 @@ of the two result lines whose unit is not a time (s or ms): call, iteration
 and cause counts, ratios, basis sizes and errors.  `trace.coverage`, the
 share of the traced wall time that spans cover, is a timing ratio and is
 skipped.  Prints `<workload> <metric>: <parent> -> <change>` for each metric
-that differs, and exits 1 if any does or a run fails; otherwise exits 0.
-Standard library only.
+that differs, and exits 1 if any does or a run fails or reports `correct`
+other than true; otherwise exits 0.  Standard library only.
 """
 import json
 import subprocess
@@ -22,14 +22,23 @@ TIMING_UNITS = ("s", "ms")
 SKIPPED = ("trace.coverage",)
 
 
-def traced_metrics(checkout: Path, workload: str) -> dict:
-    """{name: {"value", "unit"}} of one traced run: its last stdout line."""
+def bench_result(checkout: Path, workload: str, *args: str) -> dict:
+    """{name: {"value", "unit"}} of one run of the checkout's own `bench/run.py
+    --workload <workload> <args>`: the metrics of its last stdout line.
+    Raises RuntimeError if the run fails or its result is not `correct`."""
     run = subprocess.run([sys.executable, str(checkout / "bench" / "run.py"),
-                          "--workload", workload, "--seed", "0", "--seconds", "0",
-                          "--trace", "1"], capture_output=True, text=True)
+                          "--workload", workload, *args], capture_output=True, text=True)
     if run.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} exited {run.returncode}\n{run.stderr}")
-    return json.loads(run.stdout.strip().splitlines()[-1])["metrics"]
+    try:
+        result = json.loads(run.stdout.strip().splitlines()[-1])
+        metrics = result["metrics"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise RuntimeError(f"{checkout}: {workload} printed no result line ({exc!r})") from None
+    if result.get("correct") is not True:
+        raise RuntimeError(f"{checkout}: {workload} correct is {result.get('correct')!r}, "
+                           f"failed {result.get('failed')!r}")
+    return metrics
 
 
 def differences(parent: dict, change: dict) -> list[str]:
@@ -52,9 +61,11 @@ def main(argv=None) -> int:
     parent, change = (Path(a).resolve() for a in argv)
     differ = False
     for workload in WORKLOADS:
+        traced = ("--seed", "0", "--seconds", "0", "--trace", "1")
         try:
-            found = differences(traced_metrics(parent, workload), traced_metrics(change, workload))
-        except (RuntimeError, ValueError, KeyError, IndexError) as exc:
+            found = differences(bench_result(parent, workload, *traced),
+                                bench_result(change, workload, *traced))
+        except (RuntimeError, KeyError) as exc:
             print(f"{workload}: run failed: {exc}")
             return 1
         for line in found:
