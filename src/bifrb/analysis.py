@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -147,15 +147,6 @@ class ErrorRow:
     error_kind: str = "relative"  # "absolute" when the reference is zero
     flag: str = ""  # "", "diverged", "match_ambiguous", "match_reused"
 
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu, "branch": self.branch,
-            "reduced_error": self.reduced_error,
-            "projection_error": self.projection_error,
-            "estimator": self.estimator,
-            "error_kind": self.error_kind, "flag": self.flag,
-        }
-
 
 class ErrorSweep:
     """Branch-matched test errors of a reduced basis against an ensemble."""
@@ -202,10 +193,9 @@ def _match_flags(dists_per_ref: list[list[float]],
     return flags
 
 
-def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                oracle: SolutionEnsemble, cfg: NewtonConfig = NewtonConfig(),
-                deflate: bool = True) -> ErrorSweep:
-    """Reduced vs full-order errors over a test grid, matched per branch.
+def error_sweep(basis: BasisMatrix, mus, oracle: SolutionEnsemble,
+                cfg: NewtonConfig = NewtonConfig(), deflate: bool = True) -> ErrorSweep:
+    """Reduced vs full-order errors of `basis` over a test grid, matched per branch.
 
     The reduced roots at each parameter are those of
     `estimators.reduced_branches`.  With deflate on, that is every reduced
@@ -218,12 +208,14 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     branches, which is the honest way to score a basis built by a
     single-branch method.  Each row also carries the best-approximation
     projection error and the a-posteriori bound evaluated at the matched
-    reduced solution.  An empty basis scores the zero state without a solve;
+    reduced solution.  Errors, bounds and midpoint values are those of the
+    basis's model.  An empty basis scores the zero state without a solve;
     references left without a reduced root are "diverged".
     """
+    model = basis.model
     rows: list[ErrorRow] = []
     tested = [mu for mu in mus if oracle.at(mu)]
-    branches = (reduced_branches(model, basis, tested, cfg, deflate) if basis.n
+    branches = (reduced_branches(basis, tested, cfg, deflate) if basis.n
                 else ((mu, []) for mu in tested))
     with certificate_memo():
         for mu, roots in branches:
@@ -250,15 +242,14 @@ def error_sweep(model: ParametricModel, basis: BasisMatrix, mus,
     return ErrorSweep(rows)
 
 
-def error_vs_n(model: ParametricModel, basis: BasisMatrix, mus,
-               oracle: SolutionEnsemble, cfg: NewtonConfig = NewtonConfig(),
-               deflate: bool = True) -> list[dict]:
+def error_vs_n(basis: BasisMatrix, mus, oracle: SolutionEnsemble,
+               cfg: NewtonConfig = NewtonConfig(), deflate: bool = True) -> list[dict]:
     """Worst and mean unflagged test error of the first n columns of the
     nested `basis`, for n = 1 .. basis.n."""
     table = []
     with certificate_memo():
         for n in range(1, basis.n + 1):
-            sweep = error_sweep(model, basis.truncated(n), mus, oracle, cfg, deflate)
+            sweep = error_sweep(basis.truncated(n), mus, oracle, cfg, deflate)
             table.append({
                 "n": n,
                 "max_error": sweep.max_reduced(),
@@ -296,6 +287,5 @@ def diagram_csv(path, ens: SolutionEnsemble) -> None:
 
 
 def errors_csv(path, sweep: ErrorSweep) -> None:
-    write_csv(path, ["mu", "branch", "reduced_error", "projection_error",
-                     "estimator", "error_kind", "flag"],
-              [r.to_dict() for r in sweep.rows])
+    """One row per `ErrorRow`, its fields as the columns in their order."""
+    write_csv(path, [f.name for f in fields(ErrorRow)], [asdict(r) for r in sweep.rows])

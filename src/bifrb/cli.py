@@ -161,8 +161,7 @@ def _score(cfg: RunConfig, basis: BasisMatrix, oracle: SolutionEnsemble):
 
     Returns the sweep and the fields it contributes to report.json.
     """
-    sweep = error_sweep(basis.model, basis, oracle.mus(), oracle, cfg.newton(),
-                        deflate=cfg.multi_branch())
+    sweep = error_sweep(basis, oracle.mus(), oracle, cfg.newton(), deflate=cfg.multi_branch())
     errors_csv(os.path.join(cfg.out_dir, "errors.csv"), sweep)
     return sweep, {
         "n_basis": basis.n,
@@ -198,8 +197,7 @@ def cmd_run(cfg: RunConfig) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
 
-    basis.save(os.path.join(cfg.out_dir, "basis.csv"),
-               os.path.join(cfg.out_dir, "basis.json"), strategy=cfg.strategy)
+    basis.save(os.path.join(cfg.out_dir, "basis.csv"), strategy=cfg.strategy)
     for k, rows in enumerate(sweeps):
         write_csv(os.path.join(cfg.out_dir, f"estimators_iter_{k}.csv"),
                   ESTIMATOR_FIELDS, rows)
@@ -230,11 +228,9 @@ def cmd_diagram(cfg: RunConfig) -> int:
 
 
 def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
-    json_path = os.path.join(basis_dir, "basis.json")
     try:
-        basis = BasisMatrix.load(os.path.join(basis_dir, "basis.csv"), json_path)
-        with open(json_path) as f:
-            recorded = json.load(f).get("strategy")
+        basis = BasisMatrix.load(os.path.join(basis_dir, "basis.csv"))
+        recorded = basis.strategy
         if recorded is not None and recorded not in _STRATEGIES:
             raise ValueError(f"unknown strategy {recorded!r}")
     except (OSError, ValueError, KeyError) as exc:
@@ -298,7 +294,7 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
             basis, report, _ = _build_basis(sub, model, space)
             if strategy == "deflated":
                 matched = basis.n
-            rows = error_vs_n(model, basis, oracle.mus(), oracle, cfg.newton(),
+            rows = error_vs_n(basis, oracle.mus(), oracle, cfg.newton(),
                               deflate=sub.multi_branch())
             for row in rows:
                 table.append({"strategy": strategy, **row})

@@ -16,6 +16,10 @@ reported with an infinite bound but keep their tau value for diagnostics.
 The auto-switching mode runs the nonlinear bound only when it is valid on the
 whole training set of the current sweep and otherwise falls back to the linear
 bound for every entry, so a single sweep never mixes the two.
+
+The sweeps take a basis alone: they solve its reduced problem and certify each
+lifted root against the full-order operators of the model it holds
+(`basis.model`), the one model whose error the bound is about.
 """
 from __future__ import annotations
 
@@ -260,31 +264,31 @@ class EstimatorSet:
                 for e in self.entries]
 
 
-def _entries(model, basis, mu, roots) -> list[EstimatorEntry]:
+def _entries(basis, mu, roots) -> list[EstimatorEntry]:
     """One estimated entry per reduced root at mu, or one unconverged entry if none."""
     if not roots:
         return [EstimatorEntry(mu, 0, False)]
-    return [EstimatorEntry(mu, k, True, u.copy(), nonlinear_estimate(model, basis.lift(u), mu))
+    return [EstimatorEntry(mu, k, True, u.copy(),
+                           nonlinear_estimate(basis.model, basis.lift(u), mu))
             for k, u in enumerate(roots)]
 
 
-def estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                    cfg: NewtonConfig = NewtonConfig(),
+def estimator_sweep(basis: BasisMatrix, mus, cfg: NewtonConfig = NewtonConfig(),
                     kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Single-branch sweep: one reduced solve and one estimate per parameter.
 
-    Every solve starts from the projected model default guess, without
-    continuation (`rom.reduced_root`), as the single-branch snapshots start
-    from the model default guess.
+    Every solve starts from the projected default guess of the basis's model,
+    without continuation (`rom.reduced_root`), as the single-branch snapshots
+    start from the model default guess.
     """
-    default = [basis.project(model.default_guess)]
+    default = [basis.project(basis.model.default_guess)]
     entries = [e for mu in mus
-               for e in _entries(model, basis, mu, reduced_root(basis, mu, default, cfg))]
+               for e in _entries(basis, mu, reduced_root(basis, mu, default, cfg))]
     return EstimatorSet(entries, kind)
 
 
-def reduced_branches(model: ParametricModel, basis: BasisMatrix, mus,
-                     cfg: NewtonConfig = NewtonConfig(), deflate: bool = True):
+def reduced_branches(basis: BasisMatrix, mus, cfg: NewtonConfig = NewtonConfig(),
+                     deflate: bool = True):
     """Yield (mu, reduced roots) over `mus` by `nlsolve.continuation`.
 
     With `deflate`, the roots at each parameter are the previous parameter's,
@@ -292,27 +296,27 @@ def reduced_branches(model: ParametricModel, basis: BasisMatrix, mus,
     born (`rom.reduced_morse_index`), every further root the projected model
     battery reaches (`rom.discover_reduced_solutions`).  Without it, one root
     per parameter (`rom.reduced_root`) from the previous root, else from the
-    projected default guess, which keeps to one solution family.
+    projected default guess, which keeps to one solution family.  The battery
+    and the default guess are those of the basis's model.
     """
     if not deflate:
         return continuation(
             lambda mu, guesses, roots, drive: reduced_root(basis, mu, guesses, cfg, roots),
-            mus, [basis.project(model.default_guess)])
+            mus, [basis.project(basis.model.default_guess)])
 
     def solve_at(mu, guesses, roots, drive):
         return discover_reduced_solutions(basis, mu, guesses, cfg, roots, drive)
 
-    return continuation(solve_at, mus, [basis.project(g) for g in model.default_guesses],
+    return continuation(solve_at, mus, [basis.project(g) for g in basis.model.default_guesses],
                         partial(reduced_morse_index, basis))
 
 
-def deflated_estimator_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-                             cfg: NewtonConfig = NewtonConfig(),
+def deflated_estimator_sweep(basis: BasisMatrix, mus, cfg: NewtonConfig = NewtonConfig(),
                              kind: EstimatorKind = EstimatorKind.AUTO_SWITCH) -> EstimatorSet:
     """Multi-branch sweep: every reduced root deflation reaches per parameter
     (`reduced_branches`), each estimated."""
-    return EstimatorSet([e for mu, roots in reduced_branches(model, basis, mus, cfg)
-                         for e in _entries(model, basis, mu, roots)], kind)
+    return EstimatorSet([e for mu, roots in reduced_branches(basis, mus, cfg)
+                         for e in _entries(basis, mu, roots)], kind)
 
 
 @dataclass
@@ -322,18 +326,17 @@ class BetaEntry:
     converged: bool
 
 
-def beta_sweep(model: ParametricModel, basis: BasisMatrix, mus,
-               cfg: NewtonConfig = NewtonConfig()) -> list[BetaEntry]:
-    """Inf-sup profile over the training set at lifted reduced solutions.
+def beta_sweep(basis: BasisMatrix, mus, cfg: NewtonConfig = NewtonConfig()) -> list[BetaEntry]:
+    """Inf-sup profile of `basis.model` over the training set at lifted reduced solutions.
 
     The solves follow one solution family (`reduced_branches` without
     deflation), whose inf-sup dips at the critical parameter.  Parameters
     where the reduced solve diverges get an infinite value so they never win
     the argmin used for bifurcation localization.
     """
-    return [BetaEntry(mu, inf_sup(model, basis.lift(roots[0]), mu) if roots else math.inf,
+    return [BetaEntry(mu, inf_sup(basis.model, basis.lift(roots[0]), mu) if roots else math.inf,
                       bool(roots))
-            for mu, roots in reduced_branches(model, basis, mus, cfg, deflate=False)]
+            for mu, roots in reduced_branches(basis, mus, cfg, deflate=False)]
 
 
 def argmin_beta(entries: list[BetaEntry]) -> BetaEntry:

@@ -161,7 +161,7 @@ def _initialize(model: ParametricModel, space: ParameterSpace,
     start = pts[0] if model.uniqueness_side == "lower" else pts[-1]
     basis = BasisMatrix(model)
     for rejected, mu in enumerate(sorted(pts, key=lambda p: (abs(p - start), p))):
-        if not isinstance(_default_guess_snapshot(model, basis, cfg.newton, mu), str):
+        if not isinstance(_default_guess_snapshot(basis, cfg.newton, mu), str):
             note = None if rejected == 0 else (
                 f"initialized at mu={mu:g} after {rejected} unusable "
                 f"candidates starting from mu0={start:g}")
@@ -242,10 +242,9 @@ def _greedy(strategy: str, model: ParametricModel, space: ParameterSpace,
                                space.train_points)
 
 
-def _default_guess_snapshot(model: ParametricModel, basis: BasisMatrix,
-                            cfg: NewtonConfig, mu: float):
+def _default_guess_snapshot(basis: BasisMatrix, cfg: NewtonConfig, mu: float):
     """Solve at mu from the default guess and enrich: the single-branch snapshot."""
-    result = newton(model, mu, model.default_guess, cfg)
+    result = newton(basis.model, mu, basis.model.default_guess, cfg)
     if not result.converged:
         return f"hf_{result.cause}"
     enr = basis.enrich(result.u, mu)
@@ -254,18 +253,21 @@ def _default_guess_snapshot(model: ParametricModel, basis: BasisMatrix,
     return "enriched", 0
 
 
-def _single_branch_hooks(model: ParametricModel, cfg: GreedyConfig):
+def _single_branch_hooks(cfg: GreedyConfig):
     """(sweep, snapshot) of the plain and adaptive strategies: one reduced
     solve per parameter, full-order snapshots from the default guess."""
-    return (lambda basis, sp: estimator_sweep(model, basis, sp.train_points, cfg.newton,
-                                              cfg.estimator_kind),
-            lambda basis, entry: _default_guess_snapshot(model, basis, cfg.newton, entry.mu))
+    # Every sweep hook (these, `adaptive_greedy`'s and `deflated_greedy`'s) passes
+    # `mus` by keyword: bench/tracing.py counts a sweep's points from
+    # kwargs["mus"], else from its third positional argument.
+    return (lambda basis, sp: estimator_sweep(basis, mus=sp.train_points, cfg=cfg.newton,
+                                              kind=cfg.estimator_kind),
+            lambda basis, entry: _default_guess_snapshot(basis, cfg.newton, entry.mu))
 
 
 def vanilla_greedy(model: ParametricModel, space: ParameterSpace,
                    cfg: GreedyConfig = GreedyConfig()) -> tuple[BasisMatrix, GreedyReport]:
     """Single-branch greedy: worst estimator entry picks the next snapshot."""
-    return _greedy("vanilla", model, space, cfg, *_single_branch_hooks(model, cfg))
+    return _greedy("vanilla", model, space, cfg, *_single_branch_hooks(cfg))
 
 
 def refinement(space: ParameterSpace, mu_bif: float, mu_prev: float | None,
@@ -301,7 +303,7 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
     """
 
     def critical_point(basis: BasisMatrix, mus) -> float:
-        return argmin_beta(beta_sweep(model, basis, mus, cfg.newton)).mu
+        return argmin_beta(beta_sweep(basis, mus=mus, cfg=cfg.newton)).mu
 
     def refine(basis: BasisMatrix, sp: ParameterSpace, mu_prev: float | None):
         mu_bif = critical_point(basis, sp.train_points)
@@ -309,25 +311,25 @@ def adaptive_greedy(model: ParametricModel, space: ParameterSpace,
 
     with certificate_memo():
         basis, report = _greedy("adaptive", model, space, cfg,
-                                *_single_branch_hooks(model, cfg), refine)
+                                *_single_branch_hooks(cfg), refine)
         # The last refinement postdates the last minimizer, so detect the
         # critical point once more on the final grid before reporting it.
         report.mu_bif = critical_point(basis, report.train_final)
     return basis, report
 
 
-def deflated_snapshots(model: ParametricModel, basis: BasisMatrix,
-                       cfg: NewtonConfig, entry):
+def deflated_snapshots(basis: BasisMatrix, cfg: NewtonConfig, entry):
     """Snapshot hook of the deflated strategy: the entry's root, then a harvest.
 
     The full-order solve starts from the lifted reduced solution of the
     entry's branch (the default guess when it has none), so the snapshot
-    lands on the poorly approximated branch.  The model's guess battery is
-    then driven against that root (`discover_solutions`), and every further
-    root it reaches at the parameter enriches the basis; only genuinely new
-    directions grow it.  Returns "hf_<cause>", "no_growth", or the snapshot's
-    enrich status and the columns the harvest added.
+    lands on the poorly approximated branch.  The guess battery of the
+    basis's model is then driven against that root (`discover_solutions`), and
+    every further root it reaches at the parameter enriches the basis; only
+    genuinely new directions grow it.  Returns "hf_<cause>", "no_growth", or
+    the snapshot's enrich status and the columns the harvest added.
     """
+    model = basis.model
     guess = basis.lift(entry.u_n) if entry.u_n is not None else model.default_guess
     result = newton(model, entry.mu, guess, cfg)
     if not result.converged:
@@ -354,6 +356,6 @@ def deflated_greedy(model: ParametricModel, space: ParameterSpace,
     """
     return _greedy(
         "deflated", model, space, cfg,
-        lambda basis, sp: deflated_estimator_sweep(model, basis, sp.train_points, cfg.newton,
-                                                   cfg.estimator_kind),
-        lambda basis, entry: deflated_snapshots(model, basis, cfg.newton, entry))
+        lambda basis, sp: deflated_estimator_sweep(basis, mus=sp.train_points, cfg=cfg.newton,
+                                                   kind=cfg.estimator_kind),
+        lambda basis, entry: deflated_snapshots(basis, cfg.newton, entry))

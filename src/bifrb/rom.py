@@ -81,6 +81,9 @@ class BasisMatrix:
     to be changed in place.
     """
 
+    # The method that built a loaded basis, as `save` recorded it (None if not).
+    strategy: str | None = None
+
     def __init__(self, model: ParametricModel, columns: np.ndarray | None = None,
                  mu_values: list | None = None):
         self.model = model
@@ -158,14 +161,13 @@ class BasisMatrix:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, csv_path, json_path=None, strategy: str | None = None) -> None:
-        """Write the columns to csv_path and the metadata to json_path.
+    def save(self, csv_path, strategy: str | None = None) -> None:
+        """Write the columns to csv_path and the metadata to the sibling .json.
 
         `strategy`, the method that built the basis, is recorded when given,
         so the basis can later be scored the way its own run scored it.
         """
         csv_path = Path(csv_path)
-        json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
         np.savetxt(csv_path, self._columns, delimiter=",", fmt="%.17g")
         meta = {
             "model_kind": self.model.kind.value,
@@ -175,13 +177,14 @@ class BasisMatrix:
         }
         if strategy is not None:
             meta["strategy"] = strategy
-        json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
-    def load(cls, csv_path, json_path=None, model: ParametricModel | None = None) -> "BasisMatrix":
+    def load(cls, csv_path, model: ParametricModel | None = None) -> "BasisMatrix":
+        """The basis `save` wrote to csv_path and its sibling .json, with the
+        strategy it recorded; `model`, when given, must match the metadata."""
         csv_path = Path(csv_path)
-        json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
-        meta = json.loads(json_path.read_text())
+        meta = json.loads(csv_path.with_suffix(".json").read_text())
         if model is None:
             model = make_model(meta["model_kind"], meta["mesh_size"])
         elif model.kind.value != meta["model_kind"] or model.mesh_size != meta["mesh_size"]:
@@ -198,6 +201,7 @@ class BasisMatrix:
         defect = basis.orthonormality_defect()
         if defect > 1e-10:
             raise ValueError(f"loaded basis is not X-orthonormal (defect {defect:.3e})")
+        basis.strategy = meta.get("strategy")
         return basis
 
 

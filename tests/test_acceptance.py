@@ -186,7 +186,7 @@ def test_criterion_3_multibranch_certification(chafee_fine, ci_run, ci_oracle,
                                                grid151):
     basis, report = ci_run
     t0 = time.perf_counter()
-    sweep = error_sweep(chafee_fine, basis, grid151, ci_oracle, deflate=True)
+    sweep = error_sweep(basis, grid151, ci_oracle, deflate=True)
     t_sweep = time.perf_counter() - t0
     total = TIMES["ci_run"] + TIMES["ci_oracle"] + t_sweep
 
@@ -219,7 +219,7 @@ def test_criterion_4_baseline_failure(chafee_fine, ci_space, ci_run,
     basis_d, _ = ci_run
     t0 = time.perf_counter()
     vbasis, _ = vanilla_greedy(chafee_fine, ci_space, GreedyConfig(tol=1e-3))
-    vsweep = error_sweep(chafee_fine, vbasis, grid151, ci_oracle,
+    vsweep = error_sweep(vbasis, grid151, ci_oracle,
                          deflate=False)
     vrows = [r for r in vsweep.rows
              if r.branch in (1, 2) and r.mu > PI_SQ]
@@ -231,7 +231,7 @@ def test_criterion_4_baseline_failure(chafee_fine, ci_space, ci_run,
     with pytest.warns(UserWarning, match="excluded"):
         pods = branchwise_pod(chafee_fine, {0: ci_oracle.by_branch()[0]},
                               n_modes=basis_d.n)
-    psweep = error_sweep(chafee_fine, BasisMatrix(chafee_fine),
+    psweep = error_sweep(BasisMatrix(chafee_fine),
                          [float(m) for m in grid151 if m > PI_SQ + 0.2][:5],
                          ci_oracle)
     prows = [r for r in psweep.rows if r.branch in (1, 2)]

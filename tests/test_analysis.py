@@ -117,7 +117,7 @@ def test_match_flags_ambiguity_and_reuse():
 
 def test_error_sweep_row_invariants(chafee, pitchfork_ensemble, pitchfork_basis):
     mus = pitchfork_ensemble.mus()
-    sweep = error_sweep(chafee, pitchfork_basis, mus, pitchfork_ensemble)
+    sweep = error_sweep(pitchfork_basis, mus, pitchfork_ensemble)
     assert len(sweep) == len(pitchfork_ensemble)
     keys = [(r.mu, r.branch) for r in sweep.rows]
     assert keys == sorted(keys)
@@ -134,7 +134,7 @@ def test_error_sweep_row_invariants(chafee, pitchfork_ensemble, pitchfork_basis)
 
 def test_error_sweep_bounds_cover_true_errors(chafee, pitchfork_ensemble, pitchfork_basis):
     mus = pitchfork_ensemble.mus()
-    sweep = error_sweep(chafee, pitchfork_basis, mus, pitchfork_ensemble)
+    sweep = error_sweep(pitchfork_basis, mus, pitchfork_ensemble)
     refs = {(p.mu, p.branch): p.u for p in pitchfork_ensemble.points}
     checked = 0
     for row in sweep.unflagged():
@@ -149,7 +149,7 @@ def test_error_sweep_bounds_cover_true_errors(chafee, pitchfork_ensemble, pitchf
 
 
 def test_error_sweep_avg_max_and_branch_filter(chafee, pitchfork_ensemble, pitchfork_basis):
-    sweep = error_sweep(chafee, pitchfork_basis, pitchfork_ensemble.mus(),
+    sweep = error_sweep(pitchfork_basis, pitchfork_ensemble.mus(),
                         pitchfork_ensemble)
     unflagged = sweep.unflagged()
     assert sweep.max_reduced() == max(r.reduced_error for r in unflagged)
@@ -160,7 +160,7 @@ def test_error_sweep_avg_max_and_branch_filter(chafee, pitchfork_ensemble, pitch
 
 
 def test_single_seed_sweep_never_flags(chafee, pitchfork_ensemble, pitchfork_basis):
-    sweep = error_sweep(chafee, pitchfork_basis, pitchfork_ensemble.mus(),
+    sweep = error_sweep(pitchfork_basis, pitchfork_ensemble.mus(),
                         pitchfork_ensemble, deflate=False)
     assert all(r.flag == "" for r in sweep.rows)
     assert len(sweep) == len(pitchfork_ensemble)
@@ -179,10 +179,10 @@ def test_deflated_error_sweep_and_estimator_sweep_solve_alike(
 
     monkeypatch.setattr(estimators, "discover_reduced_solutions", spy)
     mus = pitchfork_ensemble.mus()
-    error_sweep(chafee, pitchfork_basis, mus, pitchfork_ensemble, deflate=True)
+    error_sweep(pitchfork_basis, mus, pitchfork_ensemble, deflate=True)
     by_errors = calls[:]
     calls.clear()
-    estimators.deflated_estimator_sweep(chafee, pitchfork_basis, mus)
+    estimators.deflated_estimator_sweep(pitchfork_basis, mus)
     assert len(by_errors) == len(calls) > len(mus)
     for (mu_a, drive_a, guesses_a, roots_a), (mu_b, drive_b, guesses_b, roots_b) in zip(
             by_errors, calls):
@@ -192,7 +192,7 @@ def test_deflated_error_sweep_and_estimator_sweep_solve_alike(
 
 
 def test_empty_basis_rows(chafee, pitchfork_ensemble):
-    sweep = error_sweep(chafee, BasisMatrix(chafee), pitchfork_ensemble.mus(),
+    sweep = error_sweep(BasisMatrix(chafee), pitchfork_ensemble.mus(),
                         pitchfork_ensemble)
     for row in sweep.rows:
         assert math.isinf(row.estimator)
@@ -203,14 +203,14 @@ def test_empty_basis_rows(chafee, pitchfork_ensemble):
 
 
 def test_error_vs_n_table(chafee, pitchfork_ensemble, pitchfork_basis, monkeypatch):
-    table = error_vs_n(chafee, pitchfork_basis, pitchfork_ensemble.mus(), pitchfork_ensemble)
+    table = error_vs_n(pitchfork_basis, pitchfork_ensemble.mus(), pitchfork_ensemble)
     assert [row["n"] for row in table] == list(range(1, pitchfork_basis.n + 1))
     assert set(table[0]) == {"n", "max_error", "avg_error", "n_flagged"}
     # the full basis resolves the test set better than its first column alone
     assert table[-1]["max_error"] < table[0]["max_error"]
     # the inf-sup memo of the table and its sweeps moves no bit of it
     monkeypatch.setattr(analysis, "certificate_memo", contextlib.nullcontext)
-    assert repr(error_vs_n(chafee, pitchfork_basis, pitchfork_ensemble.mus(),
+    assert repr(error_vs_n(pitchfork_basis, pitchfork_ensemble.mus(),
                            pitchfork_ensemble)) == repr(table)
 
 
@@ -231,17 +231,17 @@ def test_csv_writers_emit_expected_headers(tmp_path, chafee, pitchfork_ensemble,
     diagram_csv(tmp_path / "diagram.csv", pitchfork_ensemble)
     assert (tmp_path / "diagram.csv").read_text().splitlines()[0] == "mu,branch,value"
 
-    sweep = error_sweep(chafee, pitchfork_basis, [12.0], pitchfork_ensemble)
+    sweep = error_sweep(pitchfork_basis, [12.0], pitchfork_ensemble)
     errors_csv(tmp_path / "errors.csv", sweep)
     head = (tmp_path / "errors.csv").read_text().splitlines()[0]
     assert head == "mu,branch,reduced_error,projection_error,estimator,error_kind,flag"
 
 
-def test_error_rows_round_trip_to_dicts():
+def test_error_rows_round_trip_to_dicts(tmp_path):
     row = ErrorRow(1.5, 2, 0.1, 0.05, 0.2)
-    d = row.to_dict()
-    assert d["mu"] == 1.5 and d["branch"] == 2
-    assert d["error_kind"] == "relative" and d["flag"] == ""
+    errors_csv(tmp_path / "errors.csv", ErrorSweep([row]))
+    assert (tmp_path / "errors.csv").read_text().splitlines()[1] == (
+        "1.5,2,0.10000000000000001,0.050000000000000003,0.20000000000000001,relative,")
     sweep = ErrorSweep([row, ErrorRow(1.5, 3, 0.4, 0.2, 0.5, flag="diverged")])
     assert len(sweep.flagged()) == 1
     assert sweep.max_reduced() == 0.1

@@ -292,7 +292,7 @@ def test_error_sweep_falls_back_to_the_configured_strategy_and_rejects_an_unknow
         tmp_path, capsys):
     basis = BasisMatrix(make_model("chafee", 41))
     basis.enrich(np.sin(np.pi * basis.model.nodes), 12.0)
-    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    basis.save(tmp_path / "basis.csv")
     assert "strategy" not in json.loads((tmp_path / "basis.json").read_text())
     for flags, deflated in (([], True), (["--strategy", "vanilla"], False)):
         out = tmp_path / f"score{len(flags)}"
@@ -310,7 +310,7 @@ def test_error_sweep_echoes_the_model_of_the_loaded_basis(tmp_path):
     bratu = make_model("bratu", 41)
     basis = BasisMatrix(bratu)
     basis.enrich(bratu.interpolate(lambda x: np.sin(np.pi * x)))
-    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    basis.save(tmp_path / "basis.csv")
     score = tmp_path / "score"
     assert run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
                     "--out", str(score)]) == 0
@@ -325,7 +325,7 @@ def test_error_sweep_rejects_a_model_or_mesh_the_basis_does_not_have(
     chafee = make_model("chafee", 41)
     basis = BasisMatrix(chafee)
     basis.enrich(chafee.default_guess)
-    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    basis.save(tmp_path / "basis.csv")
     if isinstance(given, dict):
         (tmp_path / "cfg.json").write_text(json.dumps(given))
         given = ["--config", str(tmp_path / "cfg.json")]
@@ -352,7 +352,7 @@ def test_error_sweep_rejects_a_basis_whose_parameters_do_not_match_its_columns(
     basis = BasisMatrix(chafee)
     for guess in (chafee.default_guess, chafee.interpolate(lambda x: np.sin(2 * np.pi * x))):
         basis.enrich(guess, 12.0)
-    basis.save(tmp_path / "basis.csv", tmp_path / "basis.json")
+    basis.save(tmp_path / "basis.csv")
     meta = json.loads((tmp_path / "basis.json").read_text())
     meta[key] = value
     (tmp_path / "basis.json").write_text(json.dumps(meta))

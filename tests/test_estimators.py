@@ -276,7 +276,7 @@ def test_nonlinear_bound_brackets_linear_bound(chafee):
     # 2/(1 + sqrt(1-tau)) lies in [1, 1+tau] whenever tau <= 1
     basis, root = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
     for mu in (10.0, 11.0, 12.0, 13.0):
-        sw = estimator_sweep(chafee, basis, [mu], kind=EstimatorKind.NONLINEAR_BRR)
+        sw = estimator_sweep(basis, [mu], kind=EstimatorKind.NONLINEAR_BRR)
         e = sw.entries[0]
         if not e.converged or e.tau > 1.0:
             continue
@@ -286,7 +286,7 @@ def test_nonlinear_bound_brackets_linear_bound(chafee):
 
 def test_stable_form_equals_textbook_form(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 7),
+    sw = estimator_sweep(basis, np.linspace(10.0, 13.0, 7),
                          kind=EstimatorKind.NONLINEAR_BRR)
     checked = 0
     for e in sw:
@@ -317,7 +317,7 @@ def test_delta_for_selects_by_kind(bratu):
 def test_auto_switch_falls_back_when_any_tau_exceeds_one(bratu):
     # a single snapshot at the fold leaves large residuals at small mu
     basis, _ = one_snapshot_basis(bratu, 3.5)
-    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 3.5, 51))
+    sw = estimator_sweep(basis, np.linspace(0.5, 3.5, 51))
     assert sw.requested_kind == EstimatorKind.AUTO_SWITCH
     assert sw.kind_used == EstimatorKind.LINEAR
     taus = [e.tau for e in sw if e.converged]
@@ -331,7 +331,7 @@ def test_auto_switch_falls_back_when_any_tau_exceeds_one(bratu):
 
 def test_auto_switch_keeps_nonlinear_bound_when_all_tau_small(bratu):
     basis, _ = one_snapshot_basis(bratu, 2.0)
-    sw = estimator_sweep(bratu, basis, np.linspace(0.5, 2.0, 51))
+    sw = estimator_sweep(basis, np.linspace(0.5, 2.0, 51))
     assert sw.kind_used == EstimatorKind.NONLINEAR_BRR
     assert sw.all_valid
     assert all(e.tau <= 1.0 for e in sw)
@@ -341,7 +341,7 @@ def test_auto_switch_keeps_nonlinear_bound_when_all_tau_small(bratu):
 
 def test_sweep_reports_divergence_with_infinite_bound(bratu):
     basis, _ = one_snapshot_basis(bratu, 2.0)
-    sw = estimator_sweep(bratu, basis, [2.0, 5.0])
+    sw = estimator_sweep(basis, [2.0, 5.0])
     ok, bad = sw.entries
     assert ok.converged and ok.delta < 1e-8
     assert not bad.converged
@@ -352,7 +352,7 @@ def test_sweep_reports_divergence_with_infinite_bound(bratu):
 
 def test_rows_schema(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
-    sw = estimator_sweep(chafee, basis, [11.0, 12.0])
+    sw = estimator_sweep(basis, [11.0, 12.0])
     rows = sw.rows()
     assert len(rows) == 2
     for row in rows:
@@ -379,7 +379,7 @@ def test_deflated_sweep_emits_one_entry_per_root(chafee):
     wider.enrich(newton(chafee, 14.0, chafee.default_guesses[0]).u, 14.0)
     assert (basis.n, wider.n) == (1, 2)
     for b in (basis, wider):
-        sw = deflated_estimator_sweep(chafee, b, [11.0, 12.0])
+        sw = deflated_estimator_sweep(b, [11.0, 12.0])
         by_mu = {}
         for e in sw:
             by_mu.setdefault(e.mu, []).append(e)
@@ -404,7 +404,7 @@ def test_deflated_sweep_runs_no_plain_solve_where_no_root_is_found(bratu, monkey
     for module in (rom, estimators):
         if hasattr(module, "reduced_newton"):
             monkeypatch.setattr(module, "reduced_newton", spy)
-    sw = deflated_estimator_sweep(bratu, basis, [2.0, 5.0])
+    sw = deflated_estimator_sweep(basis, [2.0, 5.0])
     below = [e for e in sw if e.mu == 2.0]
     beyond = [e for e in sw if e.mu == 5.0]
     assert len(below) == 2 and all(e.valid for e in below)
@@ -415,15 +415,15 @@ def test_deflated_sweep_runs_no_plain_solve_where_no_root_is_found(bratu, monkey
 
 def test_continued_sweeps_refuse_an_empty_basis(chafee):
     with pytest.raises(ValueError, match="nonempty basis"):
-        deflated_estimator_sweep(chafee, BasisMatrix(chafee), [10.0, 12.0])
+        deflated_estimator_sweep(BasisMatrix(chafee), [10.0, 12.0])
     with pytest.raises(ValueError, match="nonempty basis"):
-        beta_sweep(chafee, BasisMatrix(chafee), [10.0, 12.0])
+        beta_sweep(BasisMatrix(chafee), [10.0, 12.0])
 
 
 def test_beta_sweep_dips_at_the_pitchfork(chafee):
     basis, _ = one_snapshot_basis(chafee, 12.0, chafee.default_guesses[0])
     grid = np.linspace(8.0, 12.0, 21)
-    profile = beta_sweep(chafee, basis, grid)
+    profile = beta_sweep(basis, grid)
     assert all(p.converged for p in profile)
     best = argmin_beta(profile)
     assert abs(best.mu - np.pi**2) <= (grid[1] - grid[0])

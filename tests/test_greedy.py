@@ -215,7 +215,7 @@ def test_deflated_snapshot_harvests_the_coexisting_root(bratu):
     basis = BasisMatrix(bratu)
     basis.enrich(lower, mu)
     entry = SimpleNamespace(mu=mu, branch=0, u_n=basis.project(lower))
-    assert deflated_snapshots(bratu, basis, NewtonConfig(), entry) == ("rejected", 1)
+    assert deflated_snapshots(basis, NewtonConfig(), entry) == ("rejected", 1)
     assert basis.n == 2 and basis.mu_values == [mu, mu]
     assert basis.projection_error(upper) <= 1e-8 * bratu.x_norm(upper)
 
@@ -273,7 +273,7 @@ def test_greedy_respects_n_max(chafee):
 def test_ranked_candidates_put_largest_bound_first(chafee):
     basis = BasisMatrix(chafee)
     basis.enrich(newton(chafee, 12.0, chafee.default_guesses[0]).u, 12.0)
-    sw = estimator_sweep(chafee, basis, np.linspace(10.0, 13.0, 13))
+    sw = estimator_sweep(basis, np.linspace(10.0, 13.0, 13))
     ranked = _ranked_candidates(sw, 0.0, basis.mu_values)
     deltas = [e.delta for e in ranked]
     assert deltas == sorted(deltas, reverse=True)
@@ -371,7 +371,7 @@ def test_greedy_pipeline_is_mesh_independent(kind, deflated_grid, adaptive_inter
         model = make_model(kind, mesh)
         basis, report = deflated_greedy(model, ParameterSpace.equispaced(*deflated_grid),
                                         GreedyConfig(tol=1e-3))
-        sweep = error_sweep(model, basis, test_mus, solution_ensemble(model, test_mus))
+        sweep = error_sweep(basis, test_mus, solution_ensemble(model, test_mus))
         a_basis, a_report = adaptive_greedy(
             model, ParameterSpace.equispaced(*adaptive_interval, 4),
             GreedyConfig(tol=1e-6, n_max=25), AdaptiveConfig(n_ref=16))

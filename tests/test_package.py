@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bifrb
+from bifrb.model import ParameterSpace, make_model
 
 MODULES = ["bifrb"] + [f"bifrb.{m.name}" for m in pkgutil.iter_modules(bifrb.__path__)]
 
@@ -28,3 +29,20 @@ def test_bench_tracer_patches_and_restores(monkeypatch):
         jacobian = bifrb.model.ParametricModel.jacobian.__wrapped__
     assert bifrb.nlsolve.newton is newton
     assert bifrb.model.ParametricModel.jacobian is jacobian
+
+
+def test_bench_tracer_counts_the_points_of_every_greedy_sweep(monkeypatch):
+    """The tracer counts a sweep's points from its `mus` keyword, else from its
+    third positional argument, so the library's traced sweeps must match."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    model = make_model("chafee", mesh_size=21)
+    space = ParameterSpace.equispaced(5.0, 15.0, 5)
+    tracer = tracing.Tracer("t")
+    with tracer.patched():
+        _, report = bifrb.greedy.deflated_greedy(model, space)
+        bifrb.greedy.adaptive_greedy(model, space)
+    for name in tracing.SWEEPS:
+        assert tracer.calls[name] > 0 and tracer.counts[name]["points"] > 0, name
+    points = tracer.counts["estimators.deflated_estimator_sweep"]["points"]
+    assert points == report.n_iterations * len(space)

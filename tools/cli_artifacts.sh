@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the ten mesh-201 CLI runs whose artifacts a refactor must keep byte for
+# Run the eleven mesh-201 CLI runs whose artifacts a refactor must keep byte for
 # byte, importing the package from <src-dir> and writing into <out-dir>.
 #
 #   tools/cli_artifacts.sh <parent-checkout>/src /tmp/parent_out
@@ -36,6 +36,8 @@ bifrb run_adaptive_chafee run --model chafee --strategy adaptive
 bifrb run_adaptive_bratu run --model bratu --strategy adaptive
 bifrb compare compare --model chafee --strategies vanilla,deflated,pod --matched-n
 bifrb error_sweep error-sweep --basis-dir run_deflated_chafee
+# the model and mesh come from basis.json; bratu, single-branch sweep
+bifrb error_sweep_vanilla_bratu error-sweep --basis-dir run_vanilla_bratu
 bifrb diagram_bratu diagram --model bratu
 # the config-file layer: RunConfig.from_dict, then the flags on top
 echo '{"model_kind": "bratu", "train_size": 21, "test_size": 41}' > run_config.json
