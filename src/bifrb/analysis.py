@@ -163,15 +163,14 @@ class ErrorSweep:
     def flagged(self) -> list[ErrorRow]:
         return [r for r in self.rows if r.flag]
 
-    def max_reduced(self, branch: int | None = None,
-                    unflagged_only: bool = True) -> float:
-        rows = self.unflagged() if unflagged_only else self.rows
+    def max_reduced(self, branch: int | None = None) -> float:
+        rows = self.unflagged()
         if branch is not None:
             rows = [r for r in rows if r.branch == branch]
         return max((r.reduced_error for r in rows), default=0.0)
 
-    def avg_reduced(self, unflagged_only: bool = True) -> float:
-        rows = self.unflagged() if unflagged_only else self.rows
+    def avg_reduced(self) -> float:
+        rows = self.unflagged()
         if not rows:
             return 0.0
         return sum(r.reduced_error for r in rows) / len(rows)

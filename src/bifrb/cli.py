@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 
 from .analysis import (SolutionEnsemble, diagram_csv, error_sweep, error_vs_n,
                        errors_csv, solution_ensemble, write_csv)
-from .estimators import EstimatorKind
+from .estimators import ESTIMATOR_FIELDS, EstimatorKind
 from .greedy import (AdaptiveConfig, GreedyConfig, GreedyStatus,
                      adaptive_greedy, deflated_greedy, vanilla_greedy)
 from .model import ModelKind, ParameterSpace, ParametricModel, make_model
@@ -39,8 +39,6 @@ EXIT_UNCERTIFIED = 2
 _STRATEGIES = ("vanilla", "adaptive", "deflated", "pod")
 _MODELS = tuple(k.value for k in ModelKind)
 _ESTIMATORS = tuple(k.value for k in EstimatorKind)
-
-ESTIMATOR_FIELDS = ["mu", "branch", "delta", "beta", "tau", "valid"]
 
 # JSON values a config field takes, by the type of its default; never a bool.
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
@@ -258,8 +256,7 @@ def cmd_error_sweep(cfg: RunConfig, basis_dir: str, given: set[str]) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
-                matched_n: bool) -> int:
+def cmd_compare(cfg: RunConfig, strategies: list[str]) -> int:
     distinct = set(strategies)
     unknown = sorted(distinct - set(_STRATEGIES))
     problem = None
@@ -267,12 +264,6 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
         problem = f"compare requires at least 2 distinct strategies (got {sorted(distinct)})"
     elif unknown:
         problem = f"unknown strategy {unknown[0]!r}"
-    elif n_modes is not None and n_modes < 1:
-        problem = f"--n-modes must be >= 1 (got {n_modes})"
-    elif "pod" in distinct and n_modes is None and not matched_n:
-        problem = "compare with pod requires --n-modes or --matched-n"
-    elif matched_n and "deflated" not in distinct:
-        problem = "--matched-n needs the deflated strategy in the comparison"
     if problem:
         print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -281,19 +272,19 @@ def cmd_compare(cfg: RunConfig, strategies: list[str], n_modes: int | None,
     space = cfg.grid(cfg.train_size, model)
     oracle = _test_oracle(cfg, model)
 
-    # The deflated run goes first so its final size can cap the pod modes.
+    # The deflated run goes first: pod gets as many modes as its final basis
+    # has columns, so both compare at equal size; without it, pod gets n_max.
     ordered = sorted(distinct, key=lambda s: (s != "deflated", s))
     table: list[dict] = []
     summary: list[dict] = []
-    matched = None
+    pod_modes = cfg.n_max
     try:
         for strategy in ordered:
-            pod_modes = n_modes if n_modes is not None else matched
             sub = replace(cfg, strategy=strategy,
                           n_max=pod_modes if strategy == "pod" else cfg.n_max)
             basis, report, _ = _build_basis(sub, model, space)
             if strategy == "deflated":
-                matched = basis.n
+                pod_modes = basis.n
             rows = error_vs_n(basis, oracle.mus(), oracle, cfg.newton(),
                               deflate=sub.multi_branch())
             for row in rows:
@@ -382,11 +373,8 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="error-vs-N table across strategies")
     _add_config_flags(p_cmp)
     p_cmp.add_argument("--strategies", required=True,
-                       help="comma-separated list, e.g. vanilla,deflated")
-    p_cmp.add_argument("--n-modes", dest="n_modes", type=int,
-                       help="pod mode count")
-    p_cmp.add_argument("--matched-n", dest="matched_n", action="store_true",
-                       help="give pod the deflated run's final basis size")
+                       help="comma-separated list, e.g. vanilla,deflated; pod gets "
+                            "the deflated basis's final size, else --nmax modes")
 
     p_diag = sub.add_parser("diagram", help="labeled bifurcation diagram CSV")
     _add_config_flags(p_diag)
@@ -412,7 +400,7 @@ def main(argv=None) -> int:
         return cmd_run(cfg)
     if args.command == "compare":
         strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        return cmd_compare(cfg, strategies, args.n_modes, args.matched_n)
+        return cmd_compare(cfg, strategies)
     if args.command == "diagram":
         return cmd_diagram(cfg)
     return cmd_error_sweep(cfg, args.basis_dir, given)

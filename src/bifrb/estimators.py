@@ -45,6 +45,7 @@ __all__ = [
     "Estimate",
     "EstimatorEntry",
     "EstimatorSet",
+    "ESTIMATOR_FIELDS",
     "BetaEntry",
     "certificate_memo",
     "inf_sup",
@@ -60,6 +61,9 @@ __all__ = [
 
 # Inf-sup values below this are treated as numerically singular in divisions.
 BETA_FLOOR = 1e-12
+
+# The columns of `EstimatorSet.rows`, in the order estimators_iter_*.csv writes them.
+ESTIMATOR_FIELDS = ["mu", "branch", "delta", "beta", "tau", "valid"]
 
 # Inf-sup values by (model, Jacobian digest) inside `certificate_memo`, else None.
 _CERTIFICATES: ContextVar[dict | None] = ContextVar("certificates", default=None)
@@ -259,9 +263,9 @@ class EstimatorSet:
         return all(e.valid for e in self.entries)
 
     def rows(self) -> list[dict]:
-        return [{"mu": e.mu, "branch": e.branch, "delta": e.delta,
-                 "beta": e.beta, "tau": e.tau, "valid": int(e.valid)}
-                for e in self.entries]
+        """One row per entry, its ESTIMATOR_FIELDS attributes with `valid` as 0/1."""
+        return [{k: int(e.valid) if k == "valid" else getattr(e, k)
+                 for k in ESTIMATOR_FIELDS} for e in self.entries]
 
 
 def _entries(basis, mu, roots) -> list[EstimatorEntry]:

@@ -105,9 +105,6 @@ class SolveResult:
     residual_norm: float
     cause: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.converged
-
 
 class DeflationSingularity(RuntimeError):
     """Raised when the deflation operator is evaluated on one of its own roots."""

@@ -180,26 +180,27 @@ class BasisMatrix:
         csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
-    def load(cls, csv_path, model: ParametricModel | None = None) -> "BasisMatrix":
-        """The basis `save` wrote to csv_path and its sibling .json, with the
-        strategy it recorded; `model`, when given, must match the metadata."""
+    def load(cls, csv_path) -> "BasisMatrix":
+        """The basis `save` wrote to csv_path, on the model and with the
+        strategy its sibling .json recorded."""
         csv_path = Path(csv_path)
         meta = json.loads(csv_path.with_suffix(".json").read_text())
-        if model is None:
-            model = make_model(meta["model_kind"], meta["mesh_size"])
-        elif model.kind.value != meta["model_kind"] or model.mesh_size != meta["mesh_size"]:
-            raise ValueError("basis metadata does not match the supplied model")
+        if not isinstance(meta, dict):
+            raise ValueError(f"basis metadata must be a JSON object (got {type(meta).__name__})")
+        model = make_model(meta["model_kind"], meta["mesh_size"])
         # An empty basis is saved as blank lines, which loadtxt cannot shape.
         cols = (np.loadtxt(csv_path, delimiter=",", ndmin=2) if meta["n_basis"]
                 else np.zeros((meta["mesh_size"], 0)))
         if cols.shape != (meta["mesh_size"], meta["n_basis"]):
             raise ValueError("basis matrix shape does not match its metadata")
+        if not np.all(np.isfinite(cols)):
+            raise ValueError("basis matrix has non-finite entries")
         mus = meta["mu_train"]
         if not isinstance(mus, list) or len(mus) != meta["n_basis"]:
             raise ValueError(f"mu_train must list one parameter per column (got {mus!r})")
         basis = cls(model, cols, mus)
         defect = basis.orthonormality_defect()
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # a NaN defect fails too
             raise ValueError(f"loaded basis is not X-orthonormal (defect {defect:.3e})")
         basis.strategy = meta.get("strategy")
         return basis

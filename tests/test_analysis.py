@@ -245,4 +245,3 @@ def test_error_rows_round_trip_to_dicts(tmp_path):
     sweep = ErrorSweep([row, ErrorRow(1.5, 3, 0.4, 0.2, 0.5, flag="diverged")])
     assert len(sweep.flagged()) == 1
     assert sweep.max_reduced() == 0.1
-    assert sweep.max_reduced(unflagged_only=False) == 0.4

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from bifrb.analysis import solution_ensemble
 from bifrb.cli import RunConfig, main
 from bifrb.estimators import EstimatorKind
 from bifrb.greedy import AdaptiveConfig, GreedyConfig
 from bifrb.model import make_model
 from bifrb.nlsolve import NewtonConfig
+from bifrb.pod import pod_basis
 from bifrb.rom import BasisMatrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -364,6 +366,33 @@ def test_error_sweep_rejects_a_basis_whose_parameters_do_not_match_its_columns(
     assert not (tmp_path / "score").exists()
 
 
+@pytest.mark.parametrize("name, text, problem", [
+    ("basis.json", "[]", "basis metadata must be a JSON object (got list)"),
+    ("basis.json", "null", "basis metadata must be a JSON object (got NoneType)"),
+    ("basis.csv", "nan", "basis matrix has non-finite entries"),
+    ("basis.csv", "inf", "basis matrix has non-finite entries"),
+], ids=["json-list", "json-null", "csv-nan", "csv-inf"])
+def test_error_sweep_rejects_a_corrupt_basis_file(tmp_path, capsys, name, text, problem):
+    chafee = make_model("chafee", 21)
+    basis = BasisMatrix(chafee)
+    basis.enrich(chafee.default_guess, 12.0)
+    basis.save(tmp_path / "basis.csv")
+    path = tmp_path / name
+    if name == "basis.json":
+        path.write_text(text)
+    else:  # one column: one entry per line
+        lines = path.read_text().splitlines()
+        lines[10] = text
+        path.write_text("\n".join(lines) + "\n")
+    score = tmp_path / "score"
+    code = run_cli(["error-sweep", "--basis-dir", str(tmp_path), "--test", "5",
+                    "--out", str(score)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot load basis" in err and problem in err and "Traceback" not in err
+    assert not score.exists()
+
+
 def test_error_sweep_rejects_missing_basis(tmp_path, capsys):
     code = run_cli(["error-sweep", "--basis-dir", str(tmp_path / "nowhere"),
                     "--out", str(tmp_path / "o")])
@@ -377,20 +406,17 @@ def test_compare_argument_validation(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
     assert run_cli(["compare", "--strategies", "deflated,magic"] + FAST + out) == 1
     assert "unknown strategy" in capsys.readouterr().err
-    assert run_cli(["compare", "--strategies", "vanilla,pod"] + FAST + out) == 1
-    assert "requires --n-modes or --matched-n" in capsys.readouterr().err
-    assert run_cli(["compare", "--strategies", "vanilla,pod", "--matched-n"]
-                   + FAST + out) == 1
-    assert "needs the deflated strategy" in capsys.readouterr().err
+    # pod needs no deflated run to size it
+    assert run_cli(["compare", "--strategies", "vanilla,pod"] + FAST + out) == 0
 
 
 @pytest.mark.parametrize("n_modes", ["-1", "0"])
 def test_compare_rejects_a_mode_count_below_one(tmp_path, capsys, n_modes):
     out = tmp_path / "o"
-    code = run_cli(["compare", "--strategies", "deflated,pod", "--n-modes", n_modes]
+    code = run_cli(["compare", "--strategies", "deflated,pod", "--nmax", n_modes]
                    + FAST + ["--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"config error: --n-modes must be >= 1 (got {n_modes})")
+    assert capsys.readouterr().err.startswith(f"config error: n_max must be >= 1 (got {n_modes})")
     assert not out.exists()
 
 
@@ -413,7 +439,7 @@ def test_run_config_defaults_are_the_library_defaults():
 def test_compare_matched_n_table(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(["compare", "--model", "chafee",
-                    "--strategies", "deflated,pod", "--matched-n"]
+                    "--strategies", "deflated,pod"]
                    + FAST + ["--out", str(out)])
     assert code == 0
     report = read_report(out)
@@ -425,3 +451,18 @@ def test_compare_matched_n_table(tmp_path, capsys):
     lines = (out / "error_vs_n.csv").read_text().splitlines()
     assert lines[0] == "strategy,n,max_error,avg_error,n_flagged"
     assert "certified" in capsys.readouterr().out
+
+
+def test_compare_without_deflated_gives_pod_nmax_modes_up_to_the_snapshot_rank(tmp_path):
+    cfg = RunConfig(model_kind="chafee", mesh_size=41, train_size=11)
+    model = cfg.model()
+    train = solution_ensemble(model, cfg.grid(cfg.train_size, model).train_points,
+                              cfg.newton())
+    rank = pod_basis(model, [p.u for p in train.points]).n
+    assert 2 < rank < 50
+    for n_max, n_pod in (("2", 2), ("50", rank)):
+        out = tmp_path / n_max
+        assert run_cli(["compare", "--model", "chafee", "--strategies", "vanilla,pod",
+                        "--nmax", n_max] + FAST + ["--out", str(out)]) == 0
+        summary = {row["strategy"]: row for row in read_report(out)["summary"]}
+        assert summary["pod"]["n"] == n_pod

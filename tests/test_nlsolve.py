@@ -30,7 +30,6 @@ def test_newton_converges_to_trivial_root(chafee):
     assert res.converged and res.iterations == 0
     assert res.residual_norm == 0.0
     assert res.cause is None
-    assert bool(res) is True
 
 
 def test_subcritical_sine_guess_falls_to_zero(chafee):

@@ -264,24 +264,22 @@ def test_empty_basis_round_trips(tmp_path, chafee):
     assert loaded.mu_values == []
 
 
-def test_load_rejects_model_mismatch(tmp_path, chafee, bratu):
-    basis = BasisMatrix(chafee)
-    basis.enrich(chafee.default_guesses[0], 9.0)
-    path = tmp_path / "basis.csv"
-    basis.save(path)
-    with pytest.raises(ValueError):
-        BasisMatrix.load(path, model=bratu)
-
-
 def test_load_rejects_tampered_columns(tmp_path, chafee, rng):
     basis = random_basis(chafee, rng, 3)
     path = tmp_path / "basis.csv"
     basis.save(path)
-    cols = np.loadtxt(path, delimiter=",")
-    cols[:, 1] *= 3.0  # break orthonormality, keep the shape
-    np.savetxt(path, cols, delimiter=",", fmt="%.17g")
-    with pytest.raises(ValueError):
-        BasisMatrix.load(path)
+    saved = np.loadtxt(path, delimiter=",")
+    # break orthonormality, or write one non-finite entry; keep the shape
+    for column, value, problem in [(3.0 * saved[:, 1], None, "not X-orthonormal"),
+                                   (saved[:, 1], np.nan, "non-finite"),
+                                   (saved[:, 1], np.inf, "non-finite")]:
+        cols = saved.copy()
+        cols[:, 1] = column
+        if value is not None:
+            cols[7, 1] = value
+        np.savetxt(path, cols, delimiter=",", fmt="%.17g")
+        with pytest.raises(ValueError, match=problem):
+            BasisMatrix.load(path)
 
 
 def test_padded_reduced_guess_lifts_to_same_state(chafee, rng):

@@ -2,9 +2,13 @@
 # Run the eleven mesh-201 CLI runs whose artifacts a refactor must keep byte for
 # byte, importing the package from <src-dir> and writing into <out-dir>.
 #
-#   tools/cli_artifacts.sh <parent-checkout>/src /tmp/parent_out
+#   <parent-checkout>/tools/cli_artifacts.sh <parent-checkout>/src /tmp/parent_out
 #   tools/cli_artifacts.sh src /tmp/change_out
 #   diff -r /tmp/parent_out /tmp/change_out
+#
+# Make each tree with its own checkout's copy of this script, since the runs'
+# flags follow that checkout's command line (before pod was sized from the
+# deflated run, the compare run needed --matched-n).
 #
 # Every run uses one BLAS thread and a relative --out path, so the two trees
 # differ only where the program's results do.  The stdout and exit code of
@@ -34,7 +38,7 @@ bifrb run_vanilla_bratu run --model bratu --strategy vanilla
 bifrb run_vanilla_chafee run --model chafee --strategy vanilla
 bifrb run_adaptive_chafee run --model chafee --strategy adaptive
 bifrb run_adaptive_bratu run --model bratu --strategy adaptive
-bifrb compare compare --model chafee --strategies vanilla,deflated,pod --matched-n
+bifrb compare compare --model chafee --strategies vanilla,deflated,pod
 bifrb error_sweep error-sweep --basis-dir run_deflated_chafee
 # the model and mesh come from basis.json; bratu, single-branch sweep
 bifrb error_sweep_vanilla_bratu error-sweep --basis-dir run_vanilla_bratu
