@@ -15,11 +15,15 @@ X and the Jacobian are tridiagonal and are kept as (3, mesh_size) band arrays
 (`x_bands`, `jacobian_bands`; rows: super-, main and subdiagonal): X products
 (`x_apply`), dual norms (a banded Cholesky factor of X) and the full-order
 Newton step (LAPACK `dgtsv`) all cost O(mesh_size).  Reduced solvers never
-assemble at full order: they take the basis values at the Gauss points
-(`gauss_matrix`) and the source terms (`source`, `source_prime`) and apply the
-same quadrature to the coefficients.  Only `jacobian()` expands bands into a
-dense matrix.  The Sobolev constants of the Lipschitz bounds are closed forms
-of the continuous space, which hold on every mesh.
+assemble at full order.  For a cubic source (chafee) `reduced_tensors` turns
+the basis values at the Gauss points (`gauss_matrix`) into the exact Galerkin
+tensors of the source, so a reduced iterate of a small basis (N^2 at most
+a quarter of the 2(m+1) Gauss points and at most 512, see `rom`) visits no
+Gauss point.  For any other source (bratu) it gives None, and the reduced
+solvers, like those of a larger chafee basis, apply the same quadrature to
+the coefficients through `source` and `source_prime`.  Only `jacobian()`
+expands bands into a dense matrix.  The Sobolev constants of the Lipschitz
+bounds are closed forms of the continuous space, which hold on every mesh.
 """
 from __future__ import annotations
 
@@ -53,6 +57,9 @@ _GAUSS_SS, _GAUSS_TT, _GAUSS_TS = _GAUSS_S**2, _GAUSS_T**2, _GAUSS_T * _GAUSS_S
 _K = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 4.0
 _J = math.gamma(1.25) * math.gamma(0.5) / math.gamma(1.75) / 4.0
 RHO4 = (2.0 * math.sqrt(2.0) * (2.0 * math.sqrt(2.0) * _K) ** 3 * _J) ** -0.25
+
+# Doubles of the pair matrix P that `reduced_tensors` holds at once (1 MB).
+_PAIR_BLOCK = 2**17
 
 
 class ModelKind(str, Enum):
@@ -199,6 +206,17 @@ class ParametricModel:
     def source_prime(self, v: np.ndarray) -> np.ndarray:
         """Derivative g'(v), elementwise on Gauss-point values."""
         raise NotImplementedError
+
+    def reduced_tensors(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Exact Galerkin tensors (L, C) of a cubic source g(v) = a v + b v^3, else None.
+
+        `phi` holds N basis columns at the Gauss points (`gauss_matrix`).  L is
+        the N x N matrix a phi^T phi and C the N^2 x N^2 matrix b P^T P, with
+        P_q,(ij) = phi_qi phi_qj, so that for C(u, u) = reshape((u (x) u) C, (N, N))
+
+            phi^T g(phi u) = L u + C(u, u) u,   phi^T diag(g'(phi u)) phi = L + 3 C(u, u).
+        """
+        return None
 
     def residual(self, u: np.ndarray, mu: float) -> np.ndarray:
         g = self.source(self._state_values(u))
@@ -362,6 +380,20 @@ class ChafeeInfante1D(ParametricModel):
 
     def source_prime(self, v):
         return 1.0 - 3.0 * v**2
+
+    def reduced_tensors(self, phi):
+        # a = 1, b = -1.  P^T P is summed over blocks of Gauss points, one BLAS
+        # call (a symmetric rank-k update) a block, so that no more than
+        # _PAIR_BLOCK doubles of P exist at once beside C itself; einsum's
+        # chosen contraction path was over a hundred times slower.
+        n = phi.shape[1]
+        rows = max(1, _PAIR_BLOCK // (n * n))
+        cub = np.zeros((n * n, n * n))
+        for start in range(0, len(phi), rows):
+            block = phi[start:start + rows]
+            pairs = (block[:, :, None] * block[:, None, :]).reshape(len(block), n * n)
+            cub -= pairs.T @ pairs
+        return phi.T @ phi, cub
 
     def lipschitz_constant(self, u, mu, radius):
         if radius < 0.0:

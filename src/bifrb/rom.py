@@ -5,19 +5,35 @@ residual and Jacobian are the plain Galerkin projections
 
     G_N(u_N) = B^T G(B u_N),        Jac_N(u_N) = B^T Jac(B u_N) B,
 
-with no hyper-reduction.  They are evaluated without lifting to full order:
-with Phi the values of the basis columns at the model's Gauss points and
-K_N = B^T X B, both computed once per basis,
+with no hyper-reduction.  They are evaluated without lifting to full order.
+With Phi the values of the basis columns at the model's 2(m+1) Gauss points
+(m interior nodes), K_N = B^T X B, w the Gauss weight and g the model's
+source, the quadrature form reads
 
     G_N(u_N) = K_N u_N - mu w Phi^T g(Phi u_N),
     Jac_N(u_N) = K_N - mu w Phi^T diag(g'(Phi u_N)) Phi,
 
-which are the quadrature sums of the full-order load vector and weighted mass
-matrix taken in another order (w the Gauss weight, g the model's source).  A
-reduced Newton iteration thus costs O(m N^2) for m interior nodes.  Reduced
-Newton iterates on coefficient vectors and converges when ||G_N||_2 drops
-below the tolerance: since the basis is X-orthonormal, that is the dual norm
-of the Galerkin residual on span(B), the criterion of the full-order solvers.
+the quadrature sums of the full-order load vector and weighted mass matrix
+taken in another order, O(m N^2) an iterate.  A cubic source g(v) = a v +
+b v^3 (chafee) has an exact offline/online split instead: the model's
+`reduced_tensors` gives L = a Phi^T Phi and the quartic tensor C = b T,
+T_ijkl = sum_q Phi_qi Phi_qj Phi_qk Phi_ql, built once per basis in
+O(m N^4), and then
+
+    G_N(u_N) = (K_N - mu w L) u_N - mu w C(u_N, u_N) u_N,
+    Jac_N(u_N) = (K_N - mu w L) - 3 mu w C(u_N, u_N),
+
+O(N^4) an iterate with no Gauss point visited.  The tensors are used only
+while N^2 <= min(2(m+1) / 4, 512) (see `_TENSOR_MAX_PAIRS`); a larger basis,
+and every basis of a non-cubic source (bratu), keeps the quadrature form, and
+the two agree to roundoff.  One reduced solve forms K_N - mu w L once and
+shares each iterate's C(u_N, u_N) (or Phi u_N) between its residual and its
+Newton step, an N x N dense solve.
+
+Reduced Newton iterates on coefficient vectors and converges when ||G_N||_2
+drops below the tolerance: since the basis is X-orthonormal, that is the dual
+norm of the Galerkin residual on span(B), the criterion of the full-order
+solvers.
 For the same reason the Euclidean norm of a coefficient vector is the X-norm
 of its lift, so reduced roots live in a `RootSet` without metric: steps, root
 distances in deflation, "no_progress" and distinctness all use that norm.
@@ -57,6 +73,19 @@ __all__ = [
 # X-norm carries no new information and is rejected.
 REJECTION_TOL = 1e-8
 
+# A cubic source's reduced tensors are used while N^2 <= min(2(m+1) / 4, 512):
+# a quarter of the Gauss points, and C at most 512^2 doubles (2 MB).  Measured
+# per reduced Newton iterate (contraction, residual, Jacobian and dense step;
+# one BLAS thread, a Xeon with 2 MB of L2 a core), tensor against quadrature
+# path in us: mesh 201, N = 10: 14 / 28, N = 18: 30 / 36, N = 20: 42 / 36;
+# mesh 801, N = 20: 44 / 79, N = 24: 96 / 104, N = 28: 202 / 168; mesh 1601,
+# N = 28: 211 / 342, N = 32: 335 / 348, N = 36: 520 / 436; mesh 3201, N = 20:
+# 41 / 453, N = 40: 774 / 1172.  So the tensors win up to N^2 of about 0.9,
+# 0.4, 0.3 and 0.4 times 2(m+1) on these meshes, and an iterate's cost jumps
+# 2.5-fold once C leaves the L2 cache (N = 20 to 24); past the cap the
+# quadrature path is slower but holds no N^4 array.
+_TENSOR_MAX_PAIRS = 512
+
 # Snapshots with X-norm at or below solver-noise scale are the zero function
 # for all practical purposes; normalizing them would enrich pure noise.
 NULL_TOL = 1e-8
@@ -76,9 +105,9 @@ class EnrichResult:
 class BasisMatrix:
     """X-orthonormal basis that grows one Gram-Schmidt-filtered column at a time.
 
-    The Galerkin operators (Phi, K_N) of the reduced solvers are built on first
-    use and dropped when `enrich` appends a column; the columns are not meant
-    to be changed in place.
+    The Galerkin operators (Phi, K_N and the model's tensors) of the reduced
+    solvers are built on first use and dropped when `enrich` appends a column;
+    the columns are not meant to be changed in place.
     """
 
     # The method that built a loaded basis, as `save` recorded it (None if not).
@@ -92,7 +121,7 @@ class BasisMatrix:
         self._columns = np.asarray(columns, dtype=float).reshape(model.mesh_size, -1)
         # Parameter value each column's snapshot was taken at (None if unknown).
         self.mu_values = list(mu_values) if mu_values is not None else [None] * self._columns.shape[1]
-        self._operators: tuple[np.ndarray, np.ndarray] | None = None
+        self._operators: tuple[np.ndarray, np.ndarray, tuple | None] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -130,12 +159,16 @@ class BasisMatrix:
         self._operators = None
         return EnrichResult("enriched", vector=xi)
 
-    def galerkin_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi, K_N): the columns at the Gauss points and B^T X B, cached."""
+    def galerkin_operators(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """(Phi, K_N, tensors), cached: the columns at the Gauss points, B^T X B,
+        and the model's `reduced_tensors(Phi)` while N^2 <= min(2(m+1) / 4,
+        _TENSOR_MAX_PAIRS), else None."""
         if self._operators is None:
             phi = self.model.gauss_matrix(self._columns)
             k_n = self._columns.T @ self.model.x_apply(self._columns)
-            self._operators = (phi, k_n)
+            use = self.n ** 2 <= min(len(phi) // 4, _TENSOR_MAX_PAIRS)
+            tensors = self.model.reduced_tensors(phi) if use else None
+            self._operators = (phi, k_n, tensors)
         return self._operators
 
     def lift(self, u_n: np.ndarray) -> np.ndarray:
@@ -206,31 +239,61 @@ class BasisMatrix:
         return basis
 
 
-def reduced_residual(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
-    """B^T G(B u_N; mu), summed at the Gauss points."""
-    phi, k_n = basis.galerkin_operators()
+def _reduced_system(basis: BasisMatrix, mu: float):
+    """(shared, residual, jacobian) of the reduced system at mu.
+
+    `shared(y)` is what the residual `residual(y, s)` and the Jacobian
+    `jacobian(s)` at y both need, s = shared(y): C(y, y) from the model's
+    tensors, else the Gauss values Phi y (see the module docstring).
+    """
+    phi, k_n, tensors = basis.galerkin_operators()
     model = basis.model
+    muw = mu * model.gauss_weight
+    if tensors is None:
+        return (lambda y: phi @ y,
+                lambda y, v: k_n @ y - muw * (phi.T @ model.source(v)),
+                lambda v: k_n - muw * (phi.T @ (model.source_prime(v)[:, None] * phi)))
+    lin, cub = tensors
+    a, n = k_n - muw * lin, basis.n
+    return (lambda y: ((y[:, None] * y).ravel() @ cub).reshape(n, n),
+            lambda y, c: a @ y - muw * (c @ y),
+            lambda c: a - (3.0 * muw) * c)
+
+
+def reduced_residual(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
+    """B^T G(B u_N; mu), from the model's tensors or summed at the Gauss points."""
+    shared, residual, _ = _reduced_system(basis, mu)
     u_n = np.asarray(u_n, dtype=float)
-    return k_n @ u_n - (mu * model.gauss_weight) * (phi.T @ model.source(phi @ u_n))
+    return residual(u_n, shared(u_n))
 
 
 def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
-    """B^T Jac(B u_N; mu) B, summed at the Gauss points."""
-    phi, k_n = basis.galerkin_operators()
-    model = basis.model
-    weights = model.source_prime(phi @ np.asarray(u_n, dtype=float))
-    return k_n - (mu * model.gauss_weight) * (phi.T @ (weights[:, None] * phi))
+    """B^T Jac(B u_N; mu) B, from the model's tensors or summed at the Gauss points."""
+    shared, _, jacobian = _reduced_system(basis, mu)
+    u_n = np.asarray(u_n, dtype=float)
+    return jacobian(shared(u_n))
 
 
 def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,
                    roots: RootSet) -> SolveResult:
-    """`_newton_core` on the reduced system, Euclidean norms throughout."""
+    """`_newton_core` on the reduced system, Euclidean norms throughout.
+
+    Each new iterate's shared part is evaluated once, for its residual and
+    the Jacobian of its Newton step.
+    """
     if basis.n == 0:
         raise ValueError("reduced solve requires a nonempty basis")
-    return _newton_core(
-        lambda y: reduced_residual(basis, y, mu),
-        lambda y, r: np.linalg.solve(reduced_jacobian(basis, y, mu), -r),
-        guess, cfg, _euclidean_norm, roots)
+    shared, residual, jacobian = _reduced_system(basis, mu)
+    held = [None, None]  # the last iterate and its shared part
+
+    def at(y):
+        if held[0] is not y:
+            held[:] = y, shared(y)
+        return held[1]
+
+    return _newton_core(lambda y: residual(y, at(y)),
+                        lambda y, r: np.linalg.solve(jacobian(at(y)), -r),
+                        guess, cfg, _euclidean_norm, roots)
 
 
 def reduced_newton(basis: BasisMatrix, mu: float, guess: np.ndarray,

@@ -333,7 +333,7 @@ def test_auto_switch_keeps_nonlinear_bound_when_all_tau_small(bratu):
     basis, _ = one_snapshot_basis(bratu, 2.0)
     sw = estimator_sweep(basis, np.linspace(0.5, 2.0, 51))
     assert sw.kind_used == EstimatorKind.NONLINEAR_BRR
-    assert sw.all_valid
+    assert all(e.valid for e in sw)
     assert all(e.tau <= 1.0 for e in sw)
     for e in sw:
         assert e.delta == e.estimate.delta_brr
@@ -346,7 +346,7 @@ def test_sweep_reports_divergence_with_infinite_bound(bratu):
     assert ok.converged and ok.delta < 1e-8
     assert not bad.converged
     assert math.isinf(bad.delta) and not bad.valid
-    assert not sw.all_valid
+    assert not all(e.valid for e in sw)
     assert math.isinf(sw.max_delta)
 
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from bifrb.model import make_model
+from bifrb import model as model_module
+from bifrb.model import Bratu1D, ChafeeInfante1D, make_model
 from bifrb.nlsolve import newton
 from bifrb.rom import (BasisMatrix, _euclidean_norm, reduced_deflated_newton,
                        reduced_jacobian, reduced_morse_index, reduced_newton,
@@ -93,16 +94,33 @@ def test_reduced_operators_are_galerkin_projections(chafee, rng):
     assert np.allclose(reduced_jacobian(basis, y, mu), expect_jac, atol=1e-12)
 
 
+def sine_basis(model, n):
+    """Basis of the first n sine modes, smooth states of order-one amplitude."""
+    basis = BasisMatrix(model)
+    for k in range(1, n + 1):
+        assert basis.enrich(model.interpolate(lambda x: np.sin(k * np.pi * x))).enriched
+    return basis
+
+
+def assert_close(got, expected, rtol=1e-12):
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
 def assert_galerkin(basis, y, mu):
     """Reduced operators equal B^T G(B y) and B^T J(B y) B to 1e-12 relative."""
     model, B = basis.model, basis.matrix
     lifted = B @ y
     expect_res = B.T @ model.residual(lifted, mu)
-    expect_jac = B.T @ model.jacobian(lifted, mu) @ B
+    # J B from the full-order bands (super-, main, subdiagonal), never dense
+    bands = model.jacobian_bands(lifted, mu)
+    jb = bands[1][:, None] * B
+    jb[:-1] += bands[0, 1:, None] * B[1:]
+    jb[1:] += bands[2, :-1, None] * B[:-1]
+    expect_jac = B.T @ jb
     res = reduced_residual(basis, y, mu)
     jac = reduced_jacobian(basis, y, mu)
-    assert np.linalg.norm(res - expect_res) <= 1e-12 * np.linalg.norm(expect_res)
-    assert np.linalg.norm(jac - expect_jac) <= 1e-12 * np.linalg.norm(expect_jac)
+    assert_close(res, expect_res)
+    assert_close(jac, expect_jac)
 
 
 def snapshot_basis(model, mus):
@@ -139,16 +157,78 @@ def test_enrich_drops_the_cached_operators(chafee, rng):
     assert_galerkin(basis, rng.standard_normal(3), 9.5)
 
 
-def test_projected_operators_on_truncated_and_loaded_bases(tmp_path, bratu, rng):
-    basis = random_basis(bratu, rng, 5)
-    assert_galerkin(basis, rng.standard_normal(5), 2.0)
-    sub = basis.truncated(3)
-    assert_galerkin(sub, rng.standard_normal(3), 2.0)
-    assert_galerkin(basis.truncated(1), rng.standard_normal(1), 2.0)
-    path = tmp_path / "basis.csv"
-    sub.save(path)
-    loaded = BasisMatrix.load(path)
-    assert_galerkin(loaded, rng.standard_normal(3), 2.0)
+class _QuadratureChafee(ChafeeInfante1D):
+    """Chafee without tensors: its reduced operators take the quadrature path."""
+
+    def reduced_tensors(self, phi):
+        return None
+
+
+@pytest.mark.parametrize("mesh, n, tensors", [
+    (201, 3, True),
+    (3201, 3, True),
+    # 2(m + 1) = 64 Gauss points at mesh 31: N^2 = 16 is a quarter of them
+    (31, 4, True),
+    (31, 5, False),
+    # at mesh 3201 the 512 cap binds: N^2 = 484 takes the tensors, 529 not
+    (3201, 22, True),
+    (3201, 23, False),
+])
+def test_chafee_operators_from_tensors_only_for_small_bases(mesh, n, tensors, rng):
+    model = make_model("chafee", mesh)
+    bases = [random_basis(model, rng, n), sine_basis(model, n)]
+    # At mesh 3201 B^T J B of smooth columns carries about 5e-12 relative
+    # roundoff of its own (J's stiffness entries 2/h swamp its mass entries
+    # when J is formed); there the quadrature path alone is the reference.
+    full_order = bases if mesh <= 201 else bases[:1]
+    for basis in bases:
+        assert (basis.galerkin_operators()[2] is not None) == tensors
+        quadrature = BasisMatrix(_QuadratureChafee(mesh), basis.matrix)
+        for scale in (0.1, 1.0, 3.0):
+            y = scale * rng.standard_normal(n)
+            for v in (y, -y):
+                if basis in full_order:
+                    assert_galerkin(basis, v, 12.5)
+                assert_close(reduced_residual(basis, v, 12.5),
+                             reduced_residual(quadrature, v, 12.5))
+                assert_close(reduced_jacobian(basis, v, 12.5),
+                             reduced_jacobian(quadrature, v, 12.5))
+
+
+@pytest.mark.parametrize("block", [1, 7 * 9, 10**6])
+def test_chafee_tensors_summed_over_blocks_of_gauss_points(block, chafee, rng, monkeypatch):
+    # blocks of one point, of 7 points (the last one short: 404 Gauss points
+    # at mesh 201) and of all of them give the same C = -P^T P
+    monkeypatch.setattr(model_module, "_PAIR_BLOCK", block)
+    phi = random_basis(chafee, rng, 3).galerkin_operators()[0]
+    pairs = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9)
+    lin, cub = chafee.reduced_tensors(phi)
+    assert np.array_equal(lin, phi.T @ phi)
+    assert_close(cub, -(pairs.T @ pairs))
+
+
+def test_bratu_gets_no_tensors(bratu, rng):
+    basis = random_basis(bratu, rng, 3)
+    phi, _, tensors = basis.galerkin_operators()
+    assert tensors is None
+    assert bratu.reduced_tensors(phi) is None
+
+
+def test_projected_operators_on_truncated_and_loaded_bases(tmp_path, bratu, chafee, rng):
+    for model, mu in ((bratu, 2.0), (chafee, 12.5)):
+        basis = random_basis(model, rng, 5)
+        assert_galerkin(basis, rng.standard_normal(5), mu)
+        sub = basis.truncated(3)
+        path = tmp_path / f"{model.kind.value}.csv"
+        sub.save(path)
+        for b in (sub, basis.truncated(1), BasisMatrix.load(path)):
+            # each basis builds its own operators, chafee's tensors included
+            tensors = b.galerkin_operators()[2]
+            if model is chafee:
+                assert [t.shape for t in tensors] == [(b.n, b.n), (b.n ** 2, b.n ** 2)]
+            else:
+                assert tensors is None
+            assert_galerkin(b, rng.standard_normal(b.n), mu)
 
 
 @pytest.mark.parametrize("kind, mu", [("bratu", 2.0), ("chafee", 12.0)])
@@ -166,6 +246,41 @@ def test_reduced_solvers_never_assemble_at_full_order(kind, mu, monkeypatch):
     assert first.converged
     second = reduced_deflated_newton(basis, mu, guesses[-1], [first.u])
     assert second.iterations > 0
+
+
+class _SingularTensorsChafee(ChafeeInfante1D):
+    """Chafee whose tensors L = 1e150 everywhere and C = 0 make every entry of
+    the reduced Jacobian K_N - mu w L round to -mu w 1e150 (K_N lies far below
+    half its ulp): exactly singular, while the residual and its norm stay
+    finite."""
+
+    def reduced_tensors(self, phi):
+        n = phi.shape[1]
+        return np.full((n, n), 1e150), np.zeros((n * n, n * n))
+
+
+class _NanJacobianBratu(Bratu1D):
+    """Bratu (no tensors, so the quadrature path) with a NaN source derivative:
+    a finite residual and a NaN reduced Jacobian."""
+
+    def source_prime(self, v):
+        return np.full_like(v, np.nan)
+
+
+@pytest.mark.parametrize("model_class, cause", [(_SingularTensorsChafee, "singular_jacobian"),
+                                                (_NanJacobianBratu, "nonfinite_step")])
+def test_broken_reduced_jacobian_is_reported_not_raised(model_class, cause, rng):
+    model = model_class(21)
+    basis = random_basis(model, rng, 2)
+    guess = rng.standard_normal(2)
+    assert np.all(np.isfinite(reduced_residual(basis, guess, 9.5)))
+    runs = [reduced_newton(basis, 9.5, guess),
+            reduced_deflated_newton(basis, 9.5, guess, [np.zeros(2)])]
+    for res in runs:
+        assert not res.converged
+        assert res.cause == cause
+        assert res.iterations == 0
+        assert np.array_equal(res.u, guess)
 
 
 def test_reduced_newton_recovers_its_own_snapshot(chafee):
