@@ -14,16 +14,21 @@ terms are integrated with a two-point Gauss rule per element.
 X and the Jacobian are tridiagonal and are kept as (3, mesh_size) band arrays
 (`x_bands`, `jacobian_bands`; rows: super-, main and subdiagonal): X products
 (`x_apply`), dual norms (a banded Cholesky factor of X) and the full-order
-Newton step (LAPACK `dgtsv`) all cost O(mesh_size).  Reduced solvers never
-assemble at full order.  For a cubic source (chafee) `reduced_tensors` turns
-the basis values at the Gauss points (`gauss_matrix`) into the exact Galerkin
-tensors of the source, so a reduced iterate of a small basis (N^2 at most
-a quarter of the 2(m+1) Gauss points and at most 512, see `rom`) visits no
-Gauss point.  For any other source (bratu) it gives None, and the reduced
-solvers, like those of a larger chafee basis, apply the same quadrature to
-the coefficients through `source` and `source_prime`.  Only `jacobian()`
-expands bands into a dense matrix.  The Sobolev constants of the Lipschitz
-bounds are closed forms of the continuous space, which hold on every mesh.
+Newton step (LAPACK `dgtsv`) all cost O(mesh_size).  The residual, the
+Jacobian bands and the Newton step are each one formula of a state's Gauss
+values: `newton_system` hands the solvers those formulas, so that `nlsolve`
+evaluates an iterate's Gauss values once for its residual and its step, and
+the public `residual`, `jacobian_bands` and `newton_step` apply the same ones.
+Reduced solvers never assemble at full order.  For a cubic source (chafee)
+`reduced_tensors` turns the basis values at the Gauss points (`gauss_matrix`)
+into the exact Galerkin tensors of the source, so a reduced iterate of a small
+basis (N^2 at most a quarter of the 2(m+1) Gauss points and at most 512, see
+`rom`) visits no Gauss point.  For any other source (bratu) it gives None, and
+the reduced solvers, like those of a larger chafee basis, apply the same
+quadrature to the coefficients through `source` and `source_prime`.  Only
+`jacobian()` expands bands into a dense matrix.  The Sobolev constants of the
+Lipschitz bounds are closed forms of the continuous space, which hold on every
+mesh.
 """
 from __future__ import annotations
 
@@ -140,25 +145,6 @@ class ParametricModel:
         self.x_bands[0, 1:] = self.x_bands[2, :-1] = -1.0 / self.h
         # Upper banded Cholesky factor of X, for the dual norm.
         self._x_chol = cholesky_banded(self.x_bands[:2])
-        self._pinned: list | None = None
-
-    def pin(self, u: np.ndarray | None) -> None:
-        """Reuse the Gauss values of the array object `u` until the next pin.
-
-        While `u` is pinned, `residual` and `jacobian_bands` of that same
-        object evaluate its Gauss values once between them.  The caller must
-        not change `u` in place while it is pinned; pin(None) unpins.
-        """
-        self._pinned = None if u is None else [u, None]
-
-    def _state_values(self, u: np.ndarray) -> np.ndarray:
-        """`_gauss_values(u)`, evaluated only once for the pinned array."""
-        pinned = self._pinned
-        if pinned is None or pinned[0] is not u:
-            return self._gauss_values(u)
-        if pinned[1] is None:
-            pinned[1] = self._gauss_values(u)
-        return pinned[1]
 
     # -- assembly -----------------------------------------------------------
 
@@ -218,9 +204,18 @@ class ParametricModel:
         """
         return None
 
+    def newton_system(self, mu: float):
+        """(values, residual, step) of the Newton iteration at mu, for `nlsolve`.
+
+        values(u) are the Gauss values of u, the work its residual and its
+        Newton step share: residual(u, v) is G(u; mu) and step(v, r) solves
+        Jac(u; mu) du = -r, both from v = values(u).
+        """
+        return (self._gauss_values, lambda u, v: self._residual_from(u, v, mu),
+                lambda v, r: self._step_from(v, mu, r))
+
     def residual(self, u: np.ndarray, mu: float) -> np.ndarray:
-        g = self.source(self._state_values(u))
-        return self.x_apply(u) - mu * self._load(g)
+        return self._residual_from(u, self._gauss_values(u), mu)
 
     def jacobian_bands(self, u: np.ndarray, mu: float) -> np.ndarray:
         """Tridiagonal Jac(u; mu) as a (3, m) band array: super-, main, subdiagonal.
@@ -229,8 +224,7 @@ class ParametricModel:
         subdiagonal in columns 0..m-2 (LAPACK's banded layout); the two
         unused corners are zero.
         """
-        gp = self.source_prime(self._state_values(u))
-        return self.x_bands - mu * self._weighted_mass_bands(gp)
+        return self._bands_from(self._gauss_values(u), mu)
 
     def jacobian(self, u: np.ndarray, mu: float) -> np.ndarray:
         """Dense Jac(u; mu), expanded from `jacobian_bands`."""
@@ -242,7 +236,19 @@ class ParametricModel:
         At mesh_size 1, whose empty off-diagonals `dgtsv` rejects, du = -r / Jac.
         NaN entries propagate into du for the solvers to report as non-finite.
         """
-        ab = self.jacobian_bands(u, mu)
+        return self._step_from(self._gauss_values(u), mu, r)
+
+    # The formulas of `residual`, `jacobian_bands` and `newton_step`, from the
+    # Gauss values v of the state u.
+
+    def _residual_from(self, u: np.ndarray, v: np.ndarray, mu: float) -> np.ndarray:
+        return self.x_apply(u) - mu * self._load(self.source(v))
+
+    def _bands_from(self, v: np.ndarray, mu: float) -> np.ndarray:
+        return self.x_bands - mu * self._weighted_mass_bands(self.source_prime(v))
+
+    def _step_from(self, v: np.ndarray, mu: float, r: np.ndarray) -> np.ndarray:
+        ab = self._bands_from(v, mu)
         if self.mesh_size == 1:
             if ab[1, 0] == 0.0:
                 raise np.linalg.LinAlgError("singular matrix")

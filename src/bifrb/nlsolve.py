@@ -18,14 +18,18 @@ object, never as an exception.
 Every deflated solve, full-order or reduced, uses r = DEFLATION_POWER = 2 and
 sigma = DEFLATION_SHIFT = 1 (Farrell, Birkisson & Funke 2015).
 
-Full-order and reduced solvers share this engine and differ only in residual,
-Newton step and state metric.  The known roots of a parameter live in one
-`RootSet`, built on that metric: its norm measures steps, it deflates, and it
-decides root identity.  `discover` is the one multi-root loop at a parameter,
-on top of either deflated solver, and `continuation` is the one sweep over
-parameters: each parameter continues every tracked branch by one solve from
-the previous parameter's root and runs the guess battery only where a branch
-can be born.
+Full-order and reduced solvers share this engine, `_newton_core`, and hand it
+one shape of Newton system, (values, residual, step): values(y) is the work an
+iterate's residual and Newton step share (the Gauss values of a state at full
+order), which the engine evaluates once per iterate, so neither the model nor
+the basis holds solver state.  Besides the system the two spaces differ only
+in the residual's dual norm and the state metric.  The known roots of a
+parameter live in one `RootSet`, built on that metric: its norm measures
+steps, it deflates, and it decides root identity.  `discover` is the one
+multi-root loop at a parameter, on top of either deflated solver, and
+`continuation` is the one sweep over parameters: each parameter continues
+every tracked branch by one solve from the previous parameter's root and runs
+the guess battery only where a branch can be born.
 """
 from __future__ import annotations
 
@@ -189,17 +193,20 @@ def _deflation_roots(roots, metric) -> RootSet:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet) -> SolveResult:
+def _newton_core(system, guess, cfg, residual_norm, roots: RootSet) -> SolveResult:
     """Shared engine for all four solver entry points (full/reduced x plain/deflated).
 
-    `step_fn(y, r)` returns the plain Newton step du solving Jac(y) du = -r:
-    a banded solve for full-order states, a dense N x N solve for reduced
-    ones.  A LinAlgError from it is reported as "singular_jacobian" and a
-    non-finite du as "nonfinite_step".  `residual_norm` is the dual norm of
-    the residual and decides convergence against cfg.tol.  `roots.norm`
-    measures steps and iterates; a non-empty `roots` deflates each step,
-    and `roots.is_distinct` ends a run whose guess or converged iterate is
-    one of them.
+    `system` is (values, residual, step): v = values(y) is the work the
+    residual and the Newton step at y share, evaluated once per iterate;
+    residual(y, v) is the residual at y, and step(v, r) the plain Newton
+    step du solving Jac(y) du = -r (a banded solve for full-order states,
+    a dense N x N solve for reduced ones).  A LinAlgError from the step is
+    reported as "singular_jacobian" and a non-finite du as
+    "nonfinite_step".  `residual_norm` is the dual norm of the residual and
+    decides convergence against cfg.tol.  `roots.norm` measures steps and
+    iterates; a non-empty `roots` deflates each step, and
+    `roots.is_distinct` ends a run whose guess or converged iterate is one
+    of them.
     With no roots the deflation factor would be 1 and the step scaling
     exactly 1.0, so plain runs skip it.  A run whose (deflated) step norm
     has not fallen below half its best value for NO_PROGRESS_WINDOW
@@ -207,12 +214,14 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
     expected and handled through the norm checks, so numpy warnings stay
     silenced for the whole iteration.
     """
+    values, residual, newton_step = system
     norm = roots.norm
     y = np.array(guess, dtype=float).copy()
     if roots and not roots.is_distinct(y):
         return SolveResult(y, False, 0, np.inf, "deflation_singular_guess")
 
-    r = residual_fn(y)
+    v = values(y)
+    r = residual(y, v)
     rnorm = residual_norm(r)
     best_step, stale = np.inf, 0
     for k in range(cfg.max_iter + 1):
@@ -225,7 +234,7 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
         if k == cfg.max_iter:
             break
         try:
-            du = step_fn(y, r)
+            du = newton_step(v, r)
         except np.linalg.LinAlgError:
             return SolveResult(y, False, k, rnorm, "singular_jacobian")
         if not np.all(np.isfinite(du)):
@@ -249,33 +258,17 @@ def _newton_core(residual_fn, step_fn, guess, cfg, residual_norm, roots: RootSet
         y = y + du
         if norm(y) > DIVERGENCE_NORM:
             return SolveResult(y, False, k + 1, rnorm, "divergence_norm")
-        r = residual_fn(y)
+        v = values(y)
+        r = residual(y, v)
         rnorm = residual_norm(r)
     return SolveResult(y, False, cfg.max_iter, rnorm, "max_iter")
-
-
-def _full_order_solve(model: ParametricModel, mu: float, guess, cfg: NewtonConfig,
-                      roots: RootSet) -> SolveResult:
-    """`_newton_core` on the full-order system, one Gauss evaluation per iterate.
-
-    Every new iterate is pinned on the model, so its residual and the
-    Jacobian of its Newton step share one set of Gauss-point values.
-    """
-    def residual(y):
-        model.pin(y)
-        return model.residual(y, mu)
-
-    try:
-        return _newton_core(residual, lambda y, r: model.newton_step(y, mu, r), guess, cfg,
-                            model.x_dual_norm, roots)
-    finally:
-        model.pin(None)
 
 
 def newton(model: ParametricModel, mu: float, guess: np.ndarray,
            cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Full-order Newton; converges when the dual norm of the residual drops below cfg.tol."""
-    return _full_order_solve(model, mu, guess, cfg, RootSet(model.x_apply))
+    return _newton_core(model.newton_system(mu), guess, cfg, model.x_dual_norm,
+                        RootSet(model.x_apply))
 
 
 def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
@@ -285,7 +278,8 @@ def deflated_newton(model: ParametricModel, mu: float, guess: np.ndarray,
     The deflation power and shift are DEFLATION_POWER and DEFLATION_SHIFT.
     With an empty root list this reproduces `newton` bit for bit.
     """
-    return _full_order_solve(model, mu, guess, cfg, _deflation_roots(roots, model.x_apply))
+    return _newton_core(model.newton_system(mu), guess, cfg, model.x_dual_norm,
+                        _deflation_roots(roots, model.x_apply))
 
 
 def discover(deflated_solve, guesses, found: RootSet, drive: bool = True) -> RootSet:

@@ -26,9 +26,7 @@ O(m N^4), and then
 O(N^4) an iterate with no Gauss point visited.  The tensors are used only
 while N^2 <= min(2(m+1) / 4, 512) (see `_TENSOR_MAX_PAIRS`); a larger basis,
 and every basis of a non-cubic source (bratu), keeps the quadrature form, and
-the two agree to roundoff.  One reduced solve forms K_N - mu w L once and
-shares each iterate's C(u_N, u_N) (or Phi u_N) between its residual and its
-Newton step, an N x N dense solve.
+the two agree to roundoff.  One reduced solve forms K_N - mu w L once.
 
 Reduced Newton iterates on coefficient vectors and converges when ||G_N||_2
 drops below the tolerance: since the basis is X-orthonormal, that is the dual
@@ -37,8 +35,11 @@ solvers.
 For the same reason the Euclidean norm of a coefficient vector is the X-norm
 of its lift, so reduced roots live in a `RootSet` without metric: steps, root
 distances in deflation, "no_progress" and distinctness all use that norm.
-Otherwise the reduced solvers and root discovery are the full-order ones of
-`nlsolve`, and sweeps run `reduced_root` (one branch) or
+Otherwise the reduced solvers are the full-order ones: both hand
+`nlsolve._newton_core` a (values, residual, step) system, here with
+C(u_N, u_N) (or Phi u_N) as the values, which the engine evaluates once per
+iterate for the residual and the Newton step, an N x N dense solve.  Root
+discovery is `nlsolve.discover`, and sweeps run `reduced_root` (one branch) or
 `discover_reduced_solutions` (all branches) through `nlsolve.continuation`.
 Deflated sweeps gate that loop's guess battery on `reduced_morse_index`, the
 count of eigenvalues <= 0 of the N x N reduced Jacobian at each root.
@@ -240,10 +241,10 @@ class BasisMatrix:
 
 
 def _reduced_system(basis: BasisMatrix, mu: float):
-    """(shared, residual, jacobian) of the reduced system at mu.
+    """(values, residual, jacobian) of the reduced system at mu.
 
-    `shared(y)` is what the residual `residual(y, s)` and the Jacobian
-    `jacobian(s)` at y both need, s = shared(y): C(y, y) from the model's
+    values(y) is the work the residual `residual(y, v)` and the Jacobian
+    `jacobian(v)` at y share, v = values(y): C(y, y) from the model's
     tensors, else the Gauss values Phi y (see the module docstring).
     """
     phi, k_n, tensors = basis.galerkin_operators()
@@ -262,37 +263,28 @@ def _reduced_system(basis: BasisMatrix, mu: float):
 
 def reduced_residual(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
     """B^T G(B u_N; mu), from the model's tensors or summed at the Gauss points."""
-    shared, residual, _ = _reduced_system(basis, mu)
+    values, residual, _ = _reduced_system(basis, mu)
     u_n = np.asarray(u_n, dtype=float)
-    return residual(u_n, shared(u_n))
+    return residual(u_n, values(u_n))
 
 
 def reduced_jacobian(basis: BasisMatrix, u_n: np.ndarray, mu: float) -> np.ndarray:
     """B^T Jac(B u_N; mu) B, from the model's tensors or summed at the Gauss points."""
-    shared, _, jacobian = _reduced_system(basis, mu)
-    u_n = np.asarray(u_n, dtype=float)
-    return jacobian(shared(u_n))
+    values, _, jacobian = _reduced_system(basis, mu)
+    return jacobian(values(np.asarray(u_n, dtype=float)))
 
 
 def _reduced_solve(basis: BasisMatrix, mu: float, guess, cfg: NewtonConfig,
                    roots: RootSet) -> SolveResult:
     """`_newton_core` on the reduced system, Euclidean norms throughout.
 
-    Each new iterate's shared part is evaluated once, for its residual and
-    the Jacobian of its Newton step.
+    The system's step is the dense solve of the reduced Jacobian from the
+    iterate's shared values, the ones its residual read.
     """
     if basis.n == 0:
         raise ValueError("reduced solve requires a nonempty basis")
-    shared, residual, jacobian = _reduced_system(basis, mu)
-    held = [None, None]  # the last iterate and its shared part
-
-    def at(y):
-        if held[0] is not y:
-            held[:] = y, shared(y)
-        return held[1]
-
-    return _newton_core(lambda y: residual(y, at(y)),
-                        lambda y, r: np.linalg.solve(jacobian(at(y)), -r),
+    values, residual, jacobian = _reduced_system(basis, mu)
+    return _newton_core((values, residual, lambda v, r: np.linalg.solve(jacobian(v), -r)),
                         guess, cfg, _euclidean_norm, roots)
 
 

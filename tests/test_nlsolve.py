@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 
 from bifrb import analysis, nlsolve
 from bifrb.analysis import solution_ensemble
-from bifrb.model import Bratu1D, make_model
+from bifrb.model import Bratu1D, ChafeeInfante1D, make_model
 from bifrb.nlsolve import (NO_PROGRESS_WINDOW, DeflationSingularity, NewtonConfig,
                            RootSet, SolveResult, continuation, deflated_newton, discover,
                            discover_solutions, newton)
@@ -70,8 +70,8 @@ class _BrokenJacobianBratu(Bratu1D):
         super().__init__(mesh_size)
         self.value = value
 
-    def jacobian_bands(self, u, mu):
-        bands = super().jacobian_bands(u, mu)
+    def _bands_from(self, v, mu):
+        bands = super()._bands_from(v, mu)
         bands[1, 0] = bands[2, 0] = self.value
         return bands
 
@@ -373,9 +373,33 @@ def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
         res = solve(chafee.default_guesses[1])
         assert res.converged and res.iterations > 0
         assert calls["n"] == res.iterations + 1
-    # the solver releases its last iterate: changed in place, it is re-evaluated
-    res.u[:] = 0.0
-    assert np.array_equal(chafee.residual(res.u, mu), np.zeros(chafee.mesh_size))
+
+
+def test_solvers_leave_no_state_on_the_model(monkeypatch):
+    # neither while they run nor after: the engine, not the model, shares an
+    # iterate's Gauss values between its residual and its Newton step.  A
+    # model of its own, since patching a shared one leaves its attribute.
+    chafee = make_model("chafee", 101)
+
+    def unchanged(before):
+        after = vars(chafee)
+        return after.keys() == before.keys() and all(
+            np.array_equal(after[k], v) if isinstance(v, np.ndarray) else after[k] == v
+            for k, v in before.items())
+
+    before = {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in vars(chafee).items()}
+    seen, gauss_values = [], ChafeeInfante1D._gauss_values
+
+    def watched(self, u):
+        seen.append(unchanged(before))
+        return gauss_values(self, u)
+
+    monkeypatch.setattr(ChafeeInfante1D, "_gauss_values", watched)
+    root = newton(chafee, 12.0, chafee.default_guess)
+    assert deflated_newton(chafee, 12.0, -chafee.default_guess, [root.u]).converged
+    assert len(discover_solutions(chafee, 12.0, chafee.default_guesses)) == 3
+    assert len(seen) > 10 and all(seen)
+    assert unchanged(before)
 
 
 def test_discover_drives_a_guess_until_it_fails_or_gives_one_attempt_per_guess():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from bifrb import model as model_module
+from bifrb import rom as rom_module
 from bifrb.model import Bratu1D, ChafeeInfante1D, make_model
 from bifrb.nlsolve import newton
 from bifrb.rom import (BasisMatrix, _euclidean_norm, reduced_deflated_newton,
@@ -240,12 +241,40 @@ def test_reduced_solvers_never_assemble_at_full_order(kind, mu, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("full-order assembly inside a reduced solve")
 
-    for name in ("residual", "jacobian", "jacobian_bands", "newton_step"):
+    for name in ("residual", "jacobian", "jacobian_bands", "newton_step", "newton_system"):
         monkeypatch.setattr(model, name, forbidden)
     first = reduced_newton(basis, mu, guesses[0])
     assert first.converged
     second = reduced_deflated_newton(basis, mu, guesses[-1], [first.u])
     assert second.iterations > 0
+
+
+@pytest.mark.parametrize("kind, mu", [("bratu", 2.0), ("chafee", 12.0)])
+def test_reduced_solvers_evaluate_the_shared_values_once_per_iterate(kind, mu, monkeypatch):
+    model = make_model(kind, 101)
+    basis = snapshot_basis(model, (mu,))
+    # chafee's basis takes the tensor path, bratu's the quadrature path
+    assert (basis.galerkin_operators()[2] is not None) == (kind == "chafee")
+    system, calls = rom_module._reduced_system, {"n": 0}
+
+    def counted_system(*args):
+        values, residual, jacobian = system(*args)
+
+        def counted(y):
+            calls["n"] += 1
+            return values(y)
+
+        return counted, residual, jacobian
+
+    monkeypatch.setattr(rom_module, "_reduced_system", counted_system)
+    guesses = [basis.project(g) for g in model.default_guesses]
+    first = reduced_newton(basis, mu, guesses[0])
+    assert first.converged and first.iterations > 1
+    assert calls["n"] == first.iterations + 1
+    calls["n"] = 0
+    second = reduced_deflated_newton(basis, mu, guesses[-1], [first.u])
+    assert second.iterations > 1
+    assert calls["n"] == second.iterations + 1
 
 
 class _SingularTensorsChafee(ChafeeInfante1D):
