@@ -33,9 +33,9 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpttrf, dpttrs, dstev
+from scipy.linalg.lapack import dpttrs, dstev
 
-from .model import ParametricModel, sturm_count
+from .model import ParametricModel, pencil_side, sturm_count
 from .nlsolve import NewtonConfig, continuation
 from .rom import BasisMatrix, discover_reduced_solutions, reduced_morse_index, reduced_root
 
@@ -87,20 +87,17 @@ class EstimatorKind(str, Enum):
     AUTO_SWITCH = "auto_switch"
 
 
-def _pencil_inf_sup(a: np.ndarray, b: np.ndarray) -> float:
-    """min |lam| of A v = lam B v, A symmetric, B SPD, both (3, m) bands; see `inf_sup`."""
-    m, o = a.shape[1], min(a.shape[1] - 1, 1)  # LAPACK wants an off-diagonal even at m = 1
-    a_up, b_up = np.asfortranarray(a[:2]), np.asfortranarray(b[:2])
-    b_d, b_e, info = dpttrf(b[1], b[0, o:])
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
+def _pencil_inf_sup(a: np.ndarray, b) -> float:
+    """min |lam| of A v = lam B v, A symmetric (3, m) bands, B SPD: its (3, m)
+    bands or their `model.pencil_side`; see `inf_sup`."""
+    b, b_up, b_d, b_e, abs_b, q, bq = pencil_side(b) if isinstance(b, np.ndarray) else b
+    m, a_up = a.shape[1], np.asfortranarray(a[:2])
 
     def near(s: float) -> bool:  # some |lam| <= s?  pencil eigenvalues <= s against <= -s
         return sturm_count(a - s * b) > sturm_count(a + s * b)
 
     qs, bqs = np.empty((2, min(m, 32), m))  # Lanczos vectors and B times them, as rows
-    q = dpttrs(b_d, b_e, c := 1.0 + np.cos(2.39996 * np.arange(m)))[0]  # see `inf_sup`
-    qs[0], bqs[0] = q / math.sqrt(q @ c), c / math.sqrt(q @ c)
+    qs[0], bqs[0] = q, bq
     alpha, beta = np.empty((2, len(qs)))
     for k in range(len(qs)):
         w = dpttrs(b_d, b_e, dsbmv(1, 1.0, a_up, qs[k]))[0]
@@ -116,7 +113,7 @@ def _pencil_inf_sup(a: np.ndarray, b: np.ndarray) -> float:
         gap = min([abs(x - theta[i]) for x in theta[max(i - 1, 0):i + 2] if x != theta[i]] or [0.0])
         if res * res <= 0.1 * (d := max(1e-10 * t, 1e-12)) * gap:
             y = z[:, i] @ qs[:k + 1]  # Ritz vector; counts resolve 4 eps y^T (|A| + t|B|) y
-            d = max(d, 9e-16 * (y @ y) * (abs(a) + t * abs(b)).sum(axis=0).max())
+            d = max(d, 9e-16 * (y @ y) * (abs(a) + t * abs_b).sum(axis=0).max())
             if near(t + d) and not near(t - d):
                 return t
         if bk == 0.0 or k + 1 == len(qs):
@@ -134,28 +131,29 @@ def inf_sup(model: ParametricModel, u: np.ndarray, mu: float) -> float:
     Jac is symmetric, so beta = min |lam| over the pencil Jac v = lam X v of
     tridiagonals.  Lanczos in the X inner product on X^{-1} Jac proposes it,
     O(m) a step, from X^{-1} (1 + cos(2.39996 i)): smooth, so weighted to the
-    low symmetric modes, but not mirror-symmetric.  When the Ritz value t
-    nearest 0 meets res^2 <= 0.1 d gap (Kato-Temple), d = max(1e-10 t, 1e-12),
-    four Sturm counts (the inertia of Jac - s X, Sylvester) prove some |lam| <=
-    t + d and none < t - d, d widened to their rounding, 4 eps y^T (|Jac| +
-    t |X|) y for the Ritz vector y.  After 32 steps without, bisection on the
-    counts finds beta.  Non-finite Jacobians raise ValueError first.
+    low symmetric modes, but not mirror-symmetric.  That start and X's factor
+    are the model's (`x_pencil`), built once.  When the Ritz value t nearest 0
+    meets res^2 <= 0.1 d gap (Kato-Temple), d = max(1e-10 t, 1e-12), four Sturm
+    counts (the inertia of Jac - s X, Sylvester) prove some |lam| <= t + d and
+    none < t - d, d widened to their rounding, 4 eps y^T (|Jac| + t |X|) y for
+    the Ritz vector y.  After 32 steps without, bisection on the counts finds
+    beta.  Non-finite Jacobians raise ValueError first.
 
     Inside `certificate_memo` a pencil already solved, by the model (whose X
-    bands are fixed at construction) and the first 16 bytes of the SHA-256
-    digest of the Jac bands (on CPUs with SHA instructions about half the
-    cost of BLAKE2b), returns its stored value: the same float, as the solve
-    reads nothing else (chafee's trivial branch repeats J(0, mu), and u and
-    -u one Jac).
+    bands are fixed and read-only from construction) and the first 16 bytes
+    of the SHA-256 digest of the Jac bands (on CPUs with SHA instructions
+    about half the cost of BLAKE2b), returns its stored value: the same
+    float, as the solve reads nothing else (chafee's trivial branch repeats
+    J(0, mu), and u and -u one Jac).
     """
     jac = model.jacobian_bands(u, mu)
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise ValueError("array must not contain infs or NaNs")
     memo = _CERTIFICATES.get()
     if memo is None:
-        return _pencil_inf_sup(jac, model.x_bands)
+        return _pencil_inf_sup(jac, model.x_pencil)
     if (key := (model, hashlib.sha256(jac).digest()[:16])) not in memo:
-        memo[key] = _pencil_inf_sup(jac, model.x_bands)
+        memo[key] = _pencil_inf_sup(jac, model.x_pencil)
     return memo[key]
 
 

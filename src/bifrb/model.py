@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dgtsv, dpbtrs, dstebz
+from scipy.linalg.lapack import dgtsv, dpbtrs, dpttrf, dpttrs, dstebz
 
 __all__ = [
     "ModelKind",
@@ -49,6 +49,7 @@ __all__ = [
     "make_model",
     "form_norm",
     "sturm_count",
+    "pencil_side",
     "RHO4",
 ]
 
@@ -102,7 +103,7 @@ class ParameterSpace:
     def equispaced(cls, lower: float, upper: float, n_train: int) -> "ParameterSpace":
         _check_interval(lower, upper)  # before linspace, which warns on non-finite ends
         if n_train < 2:
-            raise ValueError(f"equispaced grid needs n_train >= 2 (got {n_train})")
+            raise ValueError(f"needs at least 2 points (got {n_train})")
         return cls(lower, upper, tuple(np.linspace(lower, upper, n_train)))
 
     def with_points(self, extra: np.ndarray) -> "ParameterSpace":
@@ -143,8 +144,10 @@ class ParametricModel:
         self.x_bands = np.zeros((3, self.mesh_size))
         self.x_bands[1] = 2.0 / self.h
         self.x_bands[0, 1:] = self.x_bands[2, :-1] = -1.0 / self.h
+        self.x_bands.flags.writeable = False  # fixed: the `inf_sup` memo and `x_pencil` read it
         # Upper banded Cholesky factor of X, for the dual norm.
         self._x_chol = cholesky_banded(self.x_bands[:2])
+        self._x_pencil = None  # see `x_pencil`
 
     # -- assembly -----------------------------------------------------------
 
@@ -265,13 +268,29 @@ class ParametricModel:
     # -- geometry -----------------------------------------------------------
 
     def x_apply(self, v: np.ndarray) -> np.ndarray:
-        """X v for a state vector or X V for an (m, k) matrix of states, on the band."""
-        v = np.asarray(v, dtype=float).T  # states along the last axis
+        """X v for a state vector or X V for an (m, k) matrix of states, on the band;
+        a 1-D float64 v skips `asarray`, the transposes and `...`, not the arithmetic."""
         diag, off = self.x_bands[1], self.x_bands[0, 1:]
+        if type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
+            out = diag * v
+            out[:-1] += off * v[1:]
+            out[1:] += off * v[:-1]
+            return out
+        v = np.asarray(v, dtype=float).T  # states along the last axis
         out = diag * v
         out[..., :-1] += off * v[..., 1:]
         out[..., 1:] += off * v[..., :-1]
         return out.T
+
+    @property
+    def x_pencil(self) -> tuple:
+        """X's side of the inf-sup pencil (`pencil_side`), built on first use (a model
+        that certifies nothing never pays for it) and read-only, X included: X is fixed."""
+        if self._x_pencil is None:
+            self._x_pencil = pencil_side(self.x_bands)
+            for x in self._x_pencil:
+                x.flags.writeable = False
+        return self._x_pencil
 
     def x_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ self.x_apply(v))
@@ -431,6 +450,18 @@ def sturm_count(bands: np.ndarray) -> int:
     """
     o = min(bands.shape[1] - 1, 1)  # LAPACK wants an off-diagonal even at m = 1
     return dstebz(bands[1], bands[0, o:], 1, -1e300, 0, 0, 0, 1e300, "B")[0]
+
+
+def pencil_side(b: np.ndarray) -> tuple:
+    """What the inf-sup solve of A v = lam B v reads of its SPD tridiagonal (3, m)
+    bands B alone: B, its Fortran upper bands, its `dpttrf` factor d and e, |B|, and
+    q = B^{-1} c / sqrt(c . B^{-1} c), c = 1 + cos(2.39996 i), and B q, the Lanczos start."""
+    o = min(b.shape[1] - 1, 1)  # LAPACK wants an off-diagonal even at m = 1
+    d, e, info = dpttrf(b[1], b[0, o:])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
+    q = dpttrs(d, e, c := 1.0 + np.cos(2.39996 * np.arange(b.shape[1])))[0]
+    return b, np.asfortranarray(b[:2]), d, e, abs(b), q / math.sqrt(q @ c), c / math.sqrt(q @ c)
 
 
 def _expand_bands(bands: np.ndarray) -> np.ndarray:

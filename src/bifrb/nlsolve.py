@@ -172,15 +172,16 @@ class RootSet:
         The gradient pairs with plain dot products against steps.
         """
         y = np.asarray(y, dtype=float)
-        terms = [self._measured(y - u) for u in self.roots]
-        if any(dist < 1e-100 for _, dist in terms):
-            raise DeflationSingularity("deflation singularity: state coincides with a stored root")
-        factors = [dist ** (-DEFLATION_POWER) + DEFLATION_SHIFT for _, dist in terms]
-        m = 1.0
-        for f in factors:
+        terms, m = [], 1.0
+        for u in self.roots:
+            md, dist = self._measured(y - u)
+            if dist < 1e-100:
+                raise DeflationSingularity("deflation singularity: state coincides with a stored root")
+            f = dist ** (-DEFLATION_POWER) + DEFLATION_SHIFT
             m *= f
-        g = np.zeros_like(y)
-        for (md, dist), f in zip(terms, factors):
+            terms.append((md, dist, f))
+        g = np.zeros(y.shape)
+        for md, dist, f in terms:
             g += (m / f) * (-DEFLATION_POWER) * dist ** (-DEFLATION_POWER - 2.0) * md
         return m, g
 
@@ -225,7 +226,7 @@ def _newton_core(system, guess, cfg, residual_norm, roots: RootSet) -> SolveResu
     rnorm = residual_norm(r)
     best_step, stale = np.inf, 0
     for k in range(cfg.max_iter + 1):
-        if not np.isfinite(rnorm):
+        if not math.isfinite(rnorm):
             return SolveResult(y, False, k, rnorm, "nonfinite_residual")
         if rnorm < cfg.tol:
             if roots and not roots.is_distinct(y):
@@ -237,7 +238,7 @@ def _newton_core(system, guess, cfg, residual_norm, roots: RootSet) -> SolveResu
             du = newton_step(v, r)
         except np.linalg.LinAlgError:
             return SolveResult(y, False, k, rnorm, "singular_jacobian")
-        if not np.all(np.isfinite(du)):
+        if not np.isfinite(du).all():
             return SolveResult(y, False, k, rnorm, "nonfinite_step")
         if roots:
             try:

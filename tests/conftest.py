@@ -33,6 +33,23 @@ def chafee_fine():
     return make_model("chafee", mesh_size=201)
 
 
+@pytest.fixture(autouse=True)
+def session_models_stay_clean(request):
+    """Fail a test that leaves a new instance attribute on a session model it
+    used (`monkeypatch.setattr` on an instance restores a method as one), and
+    remove the attribute, so that no later test sees it."""
+    names = [n for n in ("bratu", "chafee", "bratu_fine", "chafee_fine")
+             if n in request.fixturenames]
+    before = {n: set(vars(request.getfixturevalue(n))) for n in names}
+    yield
+    for n in names:
+        model = request.getfixturevalue(n)
+        if left := set(vars(model)) - before[n]:
+            for attr in left:
+                delattr(model, attr)
+            pytest.fail(f"test left {sorted(left)} on the session model {n!r}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

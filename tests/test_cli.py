@@ -52,7 +52,13 @@ def test_validate_collects_all_problems():
 def test_bad_flag_value_exits_one(tmp_path, capsys):
     code = run_cli(["diagram", "--train", "1", "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "train grid: equispaced grid needs n_train >= 2 (got 1)" in capsys.readouterr().err
+    assert "train grid: needs at least 2 points (got 1)" in capsys.readouterr().err
+
+
+def test_test_grid_size_message_names_one_grid(tmp_path, capsys):
+    assert run_cli(["run", "--test", "0", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "test grid: needs at least 2 points (got 0)" in err and "equispaced" not in err
 
 
 def test_half_open_interval_exits_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import stiffness_matrix
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
-from scipy.linalg.lapack import dpttrs, dstebz
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 
 from bifrb import estimators, rom
 from bifrb.estimators import (EstimatorKind, argmin_beta, beta_sweep, certificate_memo,
@@ -74,9 +74,11 @@ def test_inf_sup_rejects_non_finite_states_before_lapack(chafee, monkeypatch):
     def forbidden(*args):
         raise AssertionError("non-finite Jacobian passed to LAPACK")
 
-    for name in ("dpttrf", "dpttrs", "dsbmv", "dstev"):
+    for name in ("dpttrs", "dsbmv", "dstev"):
         monkeypatch.setattr(estimators, name, forbidden)
-    monkeypatch.setattr("bifrb.model.dstebz", forbidden)  # the counts of `model.sturm_count`
+    # X's side (`model.pencil_side`) and the counts of `model.sturm_count`
+    for name in ("dpttrf", "dpttrs", "dstebz"):
+        monkeypatch.setattr(f"bifrb.model.{name}", forbidden)
     for scope in (contextlib.nullcontext, certificate_memo):
         for bad in (np.nan, np.inf):
             u = np.zeros(chafee.mesh_size)
@@ -166,9 +168,9 @@ def test_inf_sup_is_bitwise_deterministic(chafee_fine, rng):
 
 
 def spy_on_lapack(monkeypatch):
-    """Calls of `inf_sup` to `dpttrs` (the start vector's X solve, then one
-    per Lanczos step) and to `dstebz` (the inertia counts of
-    `model.sturm_count`), by name."""
+    """Calls of `inf_sup` to `dpttrs` (one X solve per Lanczos step; the
+    start vector's X solve is made once per model, by `model.pencil_side`)
+    and to `dstebz` (the inertia counts of `model.sturm_count`), by name."""
     calls = Counter()
 
     def spied(name, routine):
@@ -198,7 +200,7 @@ def test_inf_sup_cost_is_mesh_independent(monkeypatch):
         for u, mu, most in cases:
             calls.clear()
             assert inf_sup(model, u, mu) > 0.0
-            assert calls["dpttrs"] - 1 <= most, (mesh, mu, calls)
+            assert calls["dpttrs"] <= most, (mesh, mu, calls)
             assert calls["dstebz"] == 4, (mesh, mu, calls)  # one certificate
 
 
@@ -223,7 +225,21 @@ def test_inf_sup_bisects_inside_a_tight_cluster(monkeypatch):
     model = make_model("chafee", 201)
     calls = spy_on_lapack(monkeypatch)
     assert_matches_dense_pencil(model, np.ones(201), 12.0)
-    assert calls["dpttrs"] == 33
+    assert calls["dpttrs"] == 32
+
+
+def test_x_side_of_the_pencil_is_factored_once_per_model(monkeypatch, rng):
+    # X's `dpttrf` and the start vector's solve run once, at a model's first
+    # `inf_sup`, and the X side they leave is read-only
+    factored = []
+    monkeypatch.setattr("bifrb.model.dpttrf", lambda *args: factored.append(1) or dpttrf(*args))
+    for kind in ("chafee", "bratu"):
+        model = make_model(kind, 41)
+        for mu in (1.0, 3.0, 9.0, 12.0):
+            for _ in range(3):
+                inf_sup(model, 0.3 * rng.standard_normal(41), mu)
+        assert all(not x.flags.writeable for x in model.x_pencil)
+    assert len(factored) == 2
 
 
 def test_inf_sup_of_exactly_singular_jacobian(chafee):

@@ -400,7 +400,7 @@ def spy_on_pencils(monkeypatch):
     solve = estimators._pencil_inf_sup
 
     def spied(a, b):
-        seen.append(a.tobytes() + b.tobytes())
+        seen.append(a.tobytes() + b[0].tobytes())  # b: the model's X side, B first
         return solve(a, b)
 
     monkeypatch.setattr(estimators, "_pencil_inf_sup", spied)

@@ -24,6 +24,26 @@ def p1_mass_matrix(m):
             + np.diag(np.full(m - 1, h / 6.0), -1))
 
 
+def general_x_apply(model, v):
+    """`ParametricModel.x_apply`'s path for any input, verbatim."""
+    v = np.asarray(v, dtype=float).T
+    diag, off = model.x_bands[1], model.x_bands[0, 1:]
+    out = diag * v
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
+    return out.T
+
+
+def test_x_apply_of_a_vector_is_the_general_path_bit_for_bit(bratu, rng):
+    m = bratu.mesh_size
+    v = rng.standard_normal(m)
+    v[:3] = [0.0, -0.0, -0.0]  # signed zeros must agree too
+    wide = rng.standard_normal(3 * m)
+    for x in (v, wide[::3], wide[1::3], -np.arange(m), list(v)):
+        got, expect = bratu.x_apply(x), general_x_apply(bratu, x)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
 def test_stiffness_matrix_is_scaled_tridiagonal(bratu, rng):
     # X is kept as symmetric bands only; its products match the dense formula
     m = bratu.mesh_size

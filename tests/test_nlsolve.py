@@ -193,6 +193,38 @@ def test_factor_and_gradient_in_one_pass(bratu, rng):
         assert np.isclose(m, manual, rtol=1e-14)
 
 
+def two_pass_factor_and_gradient(roots, y):
+    """`RootSet.factor_and_gradient` as its two-pass form computed it, verbatim."""
+    y = np.asarray(y, dtype=float)
+    terms = [roots._measured(y - u) for u in roots.roots]
+    if any(dist < 1e-100 for _, dist in terms):
+        raise DeflationSingularity("deflation singularity: state coincides with a stored root")
+    factors = [dist ** (-nlsolve.DEFLATION_POWER) + nlsolve.DEFLATION_SHIFT for _, dist in terms]
+    m = 1.0
+    for f in factors:
+        m *= f
+    g = np.zeros_like(y)
+    for (md, dist), f in zip(terms, factors):
+        g += (m / f) * (-nlsolve.DEFLATION_POWER) * dist ** (-nlsolve.DEFLATION_POWER - 2.0) * md
+    return m, g
+
+
+def test_factor_and_gradient_is_the_two_pass_formula_bit_for_bit(bratu, rng):
+    size = bratu.mesh_size
+    for metric in (None, bratu.x_apply):
+        for count in (1, 2, 3):
+            op = RootSet(metric, [rng.standard_normal(size) for _ in range(count)])
+            y = rng.standard_normal(size)
+            y[:5] = op.roots[0][:5]  # exact zeros in y - u_0: signed zeros must agree
+            m, g = op.factor_and_gradient(y)
+            m_ref, g_ref = two_pass_factor_and_gradient(op, y)
+            assert m == m_ref and g.tobytes() == g_ref.tobytes(), (metric, count)
+            on_root = op.roots[count - 1].copy()
+            for solve in (op.factor_and_gradient, lambda v: two_pass_factor_and_gradient(op, v)):
+                with pytest.raises(DeflationSingularity):
+                    solve(on_root)
+
+
 def test_deflated_iteration_evaluates_deflation_once(chafee, monkeypatch):
     # one factor-and-gradient pass per Newton step
     mu = 12.0
@@ -354,9 +386,11 @@ def test_newton_and_discovery_are_mesh_independent(mesh):
     assert len(discover_solutions(bratu, 1.0, bratu.default_guesses)) == 2
 
 
-def test_full_order_iterate_evaluates_gauss_values_once(chafee, monkeypatch):
+def test_full_order_iterate_evaluates_gauss_values_once(monkeypatch):
     # the residual of an iterate and the Jacobian of its step share one
-    # evaluation: k iterations visit k + 1 iterates
+    # evaluation: k iterations visit k + 1 iterates.  A model of its own,
+    # since patching a shared one leaves its attribute.
+    chafee = make_model("chafee", 101)
     mu = 12.0
     root = newton(chafee, mu, chafee.default_guesses[0]).u
     calls = {"n": 0}
@@ -564,6 +598,7 @@ def gated_case(case, chafee, bratu):
 def test_gated_ensemble_is_the_ensemble_of_a_battery_at_every_parameter(case, chafee, bratu,
                                                                       monkeypatch):
     model, grid, expected = gated_case(case, chafee, bratu)
+    model = make_model(model.kind, model.mesh_size)  # patched below, so not a shared one
     gated = solution_ensemble(model, grid)
     # a fresh count on every call makes every count list differ: the battery
     # runs at every parameter
